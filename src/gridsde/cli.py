@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -96,22 +96,7 @@ class RunConfig:
         return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mode": self.mode,
-            "samples": self.samples,
-            "seed": self.seed,
-            "f": self.f,
-            "h": self.h,
-            "phi": self.phi,
-            "x0": self.x0,
-            "window": self.window,
-            "slices": list(self.slices) if self.slices else None,
-            "out": self.out,
-            "threads": self.threads,
-            "cap": self.cap,
-            "tolerances": dict(self.tolerances),
-        }
+        return asdict(self)
 
 
 def _parse_slices(raw) -> tuple[float, ...]:

@@ -18,11 +18,17 @@ over the language.
 
 Differentiation is symbolic rather than numeric because the residual checks
 downstream measure O(1/n) signals and need derivative error far below that.
+
+Each expression compiles once to a numpy closure.  ``vectorized()`` returns
+it, and a scalar call ``e(t, x)`` runs the same closure on float64 scalars,
+so scalar and array evaluation agree bit for bit.  A scalar call raises
+every floating-point fault as ``ExprDomainError`` naming the innermost
+failing subexpression, e.g. "division by zero in '1.0/(x - 1.0)'"; an
+overflow in '+', '-', '*' or inside a bump names the whole expression.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -79,7 +85,12 @@ class Expr:
     """Immutable expression tree over the variables t and x."""
 
     def __call__(self, t: float, x: float) -> float:
-        return self._eval(float(t), float(x))
+        """Evaluate at one point; a floating-point fault raises ExprDomainError."""
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            try:
+                return float(self._compiled(np.float64(t), np.float64(x)))
+            except FloatingPointError:
+                raise ExprDomainError("overflow", str(self)) from None
 
     def diff(self, var: str) -> "Expr":
         if var not in ("t", "x"):
@@ -87,8 +98,12 @@ class Expr:
         return self._diff(var)
 
     def vectorized(self) -> _VectorFn:
-        """Compile to a numpy closure; domain faults surface as nan/inf."""
-        return self._vector()
+        """The compiled numpy closure that scalar calls run too.
+
+        Outside ``__call__`` domain faults follow the caller's numpy errstate,
+        so under ``errstate(all="ignore")`` they surface as nan/inf.
+        """
+        return self._compiled
 
     def variables(self) -> frozenset[str]:
         return self._vars()
@@ -99,17 +114,18 @@ class Expr:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
 
-    # subclass hooks
-    def _eval(self, t: float, x: float) -> float:
-        raise NotImplementedError
+    @cached_property
+    def _compiled(self) -> _VectorFn:
+        return self._vector()
 
+    def _vars(self) -> frozenset[str]:
+        return frozenset().union(*(v._vars() for v in vars(self).values() if isinstance(v, Expr)))
+
+    # subclass hooks
     def _diff(self, var: str) -> "Expr":
         raise NotImplementedError
 
     def _vector(self) -> _VectorFn:
-        raise NotImplementedError
-
-    def _vars(self) -> frozenset[str]:
         raise NotImplementedError
 
     def _src(self) -> tuple[str, int]:
@@ -120,27 +136,35 @@ class Expr:
         return f"({text})" if prec < min_prec else text
 
 
+def _guarded(op, message: str, node: Expr):
+    """Run one node's own operation (its operands are already evaluated),
+    naming the node if numpy raises under ``Expr.__call__``'s errstate.
+    """
+
+    def run(*args):
+        try:
+            return op(*args)
+        except FloatingPointError as exc:
+            fault = "overflow" if str(exc).startswith("overflow") else message
+            raise ExprDomainError(fault, str(node)) from None
+
+    return run
+
+
 @dataclass(frozen=True, repr=False)
 class Const(Expr):
     value: float
-
-    def _eval(self, t, x):
-        return self.value
 
     def _diff(self, var):
         return Const(0.0)
 
     def _vector(self):
-        v = self.value
+        v = np.float64(self.value)
         return lambda t, x: v
 
-    def _vars(self):
-        return frozenset()
-
     def _src(self):
-        if self.value < 0:
-            return f"-{(-self.value)!r}", _P_NEG
-        return repr(self.value), _P_ATOM
+        text = repr(self.value)  # a leading minus, -0.0 included, prints as negation
+        return text, _P_NEG if text.startswith("-") else _P_ATOM
 
 
 @dataclass(frozen=True, repr=False)
@@ -150,9 +174,6 @@ class Var(Expr):
     def __post_init__(self):
         if self.name not in ("t", "x"):
             raise ExprError(f"unknown variable {self.name!r}")
-
-    def _eval(self, t, x):
-        return t if self.name == "t" else x
 
     def _diff(self, var):
         return Const(1.0 if var == self.name else 0.0)
@@ -173,18 +194,12 @@ class Var(Expr):
 class Neg(Expr):
     arg: Expr
 
-    def _eval(self, t, x):
-        return -self.arg._eval(t, x)
-
     def _diff(self, var):
         return _neg(self.arg._diff(var))
 
     def _vector(self):
         f = self.arg._vector()
         return lambda t, x: -f(t, x)
-
-    def _vars(self):
-        return self.arg._vars()
 
     def _src(self):
         return f"-{self._child(self.arg, _P_ATOM)}", _P_NEG
@@ -195,18 +210,12 @@ class Add(Expr):
     left: Expr
     right: Expr
 
-    def _eval(self, t, x):
-        return self.left._eval(t, x) + self.right._eval(t, x)
-
     def _diff(self, var):
         return _add(self.left._diff(var), self.right._diff(var))
 
     def _vector(self):
         f, g = self.left._vector(), self.right._vector()
         return lambda t, x: f(t, x) + g(t, x)
-
-    def _vars(self):
-        return self.left._vars() | self.right._vars()
 
     def _src(self):
         return f"{self._child(self.left, _P_ADD)} + {self._child(self.right, _P_MUL)}", _P_ADD
@@ -217,18 +226,12 @@ class Sub(Expr):
     left: Expr
     right: Expr
 
-    def _eval(self, t, x):
-        return self.left._eval(t, x) - self.right._eval(t, x)
-
     def _diff(self, var):
         return _sub(self.left._diff(var), self.right._diff(var))
 
     def _vector(self):
         f, g = self.left._vector(), self.right._vector()
         return lambda t, x: f(t, x) - g(t, x)
-
-    def _vars(self):
-        return self.left._vars() | self.right._vars()
 
     def _src(self):
         return f"{self._child(self.left, _P_ADD)} - {self._child(self.right, _P_MUL)}", _P_ADD
@@ -239,9 +242,6 @@ class Mul(Expr):
     left: Expr
     right: Expr
 
-    def _eval(self, t, x):
-        return self.left._eval(t, x) * self.right._eval(t, x)
-
     def _diff(self, var):
         da, db = self.left._diff(var), self.right._diff(var)
         return _add(_mul(da, self.right), _mul(self.left, db))
@@ -249,9 +249,6 @@ class Mul(Expr):
     def _vector(self):
         f, g = self.left._vector(), self.right._vector()
         return lambda t, x: f(t, x) * g(t, x)
-
-    def _vars(self):
-        return self.left._vars() | self.right._vars()
 
     def _src(self):
         return f"{self._child(self.left, _P_MUL)}*{self._child(self.right, _P_POW)}", _P_MUL
@@ -262,12 +259,6 @@ class Div(Expr):
     left: Expr
     right: Expr
 
-    def _eval(self, t, x):
-        denom = self.right._eval(t, x)
-        if denom == 0.0:
-            raise ExprDomainError("division by zero", str(self))
-        return self.left._eval(t, x) / denom
-
     def _diff(self, var):
         da, db = self.left._diff(var), self.right._diff(var)
         num = _sub(_mul(da, self.right), _mul(self.left, db))
@@ -275,10 +266,8 @@ class Div(Expr):
 
     def _vector(self):
         f, g = self.left._vector(), self.right._vector()
-        return lambda t, x: f(t, x) / g(t, x)
-
-    def _vars(self):
-        return self.left._vars() | self.right._vars()
+        divide = _guarded(lambda a, b: a / b, "division by zero", self)
+        return lambda t, x: divide(f(t, x), g(t, x))
 
     def _src(self):
         return f"{self._child(self.left, _P_MUL)}/{self._child(self.right, _P_POW)}", _P_MUL
@@ -293,12 +282,6 @@ class Pow(Expr):
         if not isinstance(self.exponent, int) or self.exponent < 0:
             raise ExprError("exponent must be a non-negative integer")
 
-    def _eval(self, t, x):
-        try:
-            return self.base._eval(t, x) ** self.exponent
-        except OverflowError:
-            raise ExprDomainError("overflow", str(self)) from None
-
     def _diff(self, var):
         if self.exponent == 0:
             return Const(0.0)
@@ -307,21 +290,21 @@ class Pow(Expr):
 
     def _vector(self):
         f, k = self.base._vector(), self.exponent
-        return lambda t, x: f(t, x) ** k
-
-    def _vars(self):
-        return self.base._vars()
+        # numpy's scalar power rounds differently from its array power
+        power = _guarded(lambda a: np.asarray(a) ** k, "overflow", self)
+        return lambda t, x: power(f(t, x))
 
     def _src(self):
         return f"{self._child(self.base, _P_NEG)}^{self.exponent}", _P_POW
 
 
+# name -> (ufunc, message for a fault in its argument)
 _FUNCTIONS = {
-    "sin": (math.sin, np.sin),
-    "cos": (math.cos, np.cos),
-    "exp": (math.exp, np.exp),
-    "log": (math.log, np.log),
-    "sqrt": (math.sqrt, np.sqrt),
+    "sin": (np.sin, "sin of an infinite value"),
+    "cos": (np.cos, "cos of an infinite value"),
+    "exp": (np.exp, "overflow"),
+    "log": (np.log, "log of a non-positive value"),
+    "sqrt": (np.sqrt, "sqrt of a negative value"),
 }
 
 
@@ -333,17 +316,6 @@ class Call(Expr):
     def __post_init__(self):
         if self.name not in _FUNCTIONS:
             raise ExprError(f"unknown function {self.name!r}")
-
-    def _eval(self, t, x):
-        u = self.arg._eval(t, x)
-        if self.name == "log" and u <= 0.0:
-            raise ExprDomainError("log of a non-positive value", str(self))
-        if self.name == "sqrt" and u < 0.0:
-            raise ExprDomainError("sqrt of a negative value", str(self))
-        try:
-            return _FUNCTIONS[self.name][0](u)
-        except OverflowError:
-            raise ExprDomainError("overflow", str(self)) from None
 
     def _diff(self, var):
         u, du = self.arg, self.arg._diff(var)
@@ -360,11 +332,9 @@ class Call(Expr):
         return _mul(outer, du)
 
     def _vector(self):
-        f, ufunc = self.arg._vector(), _FUNCTIONS[self.name][1]
-        return lambda t, x: ufunc(f(t, x))
-
-    def _vars(self):
-        return self.arg._vars()
+        f = self.arg._vector()
+        apply = _guarded(*_FUNCTIONS[self.name], self)
+        return lambda t, x: apply(f(t, x))
 
     def _src(self):
         return f"{self.name}({self.arg._src()[0]})", _P_ATOM
@@ -424,16 +394,6 @@ class Bump(Expr):
         if not isinstance(self.order, int) or self.order < 0:
             raise ExprError("bump derivative order must be a non-negative integer")
 
-    def _eval(self, t, x):
-        u = self.arg._eval(t, x)
-        if abs(u) >= 1.0:
-            return 0.0
-        w = 1.0 - u * u
-        value = math.exp(-1.0 / w)
-        if self.order:
-            value *= _poly_eval(_bump_poly(self.order), u) / w ** (2 * self.order)
-        return value
-
     def _diff(self, var):
         return _mul(Bump(self.order + 1, self.arg), self.arg._diff(var))
 
@@ -444,16 +404,15 @@ class Bump(Expr):
         def run(t, x):
             u = np.asarray(f(t, x), dtype=np.float64)
             inside = np.abs(u) < 1.0
-            w = np.where(inside, 1.0 - u * u, 1.0)
-            value = np.exp(-1.0 / w)
-            if order:
-                value = value * _poly_eval(poly, u) / w ** (2 * order)
+            # lanes outside the support may overflow; they are zeroed below
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = np.where(inside, 1.0 - u * u, 1.0)
+                value = np.exp(-1.0 / w)
+                if order:
+                    value = value * _poly_eval(poly, u) / w ** (2 * order)
             return np.where(inside, value, 0.0)
 
         return run
-
-    def _vars(self):
-        return self.arg._vars()
 
     def _src(self):
         name = "bump" if self.order == 0 else f"bump_d{self.order}"
@@ -674,7 +633,7 @@ def as_expr(value) -> Expr:
 # ----------------------------------------------------------------------
 # test functions
 
-_UNBOUNDED = (-math.inf, math.inf)
+_UNBOUNDED = (-np.inf, np.inf)
 
 
 def _affine(e: Expr, var: str):
@@ -698,7 +657,7 @@ def _affine(e: Expr, var: str):
                 inner = _affine(other, var)
                 if inner is None:
                     return None
-                c = const_side._eval(0.0, 0.0)
+                c = const_side(0.0, 0.0)
                 return c * inner[0], c * inner[1]
         return None
     if isinstance(e, Div):
@@ -707,7 +666,7 @@ def _affine(e: Expr, var: str):
         inner = _affine(e.left, var)
         if inner is None:
             return None
-        c = e.right._eval(0.0, 0.0)
+        c = e.right(0.0, 0.0)
         if c == 0.0:
             return None
         return inner[0] / c, inner[1] / c

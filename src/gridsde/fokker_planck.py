@@ -176,7 +176,6 @@ def weak_form_residual(
     problem: CauchyProblem,
     ensemble: NoiseEnsemble,
     phi: TestFunction,
-    batch_size: int = 1 << 15,
     threads: int = 1,
 ) -> WeakFormReport:
     """Residual of the weak-form density equation for one test function.
@@ -205,7 +204,7 @@ def weak_form_residual(
 
     fdrift = problem.drift.vectorized()
     fdiff = problem.diffusion.vectorized()
-    trajset = simulate_ensemble(problem, ensemble, batch_size=batch_size, threads=threads)
+    trajset = simulate_ensemble(problem, ensemble, threads=threads)
     with np.errstate(all="ignore"):
         for _, noise_block, values in trajset.batches(with_noise=True):
             for k in range(n):
@@ -456,7 +455,6 @@ def cross_validate(
     dx: float = 1.0 / 64,
     dt: float | None = None,
     slice_times: Sequence[float] = (0.5, 0.75, 1.0),
-    batch_size: int = 1 << 15,
     threads: int = 1,
 ) -> CrossValReport:
     """Compare the empirical density with the finite-volume solution.
@@ -489,7 +487,7 @@ def cross_validate(
     if lo_idx < -k_window or hi_idx > k_window:
         raise VerificationError("solver window must fit inside the density window")
 
-    trajset = simulate_ensemble(problem, ensemble, batch_size=batch_size, threads=threads)
+    trajset = simulate_ensemble(problem, ensemble, threads=threads)
     dens = density(trajset, time_indices=slice_indices)
     fp = fp_solve(
         problem.drift,

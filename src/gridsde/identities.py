@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expr import as_expr
-from .noise import NoiseEnsemble, NoisePath, conditional, expectation
+from .noise import NoiseEnsemble, NoisePath, _digit_matrix, conditional, expectation
 from .sde import CauchyProblem, simulate_ensemble
 
 __all__ = [
@@ -64,12 +64,12 @@ class MomentReport:
         }
 
 
-def moment_report(ensemble: NoiseEnsemble, batch_size: int = 1 << 15) -> MomentReport:
+def moment_report(ensemble: NoiseEnsemble) -> MomentReport:
     """E[xi(t)], and the full matrix E[xi(t) xi(s)], against 0 and n*[t == s]."""
     points = ensemble.level.n + 1
     sums = np.zeros(points)
     cross = np.zeros((points, points))
-    for _, block in ensemble.batches(batch_size):
+    for _, block in ensemble.batches():
         sums += block.sum(axis=0)
         cross += block.T @ block
     means = sums / ensemble.count
@@ -124,21 +124,13 @@ def tower_property_report(
     ``split_index`` grid points.
     """
     size = ensemble.alphabet.size
-    scaled = ensemble.alphabet.scaled(ensemble.level)
     prefix_count = size**split_index
+    digits = _digit_matrix(np.arange(prefix_count, dtype=np.int64), size, split_index)
+    prefixes = ensemble.alphabet.scaled(ensemble.level)[digits]
     entries = []
     for label, phi in functionals:
         full = expectation(ensemble, phi)
-        partial_means = []
-        for prefix_id in range(prefix_count):
-            digits = []
-            rest = prefix_id
-            for _ in range(split_index):
-                digits.append(rest % size)
-                rest //= size
-            digits.reverse()
-            prefix = tuple(float(scaled[d]) for d in digits)
-            partial_means.append(expectation(conditional(ensemble, prefix), phi))
+        partial_means = [expectation(conditional(ensemble, prefix), phi) for prefix in prefixes]
         decomposed = math.fsum(partial_means) / prefix_count
         entries.append((label, full, decomposed, abs(full - decomposed)))
     return TowerReport(n=ensemble.level.n, split_index=split_index, entries=tuple(entries))
@@ -191,7 +183,6 @@ def increment_report(
     ensemble: NoiseEnsemble,
     state_functions: Sequence,
     time_indices: Sequence[int] | None = None,
-    batch_size: int = 1 << 15,
 ) -> IncrementReport:
     """Check increment orthogonality for expressions F(t, x) along solutions.
 
@@ -203,7 +194,7 @@ def increment_report(
     if time_indices is None:
         time_indices = (0, n // 2, n - 1)
     exprs = [(str(as_expr(src)), as_expr(src).vectorized()) for src in state_functions]
-    trajset = simulate_ensemble(problem, ensemble, batch_size=batch_size)
+    trajset = simulate_ensemble(problem, ensemble)
 
     sums_f = np.zeros((len(exprs), len(time_indices)))
     sums_fxi = np.zeros_like(sums_f)

@@ -14,7 +14,7 @@ run; ensemble statistics cannot change with the degree of parallelism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -137,11 +137,13 @@ class NoisePath:
         return len(self.values)
 
 
-def _validate_symbols(alphabet: NoiseAlphabet, level: GridLevel, values: np.ndarray) -> None:
+def _symbol_digits(alphabet: NoiseAlphabet, level: GridLevel, values: np.ndarray) -> np.ndarray:
+    """Index of each value's scaled symbol; NoiseError if a value matches none."""
     scaled = alphabet.scaled(level)
-    dist = np.min(np.abs(np.asarray(values, dtype=np.float64)[:, None] - scaled[None, :]), axis=1)
-    if np.any(dist > 1e-9 * max(1.0, float(np.max(np.abs(scaled))))):
+    dist = np.abs(np.asarray(values, dtype=np.float64)[:, None] - scaled[None, :])
+    if np.any(np.min(dist, axis=1) > 1e-9 * max(1.0, float(np.max(np.abs(scaled))))):
         raise NoiseError("path values must come from the scaled alphabet")
+    return np.argmin(dist, axis=1)
 
 
 @dataclass(frozen=True)
@@ -243,19 +245,26 @@ def sample_paths(
 class ConditionalEnsemble:
     """All exhaustive paths agreeing with a fixed prefix on its grid points.
 
-    The suffix count |alphabet|^(n+1-p) does not depend on which prefix was
+    In the base ensemble's lexicographic order these paths are one
+    contiguous block of |alphabet|^(n+1-p) indices, so path i here is base
+    path offset + i.  The block size does not depend on which prefix was
     fixed; that independence is what makes conditional averages exact.
+    Prefix values are taken as the scaled symbols they match.
     """
 
     base: NoiseEnsemble
     prefix: tuple[float, ...]
+    _offset: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base.mode != "exhaustive":
             raise NoiseError("conditioning on a prefix requires an exhaustive ensemble")
         if len(self.prefix) > self.base.level.n + 1:
             raise NoiseError("prefix longer than the path")
-        _validate_symbols(self.base.alphabet, self.base.level, np.asarray(self.prefix))
+        block = 0
+        for digit in _symbol_digits(self.base.alphabet, self.base.level, np.asarray(self.prefix)):
+            block = block * self.base.alphabet.size + int(digit)
+        object.__setattr__(self, "_offset", block * self.count)
 
     @property
     def level(self) -> GridLevel:
@@ -267,24 +276,12 @@ class ConditionalEnsemble:
         return self.base.alphabet.size**free
 
     def batches(self, batch_size: int = _DEFAULT_BATCH) -> Iterator[tuple[int, np.ndarray]]:
-        level = self.base.level
-        points = level.n + 1
-        free = points - len(self.prefix)
-        scaled = self.base.alphabet.scaled(level)
-        prefix_row = np.asarray(self.prefix, dtype=np.float64)
+        """Yield (first path index, value matrix [batch, n+1]) in index order."""
         for start in range(0, self.count, batch_size):
             stop = min(start + batch_size, self.count)
-            block = np.empty((stop - start, points))
-            block[:, : len(self.prefix)] = prefix_row
-            if free:
-                digits = _digit_matrix(np.arange(start, stop, dtype=np.int64), self.base.alphabet.size, free)
-                block[:, len(self.prefix) :] = scaled[digits]
-            yield start, block
+            yield start, self.base._values_for(self._offset + start, self._offset + stop)
 
-    def paths(self) -> Iterator[NoisePath]:
-        for start, block in self.batches():
-            for row, values in enumerate(block):
-                yield NoisePath(self.level, values, path_index=start + row)
+    paths = NoiseEnsemble.paths
 
 
 def conditional(ensemble: NoiseEnsemble, prefix: Sequence[float] | NoisePath) -> ConditionalEnsemble:

@@ -16,7 +16,7 @@ import itertools
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -346,17 +346,7 @@ class DependenceReport:
     note: str
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "lipschitz_constant": self.lipschitz_constant,
-            "horizon": self.horizon,
-            "initial_gap": self.initial_gap,
-            "max_gap": self.max_gap,
-            "first_violation_step": self.first_violation_step,
-            "gap_at_violation": self.gap_at_violation,
-            "bound_at_violation": self.bound_at_violation,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def continuous_dependence_check(

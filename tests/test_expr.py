@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,8 @@ class TestEval:
         assert e(0.0, 1.0) == 0.0
         assert e(0.0, -1.0) == 0.0
         assert e(0.0, 5.0) == 0.0
+        # u*u overflows far outside the support; the masked lane stays 0
+        assert parse("bump_d2(exp(x))")(0.0, 400.0) == 0.0
 
     def test_division_by_zero_names_subexpression(self):
         with pytest.raises(ExprDomainError, match="division by zero in '1.0/x'"):
@@ -90,6 +93,27 @@ class TestEval:
     def test_sqrt_domain_error(self):
         with pytest.raises(ExprDomainError, match="sqrt"):
             parse("sqrt(x)")(0.0, -4.0)
+
+    def test_nested_fault_names_innermost_node(self):
+        with pytest.raises(ExprDomainError, match=re.escape("division by zero in '1.0/(x - 1.0)'")):
+            parse("x + 1/(x-1)")(0.0, 1.0)
+
+    def test_fault_inside_bump_argument_raises(self):
+        with pytest.raises(ExprDomainError, match=re.escape("division by zero in '1.0/x'")):
+            parse("bump(1/x)")(0.0, 0.0)
+
+    def test_product_overflow_raises(self):
+        # a scalar product overflows like '^' and exp do, instead of returning inf
+        with pytest.raises(ExprDomainError, match=re.escape("overflow in 'x*x'")):
+            parse("x*x")(0.0, 1e200)
+
+    def test_quotient_overflow_is_not_division_by_zero(self):
+        with pytest.raises(ExprDomainError, match=re.escape("overflow in 'x/1e-300'")):
+            parse("x/1e-300")(0.0, 1e300)
+
+    def test_exp_overflow_names_call(self):
+        with pytest.raises(ExprDomainError, match=re.escape("overflow in 'exp(x)'")):
+            parse("1 + exp(x)")(0.0, 1000.0)
 
     def test_functions(self):
         assert parse("exp(t)")(1.0, 0.0) == pytest.approx(math.e, rel=1e-15)
@@ -198,13 +222,18 @@ class TestPrinterRoundTrip:
 
 class TestVectorized:
     def test_matches_scalar_on_grids(self):
-        e = parse("bump(x/2)*x + t*x^2")
-        fn = e.vectorized()
-        xs = np.linspace(-3, 3, 41)
-        with np.errstate(all="ignore"):
-            vec = fn(0.3, xs)
-        for i, x in enumerate(xs):
-            assert vec[i] == pytest.approx(e(0.3, float(x)), rel=1e-12, abs=1e-300)
+        cases = [
+            ("bump(x/2)*x + t*x^2", 0.3, 41),
+            # libm and numpy disagree in the last bit on a few percent of these
+            ("exp(sin(x)*t) + log(1+x^2)", 0.7, 2001),
+        ]
+        for source, t, points in cases:
+            e = parse(source)
+            xs = np.linspace(-3, 3, points)
+            with np.errstate(all="ignore"):
+                vec = e.vectorized()(t, xs)
+            mismatches = [float(x) for i, x in enumerate(xs) if vec[i] != e(t, float(x))]
+            assert mismatches == [], source
 
     def test_bump_vector_zero_outside(self):
         fn = parse("bump(x)").diff("x").vectorized()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -152,6 +153,25 @@ class TestConditional:
         second = expectation(cond, lambda p: float(p.values[2] ** 2))
         assert mean == 0.0
         assert second == pytest.approx(n, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "alphabet",
+        [NoiseAlphabet.white(), NoiseAlphabet.from_symbols((-1.0, 0.0, 1.0))],
+        ids=["binary", "ternary"],
+    )
+    def test_batches_are_index_slices_of_full_ensemble(self, alphabet):
+        level = GridLevel(6)
+        ens = enumerate_paths(level, alphabet)
+        full = np.concatenate([block for _, block in ens.batches()])
+        scaled, size = alphabet.scaled(level), alphabet.size
+        for length in (1, 2, 3):
+            block = size ** (level.n + 1 - length)
+            for p, digits in enumerate(itertools.product(range(size), repeat=length)):
+                cond = conditional(ens, tuple(scaled[list(digits)]))
+                starts, values = zip(*cond.batches(5))
+                assert starts == tuple(range(0, block, 5))
+                rows = full[p * block : (p + 1) * block]
+                assert np.concatenate(values).tobytes() == rows.tobytes()
 
     def test_sampled_mode_unsupported(self):
         ens = sample_paths(GridLevel(4), 10, seed=1)
