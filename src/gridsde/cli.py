@@ -21,7 +21,6 @@ import numpy as np
 
 from .distrib import (
     DistributionError,
-    default_bump_family,
     dirac,
     dirac_derivative,
     equivalent,
@@ -99,15 +98,37 @@ class RunConfig:
         return asdict(self)
 
 
-def _parse_slices(raw) -> tuple[float, ...]:
-    if isinstance(raw, str):
-        parts = [p for p in raw.split(",") if p.strip()]
-        return tuple(float(p) for p in parts)
-    return tuple(float(v) for v in raw)
+def _number_list(convert):
+    """Parser of a comma-separated string or a JSON list into a tuple."""
+
+    def parse(raw) -> tuple:
+        if isinstance(raw, str):
+            raw = [p for p in raw.split(",") if p.strip()]
+        return tuple(convert(v) for v in raw)
+
+    return parse
+
+
+# One converter per RunConfig field; config-file values and flags both go
+# through it, and None means "not given" in either source.
+_CONVERTERS = {
+    **dict.fromkeys(("n", "samples", "seed", "threads", "cap"), int),
+    **dict.fromkeys(("mode", "f", "h", "phi", "out"), str),
+    **dict.fromkeys(("x0", "window"), float),
+    "slices": _number_list(float),
+}
+
+
+def _convert(key: str, convert, value):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value {value!r} for {key}: {exc}") from exc
 
 
 def load_config(ns: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
+    data = {}
     if getattr(ns, "config", None):
         path = Path(ns.config)
         if not path.exists():
@@ -118,32 +139,17 @@ def load_config(ns: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a flat JSON object")
-        for key, value in data.items():
-            if key.startswith("tol_"):
-                cfg.tolerances[key[4:]] = float(value)
-            elif key == "slices":
-                cfg.slices = _parse_slices(value)
-            elif hasattr(cfg, key):
-                setattr(cfg, key, value)
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-    for key in ("n", "mode", "samples", "seed", "f", "h", "phi", "x0", "window", "out", "threads"):
-        value = getattr(ns, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    if getattr(ns, "slices", None) is not None:
-        cfg.slices = _parse_slices(ns.slices)
+    flags = [(key, value) for key, value in vars(ns).items() if key in _CONVERTERS]
+    for key, value in [*data.items(), *flags]:
+        if key.startswith("tol_") and key[4:] in DEFAULT_TOLERANCES:
+            if value is not None:
+                cfg.tolerances[key[4:]] = _convert(key, float, value)
+        elif key not in _CONVERTERS:
+            raise ConfigError(f"unknown config key {key!r}")
+        elif value is not None:
+            setattr(cfg, key, _convert(key, _CONVERTERS[key], value))
     if cfg.mode is not None and cfg.mode not in ("exhaustive", "sampled"):
         raise ConfigError(f"unknown mode {cfg.mode!r}")
-    try:
-        if cfg.n is not None:
-            cfg.n = int(cfg.n)
-        cfg.samples = int(cfg.samples)
-        cfg.seed = int(cfg.seed)
-        cfg.threads = int(cfg.threads)
-        cfg.x0 = float(cfg.x0)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad numeric configuration value: {exc}") from exc
     if cfg.n is not None and cfg.n < 1:
         raise ConfigError("n must be a positive integer")
     return cfg
@@ -229,10 +235,6 @@ def _fp_window(level: GridLevel) -> tuple[float, float]:
 
 def cmd_simulate(cfg: RunConfig, ns: argparse.Namespace) -> int:
     _default_n(cfg, 16)
-    if cfg.f is None:
-        raise ConfigError("missing drift expression --f")
-    if cfg.h is None:
-        raise ConfigError("missing diffusion expression --h")
     level = _level(cfg)
     problem = _problem(cfg, level)
     mode = cfg.mode or "sampled"
@@ -372,30 +374,45 @@ def _verify_crossval(cfg: RunConfig) -> tuple[dict, dict, str | None]:
     return results, {"crossval_l1": tol}, failure
 
 
+def _ito_mean(phi: TestFunction, problem: CauchyProblem, seed: int, seeds: int) -> float:
+    """Max chain-rule residual averaged over sampled noise paths of seeds seed..seed+seeds-1."""
+    per_seed = []
+    for offset in range(seeds):
+        path = sample_paths(problem.level, 1, seed + offset).path(0)
+        per_seed.append(ito_residual(phi, solve_grid_ode(problem, path), problem).max_abs_residual)
+    return float(np.mean(per_seed))
+
+
+def _decay_exponent(levels, values) -> float:
+    """Least-squares slope of -log2(value) against log2(n); nan unless every value is positive."""
+    vals = np.asarray(values, dtype=np.float64)
+    if np.any(vals <= 0):
+        return float("nan")
+    return float(-np.polyfit(np.log2(levels), np.log2(vals), 1)[0])
+
+
 def _verify_ito(cfg: RunConfig) -> tuple[dict, dict, str | None]:
     _default_n(cfg, 64)
     phi = _phi(cfg)
     levels = (cfg.n, 2 * cfg.n, 4 * cfg.n)
     det_f = cfg.f if cfg.f is not None else "-x"
+    noise_f = cfg.f if cfg.f is not None else "0"
     noise_h = cfg.h if cfg.h is not None else "1"
 
     det_values = []
+    noise_values = []
     for n in levels:
         level = GridLevel(n)
         problem = CauchyProblem(det_f, "0", cfg.x0, level)
         det_values.append(ito_residual(phi, solve_grid_ode(problem), problem).max_abs_residual)
-    noise_values = []
-    for n in levels:
-        level = GridLevel(n)
-        problem = CauchyProblem(cfg.f if cfg.f is not None else "0", noise_h, cfg.x0, level)
-        per_seed = []
-        for offset in range(5):
-            path = sample_paths(level, 1, cfg.seed + offset).path(0)
-            per_seed.append(ito_residual(phi, solve_grid_ode(problem, path), problem).max_abs_residual)
-        noise_values.append(float(np.mean(per_seed)))
+        noise_values.append(_ito_mean(phi, CauchyProblem(noise_f, noise_h, cfg.x0, level), cfg.seed, 5))
 
-    det_ratios = [det_values[i] / det_values[i + 1] for i in range(len(levels) - 1)]
-    noise_ratios = [noise_values[i] / noise_values[i + 1] for i in range(len(levels) - 1)]
+    for ladder, values in (("deterministic", det_values), ("noise", noise_values)):
+        if 0.0 in values[1:]:
+            n = levels[values.index(0.0, 1)]
+            raise VerificationError(f"{ladder} chain-rule residual is exactly 0 at n = {n}; no decay ratio")
+    det_ratios = [a / b for a, b in zip(det_values, det_values[1:])]
+    noise_ratios = [a / b for a, b in zip(noise_values, noise_values[1:])]
     tol_det, tol_noise = cfg.tol("ito_ratio_det"), cfg.tol("ito_ratio_noise")
     failure = None
     if not all(r >= tol_det for r in det_ratios):
@@ -403,17 +420,14 @@ def _verify_ito(cfg: RunConfig) -> tuple[dict, dict, str | None]:
     elif not all(r >= tol_noise for r in noise_ratios):
         failure = f"noise decay ratios {noise_ratios} fall below {tol_noise}"
 
-    def exponent(values):
-        return float(-np.polyfit(np.log2(levels), np.log2(values), 1)[0])
-
     results = {
         "levels": list(levels),
         "deterministic_max_residuals": det_values,
         "deterministic_ratios": det_ratios,
-        "deterministic_exponent": exponent(det_values),
+        "deterministic_exponent": _decay_exponent(levels, det_values),
         "noise_max_residuals": noise_values,
         "noise_ratios": noise_ratios,
-        "noise_exponent": exponent(noise_values),
+        "noise_exponent": _decay_exponent(levels, noise_values),
     }
     return results, {"ito_ratio_det": tol_det, "ito_ratio_noise": tol_noise}, failure
 
@@ -438,7 +452,7 @@ def cmd_verify(cfg: RunConfig, ns: argparse.Namespace) -> int:
 
 def cmd_convergence(cfg: RunConfig, ns: argparse.Namespace) -> int:
     _default_n(cfg, 16)
-    levels = [int(v) for v in ns.levels.split(",") if v.strip()]
+    levels = _convert("levels", _number_list(int), ns.levels)
     if len(levels) < 3:
         raise ConfigError("convergence needs at least 3 levels")
     if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -456,11 +470,7 @@ def cmd_convergence(cfg: RunConfig, ns: argparse.Namespace) -> int:
         else:
             ensemble = sample_paths(level, cfg.samples, cfg.seed)
         weak = weak_form_residual(problem, ensemble, phi, threads=cfg.threads)
-        per_seed = []
-        for offset in range(3):
-            path = sample_paths(level, 1, cfg.seed + offset).path(0)
-            per_seed.append(ito_residual(phi, solve_grid_ode(problem, path), problem).max_abs_residual)
-        ito_max = float(np.mean(per_seed))
+        ito_max = _ito_mean(phi, problem, cfg.seed, 3)
         mc = sample_paths(level, min(cfg.samples, 50000), cfg.seed)
         cross = cross_validate(
             problem,
@@ -472,18 +482,10 @@ def cmd_convergence(cfg: RunConfig, ns: argparse.Namespace) -> int:
         )
         rows.append((n, abs(weak.residual), ito_max, cross.max_l1))
 
-    def fit_exponent(values):
-        logs_n = np.log2([r[0] for r in rows])
-        vals = np.asarray(values, dtype=np.float64)
-        if np.any(vals <= 0):
-            return float("nan")
-        slope = np.polyfit(logs_n, np.log2(vals), 1)[0]
-        return float(-slope)
-
     exponents = {
-        "weakform": fit_exponent([r[1] for r in rows]),
-        "ito": fit_exponent([r[2] for r in rows]),
-        "l1_fp": fit_exponent([r[3] for r in rows]),
+        "weakform": _decay_exponent(levels, [r[1] for r in rows]),
+        "ito": _decay_exponent(levels, [r[2] for r in rows]),
+        "l1_fp": _decay_exponent(levels, [r[3] for r in rows]),
     }
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -33,7 +33,7 @@ from .noise import NoiseEnsemble
 from .sde import (
     CauchyProblem,
     Trajectory,
-    TrajectorySet,
+    bin_counts,
     density,
     simulate_ensemble,
     write_density_csv,
@@ -85,17 +85,6 @@ class ItoReport:
     rate_bound: float
     hypothesis_ok: bool
     phi_label: str
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "max_abs_residual": self.max_abs_residual,
-            "mean_abs_residual": self.mean_abs_residual,
-            "max_rate": self.max_rate,
-            "rate_bound": self.rate_bound,
-            "hypothesis_ok": self.hypothesis_ok,
-            "phi": self.phi_label,
-        }
 
 
 def ito_residual(phi: TestFunction, trajectory: Trajectory, problem: CauchyProblem | None = None) -> ItoReport:
@@ -222,9 +211,7 @@ def weak_form_residual(
                 corr_sum += float((0.5 * eps * pxx * fv * fv).sum())
                 quad_sum += float((0.5 * eps * pxx * hv * hv * xik * xik).sum())
                 taylor_sum += float((pt + px * q + 0.5 * eps * pxx * q * q).sum())
-                bins = np.floor(xk * n).astype(np.int64)
-                inside = (bins >= -k_window) & (bins < k_window)
-                counts[k] += np.bincount(bins[inside] + k_window, minlength=2 * k_window)
+                bin_counts(xk, n, k_window, counts[k])
 
     total = trajset.count
     drift_term = eps * drift_sum / total

@@ -256,6 +256,8 @@ class ConditionalEnsemble:
     prefix: tuple[float, ...]
     _offset: int = field(init=False, repr=False, compare=False)
 
+    mode = "exhaustive"
+
     def __post_init__(self):
         if self.base.mode != "exhaustive":
             raise NoiseError("conditioning on a prefix requires an exhaustive ensemble")
@@ -275,12 +277,10 @@ class ConditionalEnsemble:
         free = self.base.level.n + 1 - len(self.prefix)
         return self.base.alphabet.size**free
 
-    def batches(self, batch_size: int = _DEFAULT_BATCH) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (first path index, value matrix [batch, n+1]) in index order."""
-        for start in range(0, self.count, batch_size):
-            stop = min(start + batch_size, self.count)
-            yield start, self.base._values_for(self._offset + start, self._offset + stop)
+    def _values_for(self, start: int, stop: int) -> np.ndarray:
+        return self.base._values_for(self._offset + start, self._offset + stop)
 
+    batches = NoiseEnsemble.batches
     paths = NoiseEnsemble.paths
 
 
@@ -304,14 +304,6 @@ class ExpectationResult:
     count: int
 
 
-def _iter_values(ensemble, phi: Callable[[NoisePath], float]) -> Iterator[float]:
-    for path in ensemble.paths():
-        value = float(phi(path))
-        if not math.isfinite(value):
-            raise NoiseError(f"functional returned a non-finite value for path {path.path_index}")
-        yield value
-
-
 def expectation_detail(ensemble, phi: Callable[[NoisePath], float]) -> ExpectationResult:
     """Uniform average of a path functional, with standard error when sampled.
 
@@ -319,11 +311,15 @@ def expectation_detail(ensemble, phi: Callable[[NoisePath], float]) -> Expectati
     exactly rounded (fsum), so the result does not depend on iteration
     batching.
     """
-    values = list(_iter_values(ensemble, phi))
+    values = []
+    for path in ensemble.paths():
+        value = float(phi(path))
+        if not math.isfinite(value):
+            raise NoiseError(f"functional returned a non-finite value for path {path.path_index}")
+        values.append(value)
     count = len(values)
     mean = math.fsum(values) / count
-    mode = getattr(ensemble, "mode", None) or ensemble.base.mode
-    if mode == "sampled" and count > 1:
+    if ensemble.mode == "sampled" and count > 1:
         var = math.fsum((v - mean) ** 2 for v in values) / (count - 1)
         stderr = math.sqrt(var / count)
     else:

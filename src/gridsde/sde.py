@@ -5,9 +5,12 @@ The dynamics are the explicit one-step recursion
 driven by a noise path (or by zero noise, giving the deterministic grid
 ODE).  Existence and uniqueness are by construction: the recursion is total
 and deterministic.  Ensemble runs stream trajectories batch by batch, so a
-million sampled paths never need to live in memory at once; consumers
-accumulate integer bin counts and compensated sums, and results do not
-depend on batching or worker count.
+million sampled paths never need to live in memory at once.  Batches
+arrive in path order at any worker count, so every consumer's result is
+independent of the worker count; integer bin counts and event counts are
+also independent of the batch size, while float sums such as the weak-form
+pieces are added batch by batch and may differ in the last bits between
+batch sizes.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import itertools
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -35,6 +38,7 @@ __all__ = [
     "DependenceReport",
     "solve_grid_ode",
     "simulate_ensemble",
+    "bin_counts",
     "density",
     "event_probability",
     "continuous_dependence_check",
@@ -212,11 +216,6 @@ class TrajectorySet:
                     pending.append(pool.submit(self._run, *nxt))
                 yield out if with_noise else (out[0], out[2])
 
-    def trajectories(self) -> Iterator[Trajectory]:
-        for start, values in self.batches():
-            for row in range(values.shape[0]):
-                yield Trajectory(self.problem.level, values[row], path_index=start + row)
-
 
 def simulate_ensemble(
     problem: CauchyProblem,
@@ -283,6 +282,18 @@ class DensityField:
         write_density_csv(path, self.times(), self.bin_left_edges(), self.rho())
 
 
+def bin_counts(xk: np.ndarray, n: int, k_window: int, counts: np.ndarray) -> int:
+    """Add the positions xk to the half-open bins [j/n, (j+1)/n), j = -K..K-1.
+
+    ``counts`` holds the 2K bins in order and is updated in place; the
+    return value is the number of positions outside the window.
+    """
+    bins = np.floor(xk * n).astype(np.int64)
+    inside = (bins >= -k_window) & (bins < k_window)
+    counts += np.bincount(bins[inside] + k_window, minlength=2 * k_window)
+    return int(bins.shape[0] - int(inside.sum()))
+
+
 def density(
     trajectories: TrajectorySet,
     time_indices: Sequence[int] | None = None,
@@ -301,10 +312,7 @@ def density(
     overflow = np.zeros(len(time_indices), dtype=np.int64)
     for _, values in trajectories.batches():
         for row, k in enumerate(time_indices):
-            bins = np.floor(values[:, k] * n).astype(np.int64)
-            inside = (bins >= -k_window) & (bins < k_window)
-            counts[row] += np.bincount(bins[inside] + k_window, minlength=2 * k_window)
-            overflow[row] += int(bins.shape[0] - int(inside.sum()))
+            overflow[row] += bin_counts(values[:, k], n, k_window, counts[row])
     return DensityField(
         level=level,
         time_indices=time_indices,
@@ -344,9 +352,6 @@ class DependenceReport:
     gap_at_violation: float | None
     bound_at_violation: float | None
     note: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def continuous_dependence_check(

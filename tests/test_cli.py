@@ -109,6 +109,31 @@ class TestConfigFile:
         assert rc == 1  # impossible bound -> tolerance failure
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (("convergence", "--levels", "16,32,x"), None),
+        (("simulate", "--f", "0", "--h", "1", "--slices", "0,a"), None),
+        (("simulate", "--f", "0", "--h", "1"), {"slices": "0,a"}),
+        (("simulate", "--f", "0", "--h", "1"), {"window": "abc"}),
+        (("verify", "lemmas", "--n", "4"), {"tol_lemmas": "abc"}),
+        (("verify", "lemmas", "--n", "4"), {"tol_lemma": 1e-3}),
+    ],
+    ids=["levels", "slices-flag", "slices-config", "window-config", "tol-value", "tol-name"],
+)
+def test_bad_value_is_one_config_error_line(tmp_path, capsys, argv, config):
+    args = [*argv, "--out", str(tmp_path / "out")]
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        args += ["--config", str(path)]
+    assert run(*args) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
 class TestVerify:
     def test_lemmas_pass(self, tmp_path):
         assert run("verify", "lemmas", "--n", "8", "--out", str(tmp_path)) == 0
@@ -134,6 +159,13 @@ class TestVerify:
         assert run("verify", "ito", "--n", "64", "--out", str(tmp_path)) == 0
         report = json.loads((tmp_path / "verify_ito.json").read_text())
         assert abs(report["results"]["deterministic_exponent"] - 1.0) <= 0.3
+
+    def test_ito_zero_deterministic_residual_is_usage_error(self, tmp_path, capsys):
+        # f = 0 keeps x constant and phi has no t: the residual is exactly 0
+        rc = run("verify", "ito", "--f", "0", "--phi", "bump(x/2)", "--out", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: deterministic chain-rule residual is exactly 0 at n = 128")
 
 
 class TestConvergence:

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from gridsde.expr import TestFunction
+from gridsde.fokker_planck import weak_form_residual
 from gridsde.grids import GridError, GridLevel
 from gridsde.noise import NoisePath, enumerate_paths, sample_paths
 from gridsde.sde import (
     CauchyProblem,
     DivergenceError,
+    bin_counts,
     continuous_dependence_check,
     density,
     event_probability,
@@ -122,6 +124,46 @@ class TestSimulateEnsemble:
             for _ in simulate_ensemble(problem, enumerate_paths(level)).batches():
                 pass
         assert info.value.path_index is not None
+
+
+class TestBatchAndThreadIndependence:
+    def test_counts_and_weak_form_ignore_batching_and_workers(self):
+        level = GridLevel(16)
+        problem = CauchyProblem("sin(t)-x", "1+0.5*sin(x)", 0.0, level)
+        ens = sample_paths(level, 40000, seed=4)
+        results = []
+        for batch_size, threads in ((777, 1), (32768, 1), (777, 2), (32768, 2)):
+            ts = simulate_ensemble(problem, ens, batch_size=batch_size, threads=threads)
+            dens = density(ts, window=Fraction(1, 2))
+            prob = event_probability(ts, 0.5, -0.25, 0.5)
+            results.append((dens.counts.tolist(), dens.overflow.tolist(), prob))
+        assert sum(results[0][1]) > 0
+        assert all(r == results[0] for r in results[1:])
+        # float sums are reproducible across worker counts at a fixed batch size
+        phi = TestFunction.from_expression("bump((t-0.5)/0.45)*bump(x/2)")
+        serial, threaded = (
+            weak_form_residual(problem, ens, phi, threads=t).to_dict() for t in (1, 2)
+        )
+        assert serial == threaded
+
+
+class TestBinCounts:
+    N, K = 16, 8
+
+    def place(self, x):
+        counts = np.zeros(2 * self.K, dtype=np.int64)
+        overflow = bin_counts(np.array([x]), self.N, self.K, counts)
+        assert counts.sum() + overflow == 1
+        return int(np.flatnonzero(counts)[0]) - self.K if overflow == 0 else "overflow"
+
+    def test_lattice_point_lands_in_its_own_bin(self):
+        assert [self.place(j / self.N) for j in range(-self.K, self.K)] == list(range(-self.K, self.K))
+
+    def test_window_edges(self):
+        left = -self.K / self.N
+        assert self.place(left) == -self.K
+        assert self.place(self.K / self.N) == "overflow"
+        assert self.place(np.nextafter(left, -np.inf)) == "overflow"
 
 
 class TestDensity:
