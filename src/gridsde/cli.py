@@ -109,10 +109,17 @@ def _number_list(convert):
     return parse
 
 
+def _integer(value) -> int:
+    """int() that refuses booleans and fractional numbers instead of truncating them."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("not an integer")
+    return int(value)
+
+
 # One converter per RunConfig field; config-file values and flags both go
 # through it, and None means "not given" in either source.
 _CONVERTERS = {
-    **dict.fromkeys(("n", "samples", "seed", "threads", "cap"), int),
+    **dict.fromkeys(("n", "samples", "seed", "threads", "cap"), _integer),
     **dict.fromkeys(("mode", "f", "h", "phi", "out"), str),
     **dict.fromkeys(("x0", "window"), float),
     "slices": _number_list(float),

@@ -195,23 +195,20 @@ def weak_form_residual(
     fdiff = problem.diffusion.vectorized()
     trajset = simulate_ensemble(problem, ensemble, threads=threads)
     with np.errstate(all="ignore"):
-        for _, noise_block, values in trajset.batches(with_noise=True):
-            for k in range(n):
-                tk = k / n
-                xk = values[:, k]
-                xik = noise_block[:, k]
-                fv = _arr(fdrift(tk, xk), xk)
-                hv = _arr(fdiff(tk, xk), xk)
-                pt = _arr(phi.dt_fn(tk, xk), xk)
-                px = _arr(phi.dx_fn(tk, xk), xk)
-                pxx = _arr(phi.dxx_fn(tk, xk), xk)
-                q = fv + hv * xik
-                drift_sum += float((pt + fv * px).sum())
-                noise_sum += float(((px * hv + eps * pxx * fv * hv) * xik).sum())
-                corr_sum += float((0.5 * eps * pxx * fv * fv).sum())
-                quad_sum += float((0.5 * eps * pxx * hv * hv * xik * xik).sum())
-                taylor_sum += float((pt + px * q + 0.5 * eps * pxx * q * q).sum())
-                bin_counts(xk, n, k_window, counts[k])
+        for k, xk, xik, weight in trajset.steps(range(n), with_noise=True):
+            tk = k / n
+            fv = _arr(fdrift(tk, xk), xk)
+            hv = _arr(fdiff(tk, xk), xk)
+            pt = _arr(phi.dt_fn(tk, xk), xk)
+            px = _arr(phi.dx_fn(tk, xk), xk)
+            pxx = _arr(phi.dxx_fn(tk, xk), xk)
+            q = fv + hv * xik
+            drift_sum += weight * float((pt + fv * px).sum())
+            noise_sum += weight * float(((px * hv + eps * pxx * fv * hv) * xik).sum())
+            corr_sum += weight * float((0.5 * eps * pxx * fv * fv).sum())
+            quad_sum += weight * float((0.5 * eps * pxx * hv * hv * xik * xik).sum())
+            taylor_sum += weight * float((pt + px * q + 0.5 * eps * pxx * q * q).sum())
+            bin_counts(xk, n, k_window, counts[k], weight)
 
     total = trajset.count
     drift_term = eps * drift_sum / total

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expr import as_expr
-from .noise import NoiseEnsemble, NoisePath, _digit_matrix, conditional, expectation
+from .noise import NoiseEnsemble, NoisePath, _check_prefix, _path_values
 from .sde import CauchyProblem, simulate_ensemble
 
 __all__ = [
@@ -121,17 +121,19 @@ def tower_property_report(
     """Compare E[Phi] with the mean over prefixes of conditional means.
 
     Exhaustive only; the prefixes run over every assignment of the first
-    ``split_index`` grid points.
+    ``split_index`` grid points.  Each functional is evaluated once per
+    path: in path order the paths sharing a prefix are one contiguous block
+    of |alphabet|^(n+1-split_index) values, whose exactly rounded (fsum)
+    mean is the conditional mean.
     """
-    size = ensemble.alphabet.size
-    prefix_count = size**split_index
-    digits = _digit_matrix(np.arange(prefix_count, dtype=np.int64), size, split_index)
-    prefixes = ensemble.alphabet.scaled(ensemble.level)[digits]
+    _check_prefix(ensemble, split_index)
+    prefix_count = ensemble.alphabet.size**split_index
+    values = _path_values(ensemble, [phi for _, phi in functionals])
     entries = []
-    for label, phi in functionals:
-        full = expectation(ensemble, phi)
-        partial_means = [expectation(conditional(ensemble, prefix), phi) for prefix in prefixes]
-        decomposed = math.fsum(partial_means) / prefix_count
+    for (label, _), column in zip(functionals, values.T):
+        full = math.fsum(column) / len(column)
+        blocks = column.reshape(prefix_count, -1)
+        decomposed = math.fsum(math.fsum(b) / len(b) for b in blocks) / prefix_count
         entries.append((label, full, decomposed, abs(full - decomposed)))
     return TowerReport(n=ensemble.level.n, split_index=split_index, entries=tuple(entries))
 
@@ -201,16 +203,14 @@ def increment_report(
     sums_fxi2 = np.zeros_like(sums_f)
     sums_abs = np.zeros_like(sums_f)
     with np.errstate(all="ignore"):
-        for _, noise_block, values in trajset.batches(with_noise=True):
-            for col, k in enumerate(time_indices):
-                xk = values[:, k]
-                xik = noise_block[:, k]
-                for row, (_, fn) in enumerate(exprs):
-                    fv = np.broadcast_to(np.asarray(fn(k / n, xk), dtype=np.float64), xk.shape)
-                    sums_f[row, col] += float(fv.sum())
-                    sums_fxi[row, col] += float((fv * xik).sum())
-                    sums_fxi2[row, col] += float((fv * xik * xik).sum())
-                    sums_abs[row, col] += float(np.abs(fv * xik).sum())
+        for col, xk, xik, weight in trajset.steps(time_indices, with_noise=True):
+            tk = time_indices[col] / n
+            for row, (_, fn) in enumerate(exprs):
+                fv = np.broadcast_to(np.asarray(fn(tk, xk), dtype=np.float64), xk.shape)
+                sums_f[row, col] += weight * float(fv.sum())
+                sums_fxi[row, col] += weight * float((fv * xik).sum())
+                sums_fxi2[row, col] += weight * float((fv * xik * xik).sum())
+                sums_abs[row, col] += weight * float(np.abs(fv * xik).sum())
     count = trajset.count
     entries = []
     for row, (label, _) in enumerate(exprs):

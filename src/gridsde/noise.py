@@ -13,6 +13,7 @@ run; ensemble statistics cannot change with the degree of parallelism.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -43,6 +44,7 @@ class NoiseError(ValueError):
 
 DEFAULT_ENUMERATION_CAP = 1 << 24
 _DEFAULT_BATCH = 1 << 15
+_ENDINGS_ROWS = 1 << 12  # at most this many rows in the cached table of path endings
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -182,12 +184,11 @@ class NoiseEnsemble:
         points = self.level.n + 1
         scaled = self.alphabet.scaled(self.level)
         if self.mode == "exhaustive":
-            digits = _digit_matrix(np.arange(start, stop, dtype=np.int64), self.alphabet.size, points)
-        else:
-            idx = np.arange(start, stop, dtype=np.int64)
-            counters = idx[:, None] * points + np.arange(points, dtype=np.int64)[None, :]
-            u = _uniform01(self.seed, counters.reshape(-1)).reshape(stop - start, points)
-            digits = np.minimum((u * self.alphabet.size).astype(np.int64), self.alphabet.size - 1)
+            return _lexicographic_block(scaled, start, stop, points)
+        idx = np.arange(start, stop, dtype=np.int64)
+        counters = idx[:, None] * points + np.arange(points, dtype=np.int64)[None, :]
+        u = _uniform01(self.seed, counters.reshape(-1)).reshape(stop - start, points)
+        digits = np.minimum((u * self.alphabet.size).astype(np.int64), self.alphabet.size - 1)
         return scaled[digits]
 
     def batches(self, batch_size: int = _DEFAULT_BATCH) -> Iterator[tuple[int, np.ndarray]]:
@@ -211,6 +212,39 @@ class NoiseEnsemble:
 def _digit_matrix(indices: np.ndarray, base: int, places: int) -> np.ndarray:
     powers = base ** np.arange(places - 1, -1, -1, dtype=np.int64)
     return (indices[:, None] // powers[None, :]) % base
+
+
+@functools.lru_cache(maxsize=1)
+def _low_places(symbols: tuple[float, ...], places: int) -> np.ndarray:
+    """Every path of ``places`` grid points in lexicographic order (read-only)."""
+    size = len(symbols)
+    digits = _digit_matrix(np.arange(size**places, dtype=np.int64), size, places)
+    out = np.asarray(symbols)[digits]
+    out.flags.writeable = False
+    return out
+
+
+def _lexicographic_block(symbols: np.ndarray, start: int, stop: int, points: int) -> np.ndarray:
+    """Paths start..stop-1 of the lexicographic order, as a [rows, points] matrix.
+
+    With |A|^p <= rows, the last p points of consecutive paths cycle through
+    one table of all |A|^p endings, and the first points change only when
+    the cycle restarts; so each block is a few slice copies of that cached
+    table instead of a division of every path index by every place value.
+    """
+    size = len(symbols)
+    places, period = 0, 1
+    while places < points and period * size <= min(stop - start, _ENDINGS_ROWS):
+        places, period = places + 1, period * size
+    low = _low_places(tuple(symbols.tolist()), places)
+    high = points - places
+    out = np.empty((stop - start, points))
+    for first in range(start - start % period, stop, period):
+        lo, hi = max(first, start), min(first + period, stop)
+        rows = out[lo - start : hi - start]
+        rows[:, :high] = symbols[_digit_matrix(np.array([first // period]), size, high)[0]]
+        rows[:, high:] = low[lo - first : hi - first]
+    return out
 
 
 def enumerate_paths(
@@ -241,6 +275,14 @@ def sample_paths(
     return NoiseEnsemble("sampled", level, alphabet, count, seed=int(seed))
 
 
+def _check_prefix(ensemble, length: int) -> None:
+    """NoiseError unless a prefix of ``length`` grid points picks a block of ``ensemble``."""
+    if ensemble.mode != "exhaustive":
+        raise NoiseError("conditioning on a prefix requires an exhaustive ensemble")
+    if length > ensemble.level.n + 1:
+        raise NoiseError("prefix longer than the path")
+
+
 @dataclass(frozen=True)
 class ConditionalEnsemble:
     """All exhaustive paths agreeing with a fixed prefix on its grid points.
@@ -259,10 +301,7 @@ class ConditionalEnsemble:
     mode = "exhaustive"
 
     def __post_init__(self):
-        if self.base.mode != "exhaustive":
-            raise NoiseError("conditioning on a prefix requires an exhaustive ensemble")
-        if len(self.prefix) > self.base.level.n + 1:
-            raise NoiseError("prefix longer than the path")
+        _check_prefix(self.base, len(self.prefix))
         block = 0
         for digit in _symbol_digits(self.base.alphabet, self.base.level, np.asarray(self.prefix)):
             block = block * self.base.alphabet.size + int(digit)
@@ -273,9 +312,17 @@ class ConditionalEnsemble:
         return self.base.level
 
     @property
+    def alphabet(self) -> NoiseAlphabet:
+        return self.base.alphabet
+
+    @property
     def count(self) -> int:
         free = self.base.level.n + 1 - len(self.prefix)
         return self.base.alphabet.size**free
+
+    def descriptor(self) -> dict:
+        prefix = self._values_for(0, 1)[0, : len(self.prefix)].tolist()
+        return {**self.base.descriptor(), "count": self.count, "prefix": prefix}
 
     def _values_for(self, start: int, stop: int) -> np.ndarray:
         return self.base._values_for(self._offset + start, self._offset + stop)
@@ -304,6 +351,22 @@ class ExpectationResult:
     count: int
 
 
+def _path_values(ensemble, functionals: Sequence[Callable[[NoisePath], float]]) -> np.ndarray:
+    """Every functional on every path: array [count, len(functionals)] in path order.
+
+    One NoisePath is built per path and handed to each functional in turn.
+    """
+
+    def row(path: NoisePath) -> tuple[float, ...]:
+        values = tuple(float(phi(path)) for phi in functionals)
+        if not all(map(math.isfinite, values)):
+            raise NoiseError(f"functional returned a non-finite value for path {path.path_index}")
+        return values
+
+    dtype = np.dtype((np.float64, (len(functionals),)))
+    return np.fromiter(map(row, ensemble.paths()), dtype=dtype, count=ensemble.count)
+
+
 def expectation_detail(ensemble, phi: Callable[[NoisePath], float]) -> ExpectationResult:
     """Uniform average of a path functional, with standard error when sampled.
 
@@ -311,16 +374,11 @@ def expectation_detail(ensemble, phi: Callable[[NoisePath], float]) -> Expectati
     exactly rounded (fsum), so the result does not depend on iteration
     batching.
     """
-    values = []
-    for path in ensemble.paths():
-        value = float(phi(path))
-        if not math.isfinite(value):
-            raise NoiseError(f"functional returned a non-finite value for path {path.path_index}")
-        values.append(value)
+    values = _path_values(ensemble, [phi])[:, 0]
     count = len(values)
     mean = math.fsum(values) / count
     if ensemble.mode == "sampled" and count > 1:
-        var = math.fsum((v - mean) ** 2 for v in values) / (count - 1)
+        var = math.fsum((v - mean) ** 2 for v in values.tolist()) / (count - 1)
         stderr = math.sqrt(var / count)
     else:
         stderr = 0.0

@@ -4,13 +4,26 @@ The dynamics are the explicit one-step recursion
 ``x[k+1] = x[k] + (1/n) * (f(t_k, x[k]) + h(t_k, x[k]) * xi(t_k))``
 driven by a noise path (or by zero noise, giving the deterministic grid
 ODE).  Existence and uniqueness are by construction: the recursion is total
-and deterministic.  Ensemble runs stream trajectories batch by batch, so a
-million sampled paths never need to live in memory at once.  Batches
-arrive in path order at any worker count, so every consumer's result is
-independent of the worker count; integer bin counts and event counts are
-also independent of the batch size, while float sums such as the weak-form
-pieces are added batch by batch and may differ in the last bits between
-batch sizes.
+and deterministic.
+
+Densities, event probabilities, the weak form and the increment report all
+read one step stream, ``TrajectorySet.steps``: per batch of paths, the
+states x_k, the noise values xi_k and a path multiplicity.  Batches
+(a million paths never live in memory at once) arrive in path order at any
+worker count, so results do not depend on the worker count.
+
+Sampled ensembles are stepped path by path.  Exhaustive batches are whole
+subtrees of the noise tree, and x_k depends only on xi_0..xi_{k-1}, so the
+batch kernel steps each distinct noise prefix once: an exhaustive run costs
+about |A|^(n+1)/(|A|-1) steps in place of n * |A|^(n+1), plus one write of
+every path's states for the per-path view ``batches()``, and every state is
+bit-identical to the path-by-path state.  The step stream then carries each
+distinct state once per batch, weighted by the number of the batch's paths
+through it, so integer bin and event counts are bit-identical to
+path-by-path counts for any batch size.  Float sums such as the weak-form
+pieces add ``weight * sum`` over distinct states, so they agree with a
+path-by-path reduction only to rounding, as a sampled run's float sums
+agree across batch sizes only to rounding.
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ import numpy as np
 
 from .expr import Expr, as_expr
 from .grids import GridError, GridLevel
-from .noise import NoiseEnsemble, NoisePath
+from .noise import NoiseEnsemble, NoiseError, NoisePath
 
 __all__ = [
     "DivergenceError",
@@ -110,6 +123,20 @@ class Trajectory:
         return len(self.values)
 
 
+def _kahan_step(xk, comp, rate, n: int):
+    """One compensated step x + rate/n: (next states, their compensation, in-range mask).
+
+    Compensated (Kahan) accumulation: exactly cancelling coin-flip
+    increments must return the walk to an exact lattice site, otherwise
+    balanced paths end a few ulps off zero and land in the wrong half-open
+    density bin.
+    """
+    inc = rate / n - comp
+    nxt = xk + inc
+    # NaN and inf compare False, so they are out of range too
+    return nxt, (nxt - xk) - inc, np.abs(nxt) <= DIVERGENCE_GUARD
+
+
 def _simulate_block(
     problem: CauchyProblem,
     noise_block: np.ndarray,
@@ -117,10 +144,6 @@ def _simulate_block(
     drift_fn,
     diffusion_fn,
 ) -> np.ndarray:
-    # Compensated (Kahan) accumulation: exactly cancelling coin-flip
-    # increments must return the walk to an exact lattice site, otherwise
-    # balanced paths end a few ulps off zero and land in the wrong
-    # half-open density bin.
     n = problem.level.n
     m0 = problem.t0_index
     rows = noise_block.shape[0]
@@ -132,18 +155,54 @@ def _simulate_block(
             tk = k / n
             xk = out[:, k]
             rate = drift_fn(tk, xk) + diffusion_fn(tk, xk) * noise_block[:, k]
-            inc = rate / n - comp
-            nxt = xk + inc
-            bad = ~np.isfinite(nxt) | (np.abs(nxt) > DIVERGENCE_GUARD)
-            if np.any(bad):
-                row = int(np.argmax(bad))
+            out[:, k + 1], comp, ok = _kahan_step(xk, comp, rate, n)
+            if not ok.all():
+                row = int(np.argmin(ok))
                 raise DivergenceError(
                     step=k + 1,
                     path_index=None if start_index is None else start_index + row,
                 )
-            comp = (nxt - xk) - inc
-            out[:, k + 1] = nxt
     return out
+
+
+def _tree_block(
+    problem: CauchyProblem,
+    noise_block: np.ndarray,
+    start_index: int,
+    widths: Sequence[int],
+    drift_fn,
+    diffusion_fn,
+) -> np.ndarray:
+    """``_simulate_block`` for a batch that is a whole subtree of the noise tree.
+
+    In lexicographic order the rows sharing xi_0..xi_{k-1}, and so x_k, are
+    runs of ``widths[k]`` rows.  Each run's state is stepped once, with the
+    noise value of its first row, and repeated over the run, so the states
+    and a divergence report are bit-identical to the per-path kernel's.
+    States never read the noise before t0, so they repeat with period
+    ``widths[t0]`` and only the first period is stepped.
+    """
+    n = problem.level.n
+    m0 = problem.t0_index
+    period = widths[m0]
+    out = np.empty((n + 1, period))
+    out[: m0 + 1] = problem.x0
+    x, comp = out[m0, :1], np.zeros(1)
+    with np.errstate(all="ignore"):
+        for k in range(m0, n):
+            tk = k / n
+            # row i: the children of node i, one per noise value
+            xi = noise_block[: period : widths[k + 1], k].reshape(x.shape[0], -1)
+            fv = np.broadcast_to(drift_fn(tk, x), x.shape)[:, None]
+            hv = np.broadcast_to(diffusion_fn(tk, x), x.shape)[:, None]
+            x, comp, ok = _kahan_step(x[:, None], comp[:, None], fv + hv * xi, n)
+            x, comp = x.reshape(-1), comp.reshape(-1)
+            if not ok.all():
+                row = int(np.argmin(ok)) * widths[k + 1]
+                raise DivergenceError(step=k + 1, path_index=start_index + row)
+            out[k + 1].reshape(x.shape[0], -1)[...] = x[:, None]
+    rows = noise_block.shape[0]
+    return (np.tile(out, rows // period) if period < rows else out).T
 
 
 def solve_grid_ode(problem: CauchyProblem, noise: NoisePath | None = None) -> Trajectory:
@@ -164,7 +223,11 @@ def solve_grid_ode(problem: CauchyProblem, noise: NoisePath | None = None) -> Tr
 
 
 class TrajectorySet:
-    """Streaming view of the solutions over every path of an ensemble."""
+    """Streaming view of the solutions over every path of an ensemble.
+
+    ``threads`` workers run the batch kernel: per path for sampled
+    ensembles, per distinct noise prefix for exhaustive ones.
+    """
 
     def __init__(
         self,
@@ -181,24 +244,49 @@ class TrajectorySet:
         self.threads = max(1, int(threads))
         self._drift_fn = problem.drift.vectorized()
         self._diffusion_fn = problem.diffusion.vectorized()
+        n = problem.level.n
+        # widths[k]: rows of a batch that share xi_0..xi_{k-1}, hence x_k
+        self._widths = [1] * (n + 2)
+        if ensemble.mode == "exhaustive":
+            # a batch is a whole subtree: the largest power of |A| that fits
+            size = ensemble.alphabet.size
+            rows = 1
+            while rows * size <= min(self.batch_size, ensemble.count):
+                rows *= size
+            self.batch_size = rows
+            self._widths = [min(rows, size ** (n + 1 - k)) for k in range(n + 2)]
 
     @property
     def count(self) -> int:
         return self.ensemble.count
 
     def _run(self, start: int, noise_block: np.ndarray):
-        values = _simulate_block(
-            self.problem, noise_block, start, self._drift_fn, self._diffusion_fn
-        )
+        if self.ensemble.mode == "exhaustive":
+            values = _tree_block(
+                self.problem, noise_block, start, self._widths, self._drift_fn, self._diffusion_fn
+            )
+        else:
+            values = _simulate_block(
+                self.problem, noise_block, start, self._drift_fn, self._diffusion_fn
+            )
         return start, noise_block, values
 
     def batches(self, with_noise: bool = False) -> Iterator[tuple]:
         """Yield (start, values) or (start, noise, values) in path order.
 
-        The batch boundaries are fixed by batch_size alone, and batches are
-        yielded in index order regardless of thread count, so any reduction
-        that combines batch results in yield order is reproducible.
+        The batch boundaries are fixed by batch_size alone (for exhaustive
+        ensembles, by the largest power of |A| not above it), and batches
+        are yielded in index order regardless of thread count, so any
+        reduction that combines batch results in yield order is
+        reproducible.  Exhaustive path indices and weights are int64, so an
+        exhaustive ensemble of 2^63 paths or more raises NoiseError before
+        the first batch.
         """
+        if self.ensemble.mode == "exhaustive" and self.count >= 1 << 63:
+            raise NoiseError(
+                f"exhaustive ensemble of {self.count} paths: path indices would pass "
+                "the int64 limit 2**63 - 1"
+            )
         if self.threads == 1:
             for start, noise_block in self.ensemble.batches(self.batch_size):
                 out = self._run(start, noise_block)
@@ -215,6 +303,22 @@ class TrajectorySet:
                 if nxt is not None:
                     pending.append(pool.submit(self._run, *nxt))
                 yield out if with_noise else (out[0], out[2])
+
+    def steps(self, time_indices: Sequence[int], with_noise: bool = False) -> Iterator[tuple]:
+        """Yield (i, x_k, xi_k, weight) for k = time_indices[i], batch by batch.
+
+        Every element of x_k stands for ``weight`` paths of the batch, so
+        the weights of one k add up to the ensemble count.  Sampled
+        ensembles yield every path with weight 1.  Exhaustive ensembles
+        yield each distinct state of a batch once, weighted by the paths
+        through it; with ``with_noise`` each distinct pair (x_k, xi_k).
+        Without it xi_k is None.
+        """
+        shift = 1 if with_noise else 0
+        for _, noise, values in self.batches(with_noise=True):
+            for i, k in enumerate(time_indices):
+                w = self._widths[k + shift]
+                yield i, values[::w, k], noise[::w, k] if with_noise else None, w
 
 
 def simulate_ensemble(
@@ -282,16 +386,17 @@ class DensityField:
         write_density_csv(path, self.times(), self.bin_left_edges(), self.rho())
 
 
-def bin_counts(xk: np.ndarray, n: int, k_window: int, counts: np.ndarray) -> int:
+def bin_counts(xk: np.ndarray, n: int, k_window: int, counts: np.ndarray, weight: int = 1) -> int:
     """Add the positions xk to the half-open bins [j/n, (j+1)/n), j = -K..K-1.
 
-    ``counts`` holds the 2K bins in order and is updated in place; the
-    return value is the number of positions outside the window.
+    ``counts`` holds the 2K bins in order and is updated in place; each
+    position counts ``weight`` times.  The return value is the weighted
+    number of positions outside the window.
     """
     bins = np.floor(xk * n).astype(np.int64)
     inside = (bins >= -k_window) & (bins < k_window)
-    counts += np.bincount(bins[inside] + k_window, minlength=2 * k_window)
-    return int(bins.shape[0] - int(inside.sum()))
+    counts += np.bincount(bins[inside] + k_window, minlength=2 * k_window) * weight
+    return weight * int(bins.shape[0] - int(inside.sum()))
 
 
 def density(
@@ -310,9 +415,8 @@ def density(
     k_window = _window_steps(level, window)
     counts = np.zeros((len(time_indices), 2 * k_window), dtype=np.int64)
     overflow = np.zeros(len(time_indices), dtype=np.int64)
-    for _, values in trajectories.batches():
-        for row, k in enumerate(time_indices):
-            overflow[row] += bin_counts(values[:, k], n, k_window, counts[row])
+    for row, xk, _, weight in trajectories.steps(time_indices):
+        overflow[row] += bin_counts(xk, n, k_window, counts[row], weight)
     return DensityField(
         level=level,
         time_indices=time_indices,
@@ -333,9 +437,8 @@ def event_probability(trajectories: TrajectorySet, t0: float, a: float, b: float
     level = trajectories.problem.level
     k0 = level.time_grid().index_of(t0)
     hits = 0
-    for _, values in trajectories.batches():
-        col = values[:, k0]
-        hits += int(np.count_nonzero((col >= a) & (col < b)))
+    for _, xk, _, weight in trajectories.steps((k0,)):
+        hits += weight * int(np.count_nonzero((xk >= a) & (xk < b)))
     return Fraction(hits, trajectories.count)
 
 

@@ -118,8 +118,16 @@ class TestConfigFile:
         (("simulate", "--f", "0", "--h", "1"), {"window": "abc"}),
         (("verify", "lemmas", "--n", "4"), {"tol_lemmas": "abc"}),
         (("verify", "lemmas", "--n", "4"), {"tol_lemma": 1e-3}),
+        (("simulate", "--f", "0", "--h", "1"), {"n": 8.5}),
+        (("simulate", "--f", "0", "--h", "1", "--n", "8"), {"seed": 1.9}),
+        (("simulate", "--f", "0", "--h", "1"), {"samples": True}),
+        (("simulate", "--f", "0", "--h", "1", "--n", "8"), {"threads": 1e400}),
+        (("verify", "lemmas", "--n", "4"), {"cap": 1e9 + 0.5}),
     ],
-    ids=["levels", "slices-flag", "slices-config", "window-config", "tol-value", "tol-name"],
+    ids=[
+        "levels", "slices-flag", "slices-config", "window-config", "tol-value", "tol-name",
+        "n-fraction", "seed-fraction", "samples-bool", "threads-inf", "cap-fraction",
+    ],
 )
 def test_bad_value_is_one_config_error_line(tmp_path, capsys, argv, config):
     args = [*argv, "--out", str(tmp_path / "out")]

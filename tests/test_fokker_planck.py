@@ -14,7 +14,7 @@ from gridsde.fokker_planck import (
 )
 from gridsde.grids import GridLevel
 from gridsde.identities import increment_report, moment_report, tower_property_report
-from gridsde.noise import enumerate_paths, sample_paths
+from gridsde.noise import NoiseError, enumerate_paths, sample_paths
 from gridsde.sde import CauchyProblem, simulate_ensemble, solve_grid_ode
 
 STANDARD_PHI = TestFunction.from_bumps(
@@ -277,6 +277,21 @@ class TestTowerProperty:
         ]
         report = tower_property_report(ens, functionals, split_index=3)
         assert report.max_relative_gap() <= 1e-10
+
+    def test_one_walk_evaluates_each_functional_once_per_path(self):
+        ens = enumerate_paths(GridLevel(5))
+        seen = []
+        functionals = [
+            ("first", lambda p: seen.append(("first", p.path_index)) or float(p.values[0])),
+            ("last", lambda p: seen.append(("last", p.path_index)) or float(p.values[-1] ** 2)),
+        ]
+        report = tower_property_report(ens, functionals, split_index=2)
+        assert sorted(seen) == sorted((label, i) for label, _ in functionals for i in range(ens.count))
+        assert report.max_relative_gap() <= 1e-15
+
+    def test_sampled_ensemble_rejected(self):
+        with pytest.raises(NoiseError, match="exhaustive"):
+            tower_property_report(sample_paths(GridLevel(4), 10, seed=1), [("c", lambda p: 1.0)], 1)
 
 
 class TestIncrementIdentities:

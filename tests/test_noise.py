@@ -56,6 +56,21 @@ class TestEnumeration:
         seen = {tuple(p.values) for p in ens.paths()}
         assert len(seen) == 16
 
+    @pytest.mark.parametrize(
+        "alphabet",
+        [NoiseAlphabet.white(), NoiseAlphabet.from_symbols((-3.0, 1.0, 2.0))],
+        ids=["binary", "ternary"],
+    )
+    def test_any_index_range_matches_the_lexicographic_product(self, alphabet):
+        level = GridLevel(5)
+        ens = enumerate_paths(level, alphabet)
+        want = np.array(list(itertools.product(alphabet.scaled(level), repeat=level.n + 1)))
+        for batch_size in (1, 5, 7, 9, 64, ens.count):
+            got = np.concatenate([block for _, block in ens.batches(batch_size)])
+            assert got.tobytes() == want.tobytes()
+        for index in (0, 1, ens.count // 3, ens.count - 1):
+            assert ens.path(index).values.tobytes() == want[index].tobytes()
+
     def test_cap_exceeded_advises_sampling(self):
         with pytest.raises(NoiseError, match="sampled"):
             enumerate_paths(GridLevel(40))

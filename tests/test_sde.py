@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,7 +8,15 @@ import pytest
 from gridsde.expr import TestFunction
 from gridsde.fokker_planck import weak_form_residual
 from gridsde.grids import GridError, GridLevel
-from gridsde.noise import NoisePath, enumerate_paths, sample_paths
+from gridsde.identities import increment_report
+from gridsde.noise import (
+    NoiseAlphabet,
+    NoiseError,
+    NoisePath,
+    conditional,
+    enumerate_paths,
+    sample_paths,
+)
 from gridsde.sde import (
     CauchyProblem,
     DivergenceError,
@@ -128,23 +137,26 @@ class TestSimulateEnsemble:
 
 class TestBatchAndThreadIndependence:
     def test_counts_and_weak_form_ignore_batching_and_workers(self):
-        level = GridLevel(16)
-        problem = CauchyProblem("sin(t)-x", "1+0.5*sin(x)", 0.0, level)
-        ens = sample_paths(level, 40000, seed=4)
-        results = []
-        for batch_size, threads in ((777, 1), (32768, 1), (777, 2), (32768, 2)):
-            ts = simulate_ensemble(problem, ens, batch_size=batch_size, threads=threads)
-            dens = density(ts, window=Fraction(1, 2))
-            prob = event_probability(ts, 0.5, -0.25, 0.5)
-            results.append((dens.counts.tolist(), dens.overflow.tolist(), prob))
-        assert sum(results[0][1]) > 0
-        assert all(r == results[0] for r in results[1:])
-        # float sums are reproducible across worker counts at a fixed batch size
         phi = TestFunction.from_expression("bump((t-0.5)/0.45)*bump(x/2)")
-        serial, threaded = (
-            weak_form_residual(problem, ens, phi, threads=t).to_dict() for t in (1, 2)
+        cases = (
+            (sample_paths(GridLevel(16), 40000, seed=4), (777, 32768)),
+            (enumerate_paths(GridLevel(12)), (5, 777, 32768)),
         )
-        assert serial == threaded
+        for ens, batch_sizes in cases:
+            problem = CauchyProblem("sin(t)-x", "1+0.5*sin(x)", 0.0, ens.level)
+            results = []
+            for batch_size, threads in itertools.product(batch_sizes, (1, 2)):
+                ts = simulate_ensemble(problem, ens, batch_size=batch_size, threads=threads)
+                dens = density(ts, window=Fraction(1, 2))
+                prob = event_probability(ts, 0.5, -0.25, 0.5)
+                results.append((dens.counts.tolist(), dens.overflow.tolist(), prob))
+            assert sum(results[0][1]) > 0
+            assert all(r == results[0] for r in results[1:])
+            # float sums are reproducible across worker counts at a fixed batch size
+            serial, threaded = (
+                weak_form_residual(problem, ens, phi, threads=t).to_dict() for t in (1, 2)
+            )
+            assert serial == threaded
 
 
 class TestBinCounts:
@@ -282,3 +294,130 @@ class TestContinuousDependence:
         assert not report.ok
         assert report.first_violation_step is not None
         assert report.gap_at_violation > report.bound_at_violation
+
+
+class _PerPath:
+    """An exhaustive ensemble that ``TrajectorySet`` steps path by path.
+
+    Its mode is not "exhaustive", so it is treated as a sampled ensemble
+    is: the per-path kernel steps every path of a batch of
+    ``batch_size`` paths, and every path is reduced with multiplicity 1.
+    This is the reference that the prefix tree is checked against.
+    """
+
+    mode = "per-path"
+
+    def __init__(self, ensemble):
+        self._ensemble = ensemble
+
+    def __getattr__(self, name):
+        return getattr(self._ensemble, name)
+
+
+TERNARY = NoiseAlphabet.from_symbols((-3.0, 1.0, 2.0))
+PHI = TestFunction.from_expression("bump((t-0.5)/0.45)*bump(x/2)")
+
+
+def _close(a, b, scale=1.0):
+    return abs(a - b) <= 1e-12 * max(scale, abs(a), abs(b))
+
+
+def assert_tree_matches_per_path(problem, ensemble, batch_size=1 << 15):
+    n = problem.level.n
+    tree = simulate_ensemble(problem, ensemble, batch_size=batch_size)
+    reference = simulate_ensemble(problem, _PerPath(ensemble))
+
+    for k in range(n + 1):
+        for with_noise in (False, True):
+            total = sum(w * len(x) for _, x, _, w in tree.steps((k,), with_noise=with_noise))
+            assert total == ensemble.count
+    got, want = density(tree), density(reference)
+    assert np.array_equal(got.counts, want.counts)
+    assert np.array_equal(got.overflow, want.overflow)
+    assert got.ensemble_descriptor == want.ensemble_descriptor
+    for t, a, b in (((n // 2) / n, -0.25, 0.5), (1.0, 0.0, math.inf), (1.0, -0.3, 0.1)):
+        assert event_probability(tree, t, a, b) == event_probability(reference, t, a, b)
+
+    got, want = weak_form_residual(problem, ensemble, PHI), weak_form_residual(problem, _PerPath(ensemble), PHI)
+    assert (got.residual, got.double_sum) == (want.residual, want.double_sum)
+    pieces = ("drift_term", "noise_term", "correction_term", "quadratic_term", "taylor_total")
+    scale = max(1.0, *(abs(getattr(want, p)) for p in pieces))
+    for piece in pieces:
+        assert _close(getattr(got, piece), getattr(want, piece), scale), piece
+
+    functions = ["sin(x) + 1", "bump(x/4)", "x^2"]
+    indices = (0, 1, n // 2, n - 1, n)
+    got = increment_report(problem, ensemble, functions, indices)
+    want = increment_report(problem, _PerPath(ensemble), functions, indices)
+    for g, w in zip(got.entries, want.entries, strict=True):
+        assert _close(g.orthogonality_gap, w.orthogonality_gap, max(1.0, w.orthogonality_scale))
+        assert _close(g.orthogonality_scale, w.orthogonality_scale)
+        assert _close(g.quadratic_gap, w.quadratic_gap, w.quadratic_scale)
+
+
+class TestPrefixTree:
+    @pytest.mark.parametrize("t0_index", [0, 2, 4])
+    @pytest.mark.parametrize(
+        "alphabet, n", [(NoiseAlphabet.white(), 8), (TERNARY, 5)], ids=["binary", "ternary"]
+    )
+    @pytest.mark.parametrize("prefix", [None, (1, 0, 1)], ids=["full", "conditional"])
+    def test_matches_per_path_reduction(self, alphabet, n, t0_index, prefix):
+        level = GridLevel(n)
+        problem = CauchyProblem("sin(t)-x", "1+0.5*sin(x)", 0.1, level, t0=t0_index / n)
+        ensemble = enumerate_paths(level, alphabet)
+        if prefix is not None:
+            ensemble = conditional(ensemble, tuple(alphabet.scaled(level)[list(prefix)]))
+        assert_tree_matches_per_path(problem, ensemble)
+        assert_tree_matches_per_path(problem, ensemble, batch_size=5)
+
+    @pytest.mark.parametrize("batch_size", [7, 1 << 15])
+    @pytest.mark.parametrize("t0_index", [0, 2])
+    def test_states_match_per_path_bit_for_bit(self, t0_index, batch_size):
+        n = 10
+        level = GridLevel(n)
+        problem = CauchyProblem("sin(t)-x", "1+0.5*sin(x)", 0.0, level, t0=t0_index / n)
+        ensemble = enumerate_paths(level)
+        tree = simulate_ensemble(problem, ensemble, batch_size=batch_size)
+        rows = min(batch_size, ensemble.count)
+        rows = 1 << (rows.bit_length() - 1)  # a batch is a whole subtree
+        assert tree.batch_size == rows
+        reference = simulate_ensemble(problem, _PerPath(ensemble), batch_size=batch_size)
+        noise = np.concatenate([b for _, b in ensemble.batches()])
+        want = np.concatenate([v for _, v in reference.batches()])
+        got = np.concatenate([v for _, v in tree.batches()])
+        assert got.tobytes() == want.tobytes()
+        for with_noise in (False, True):
+            states = {k: [] for k in range(n + 1)}
+            values = {k: [] for k in range(n + 1)}
+            for k, xk, xik, weight in tree.steps(range(n + 1), with_noise):
+                assert xk.shape[0] * weight == rows
+                states[k].append(np.repeat(xk, weight))
+                if with_noise:
+                    values[k].append(np.repeat(xik, weight))
+            for k in range(n + 1):
+                # each yielded state stands for the next `weight` rows of its batch
+                assert np.concatenate(states[k]).tobytes() == want[:, k].tobytes()
+                if with_noise:
+                    assert np.concatenate(values[k]).tobytes() == noise[:, k].tobytes()
+
+    def test_int64_guard_trips_before_traversal(self):
+        level = GridLevel(40)
+        ternary = NoiseAlphabet.from_symbols((-1.0, 0.0, 1.0))
+        ensemble = enumerate_paths(level, ternary, cap=3**41)
+        trajectories = simulate_ensemble(CauchyProblem("0", "1", 0.0, level), ensemble)
+        with pytest.raises(NoiseError, match=r"int64 limit 2\*\*63"):
+            density(trajectories)
+
+    @pytest.mark.parametrize("batch_size", [1 << 15, 5])
+    def test_divergence_names_smallest_path_through_first_bad_node(self, batch_size):
+        n = 10
+        level = GridLevel(n)
+        problem = CauchyProblem("exp(2*x)", "3", 0.0, level)
+        ensemble = enumerate_paths(level)
+        with pytest.raises(DivergenceError) as info:
+            density(simulate_ensemble(problem, ensemble, batch_size=batch_size))
+        step, index = info.value.step, info.value.path_index
+        assert index % 2 ** (n + 1 - step) == 0  # all later digits are the first symbol
+        with pytest.raises(DivergenceError) as single:
+            solve_grid_ode(problem, ensemble.path(index))
+        assert single.value.step == step
