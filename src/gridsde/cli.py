@@ -159,6 +159,8 @@ def load_config(ns: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     if cfg.n is not None and cfg.n < 1:
         raise ConfigError("n must be a positive integer")
+    if cfg.threads < 1:
+        raise ConfigError("threads must be a positive integer")
     return cfg
 
 
@@ -185,11 +187,6 @@ def _resolve_mode(cfg: RunConfig, prefer_exhaustive: bool) -> str:
 def _ensemble(cfg: RunConfig, level: GridLevel, prefer_exhaustive: bool = False):
     mode = _resolve_mode(cfg, prefer_exhaustive)
     if mode == "exhaustive":
-        if 2 ** (cfg.n + 1) > cfg.cap:
-            raise ConfigError(
-                f"exhaustive mode needs 2^(n+1) = {2 ** (cfg.n + 1)} paths, "
-                f"over the cap {cfg.cap}; use --mode sampled"
-            )
         return enumerate_paths(level, cap=cfg.cap)
     return sample_paths(level, cfg.samples, cfg.seed)
 

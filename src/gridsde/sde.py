@@ -12,18 +12,20 @@ states x_k, the noise values xi_k and a path multiplicity.  Batches
 (a million paths never live in memory at once) arrive in path order at any
 worker count, so results do not depend on the worker count.
 
-Sampled ensembles are stepped path by path.  Exhaustive batches are whole
-subtrees of the noise tree, and x_k depends only on xi_0..xi_{k-1}, so the
-batch kernel steps each distinct noise prefix once: an exhaustive run costs
-about |A|^(n+1)/(|A|-1) steps in place of n * |A|^(n+1), plus one write of
-every path's states for the per-path view ``batches()``, and every state is
-bit-identical to the path-by-path state.  The step stream then carries each
-distinct state once per batch, weighted by the number of the batch's paths
-through it, so integer bin and event counts are bit-identical to
-path-by-path counts for any batch size.  Float sums such as the weak-form
-pieces add ``weight * sum`` over distinct states, so they agree with a
-path-by-path reduction only to rounding, as a sampled run's float sums
-agree across batch sizes only to rounding.
+One kernel steps every batch as a piece of the noise tree: x_k depends
+only on xi_0..xi_{k-1}, so it steps each distinct noise prefix once.  A
+sampled batch, like the single path of ``solve_grid_ode``, is a tree with
+one child per node and is stepped path by path.  An exhaustive batch is a
+whole subtree, so an exhaustive run costs about |A|^(n+1)/(|A|-1) steps in
+place of n * |A|^(n+1), plus one write of every path's states for the
+per-path view ``batches()``, and every state is bit-identical to the
+path-by-path state.  The step stream then carries each distinct state once
+per batch, weighted by the number of the batch's paths through it, so
+integer bin and event counts are bit-identical to path-by-path counts for
+any batch size.  Float sums such as the weak-form pieces add
+``weight * sum`` over distinct states, so they agree with a path-by-path
+reduction only to rounding, as a sampled run's float sums agree across
+batch sizes only to rounding.
 """
 
 from __future__ import annotations
@@ -137,72 +139,49 @@ def _kahan_step(xk, comp, rate, n: int):
     return nxt, (nxt - xk) - inc, np.abs(nxt) <= DIVERGENCE_GUARD
 
 
-def _simulate_block(
+def _step_block(
     problem: CauchyProblem,
     noise_block: np.ndarray,
     start_index: int | None,
-    drift_fn,
-    diffusion_fn,
-) -> np.ndarray:
-    n = problem.level.n
-    m0 = problem.t0_index
-    rows = noise_block.shape[0]
-    out = np.empty((rows, n + 1))
-    out[:, : m0 + 1] = problem.x0
-    comp = np.zeros(rows)
-    with np.errstate(all="ignore"):
-        for k in range(m0, n):
-            tk = k / n
-            xk = out[:, k]
-            rate = drift_fn(tk, xk) + diffusion_fn(tk, xk) * noise_block[:, k]
-            out[:, k + 1], comp, ok = _kahan_step(xk, comp, rate, n)
-            if not ok.all():
-                row = int(np.argmin(ok))
-                raise DivergenceError(
-                    step=k + 1,
-                    path_index=None if start_index is None else start_index + row,
-                )
-    return out
-
-
-def _tree_block(
-    problem: CauchyProblem,
-    noise_block: np.ndarray,
-    start_index: int,
     widths: Sequence[int],
     drift_fn,
     diffusion_fn,
 ) -> np.ndarray:
-    """``_simulate_block`` for a batch that is a whole subtree of the noise tree.
+    """The states of a batch of noise paths, one row per path.
 
-    In lexicographic order the rows sharing xi_0..xi_{k-1}, and so x_k, are
-    runs of ``widths[k]`` rows.  Each run's state is stepped once, with the
-    noise value of its first row, and repeated over the run, so the states
-    and a divergence report are bit-identical to the per-path kernel's.
-    States never read the noise before t0, so they repeat with period
-    ``widths[t0]`` and only the first period is stepped.
+    The rows sharing xi_0..xi_{k-1}, and so x_k, are runs of ``widths[k]``
+    rows: a node of the noise tree at depth k.  Each node is stepped once,
+    its children being its runs of ``widths[k+1]`` rows, each read at its
+    first row's noise value.  Widths of 1 step every path on its own; a
+    whole subtree in lexicographic order shares its prefixes.  States are
+    stored time-major, ``[n+1, rows]``, and returned transposed.  A
+    divergence names the first diverging step and the smallest path index
+    through the first bad node there, or no path if ``start_index`` is None.
     """
     n = problem.level.n
     m0 = problem.t0_index
-    period = widths[m0]
-    out = np.empty((n + 1, period))
+    out = np.empty((n + 1, noise_block.shape[0]))
     out[: m0 + 1] = problem.x0
-    x, comp = out[m0, :1], np.zeros(1)
+    # states never read the noise before t0, so every node at t0 is at x0
+    x = out[m0, :: widths[m0]]
+    comp = np.zeros(x.shape[0])
     with np.errstate(all="ignore"):
         for k in range(m0, n):
             tk = k / n
-            # row i: the children of node i, one per noise value
-            xi = noise_block[: period : widths[k + 1], k].reshape(x.shape[0], -1)
+            # row i: the children of node i
+            xi = noise_block[:: widths[k + 1], k].reshape(x.shape[0], -1)
             fv = np.broadcast_to(drift_fn(tk, x), x.shape)[:, None]
             hv = np.broadcast_to(diffusion_fn(tk, x), x.shape)[:, None]
             x, comp, ok = _kahan_step(x[:, None], comp[:, None], fv + hv * xi, n)
             x, comp = x.reshape(-1), comp.reshape(-1)
             if not ok.all():
                 row = int(np.argmin(ok)) * widths[k + 1]
-                raise DivergenceError(step=k + 1, path_index=start_index + row)
+                raise DivergenceError(
+                    step=k + 1,
+                    path_index=None if start_index is None else start_index + row,
+                )
             out[k + 1].reshape(x.shape[0], -1)[...] = x[:, None]
-    rows = noise_block.shape[0]
-    return (np.tile(out, rows // period) if period < rows else out).T
+    return out.T
 
 
 def solve_grid_ode(problem: CauchyProblem, noise: NoisePath | None = None) -> Trajectory:
@@ -216,8 +195,13 @@ def solve_grid_ode(problem: CauchyProblem, noise: NoisePath | None = None) -> Tr
             raise GridError("noise path level does not match the problem level")
         block = noise.values[None, :]
         index = noise.path_index
-    values = _simulate_block(
-        problem, block, index, problem.drift.vectorized(), problem.diffusion.vectorized()
+    values = _step_block(
+        problem,
+        block,
+        index,
+        [1] * (n + 2),
+        problem.drift.vectorized(),
+        problem.diffusion.vectorized(),
     )[0]
     return Trajectory(problem.level, values, path_index=index)
 
@@ -225,8 +209,10 @@ def solve_grid_ode(problem: CauchyProblem, noise: NoisePath | None = None) -> Tr
 class TrajectorySet:
     """Streaming view of the solutions over every path of an ensemble.
 
-    ``threads`` workers run the batch kernel: per path for sampled
-    ensembles, per distinct noise prefix for exhaustive ones.
+    ``threads`` workers run the one batch kernel, which steps each distinct
+    noise prefix of a batch once: a sampled batch is a tree with one child
+    per node, so its paths are stepped one by one; an exhaustive batch is a
+    whole subtree of the noise tree.
     """
 
     def __init__(
@@ -261,14 +247,9 @@ class TrajectorySet:
         return self.ensemble.count
 
     def _run(self, start: int, noise_block: np.ndarray):
-        if self.ensemble.mode == "exhaustive":
-            values = _tree_block(
-                self.problem, noise_block, start, self._widths, self._drift_fn, self._diffusion_fn
-            )
-        else:
-            values = _simulate_block(
-                self.problem, noise_block, start, self._drift_fn, self._diffusion_fn
-            )
+        values = _step_block(
+            self.problem, noise_block, start, self._widths, self._drift_fn, self._diffusion_fn
+        )
         return start, noise_block, values
 
     def batches(self, with_noise: bool = False) -> Iterator[tuple]:

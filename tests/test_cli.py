@@ -123,10 +123,15 @@ class TestConfigFile:
         (("simulate", "--f", "0", "--h", "1"), {"samples": True}),
         (("simulate", "--f", "0", "--h", "1", "--n", "8"), {"threads": 1e400}),
         (("verify", "lemmas", "--n", "4"), {"cap": 1e9 + 0.5}),
+        (("simulate", "--n", "8", "--mode", "exhaustive", "--f", "0", "--h", "1",
+          "--threads", "0"), None),
+        (("simulate", "--n", "8", "--mode", "exhaustive", "--f", "0", "--h", "1",
+          "--threads=-3"), None),
     ],
     ids=[
         "levels", "slices-flag", "slices-config", "window-config", "tol-value", "tol-name",
         "n-fraction", "seed-fraction", "samples-bool", "threads-inf", "cap-fraction",
+        "threads-zero", "threads-negative",
     ],
 )
 def test_bad_value_is_one_config_error_line(tmp_path, capsys, argv, config):

@@ -300,9 +300,11 @@ class _PerPath:
     """An exhaustive ensemble that ``TrajectorySet`` steps path by path.
 
     Its mode is not "exhaustive", so it is treated as a sampled ensemble
-    is: the per-path kernel steps every path of a batch of
-    ``batch_size`` paths, and every path is reduced with multiplicity 1.
-    This is the reference that the prefix tree is checked against.
+    is: a batch of ``batch_size`` paths is a tree with one child per node,
+    so the step kernel steps every path on its own, and every path is
+    reduced with multiplicity 1.  This is the reference that the
+    reductions over the prefix tree are checked against; the kernel itself
+    is checked against ``_per_row_states``.
     """
 
     mode = "per-path"
@@ -314,6 +316,28 @@ class _PerPath:
         return getattr(self._ensemble, name)
 
 
+def _per_row_states(problem, noise):
+    """The states of every noise row, each row stepped on its own by a plain loop.
+
+    The update is the kernel's compensated (Kahan) step, written out here,
+    so the kernel's node sharing and memory layout are checked against code
+    that has neither.
+    """
+    n, m0 = problem.level.n, problem.t0_index
+    drift, diffusion = problem.drift.vectorized(), problem.diffusion.vectorized()
+    out = np.empty((noise.shape[0], n + 1))
+    for row, xi in enumerate(noise):
+        x, comp = np.full(1, problem.x0), np.zeros(1)
+        out[row, : m0 + 1] = problem.x0
+        for k in range(m0, n):
+            rate = drift(k / n, x) + diffusion(k / n, x) * xi[k]
+            inc = rate / n - comp
+            nxt = x + inc
+            x, comp = nxt, (nxt - x) - inc
+            out[row, k + 1] = x[0]
+    return out
+
+
 TERNARY = NoiseAlphabet.from_symbols((-3.0, 1.0, 2.0))
 PHI = TestFunction.from_expression("bump((t-0.5)/0.45)*bump(x/2)")
 
@@ -322,9 +346,9 @@ def _close(a, b, scale=1.0):
     return abs(a - b) <= 1e-12 * max(scale, abs(a), abs(b))
 
 
-def assert_tree_matches_per_path(problem, ensemble, batch_size=1 << 15):
+def assert_tree_matches_per_path(problem, ensemble, batch_size=1 << 15, threads=1):
     n = problem.level.n
-    tree = simulate_ensemble(problem, ensemble, batch_size=batch_size)
+    tree = simulate_ensemble(problem, ensemble, batch_size=batch_size, threads=threads)
     reference = simulate_ensemble(problem, _PerPath(ensemble))
 
     for k in range(n + 1):
@@ -338,7 +362,8 @@ def assert_tree_matches_per_path(problem, ensemble, batch_size=1 << 15):
     for t, a, b in (((n // 2) / n, -0.25, 0.5), (1.0, 0.0, math.inf), (1.0, -0.3, 0.1)):
         assert event_probability(tree, t, a, b) == event_probability(reference, t, a, b)
 
-    got, want = weak_form_residual(problem, ensemble, PHI), weak_form_residual(problem, _PerPath(ensemble), PHI)
+    got = weak_form_residual(problem, ensemble, PHI, threads=threads)
+    want = weak_form_residual(problem, _PerPath(ensemble), PHI)
     assert (got.residual, got.double_sum) == (want.residual, want.double_sum)
     pieces = ("drift_term", "noise_term", "correction_term", "quadratic_term", "taylor_total")
     scale = max(1.0, *(abs(getattr(want, p)) for p in pieces))
@@ -399,6 +424,49 @@ class TestPrefixTree:
                 assert np.concatenate(states[k]).tobytes() == want[:, k].tobytes()
                 if with_noise:
                     assert np.concatenate(values[k]).tobytes() == noise[:, k].tobytes()
+
+    @pytest.mark.parametrize("batch_size", [7, 1 << 15])
+    @pytest.mark.parametrize("kind", ["exhaustive", "conditional", "sampled"])
+    @pytest.mark.parametrize("t0_index", [0, 2])
+    @pytest.mark.parametrize(
+        "alphabet, n", [(NoiseAlphabet.white(), 8), (TERNARY, 5)], ids=["binary", "ternary"]
+    )
+    def test_states_match_a_per_row_loop(self, alphabet, n, t0_index, kind, batch_size):
+        level = GridLevel(n)
+        problem = CauchyProblem("sin(t)-x", "1+0.5*sin(x)", 0.1, level, t0=t0_index / n)
+        ensemble = enumerate_paths(level, alphabet)
+        if kind == "conditional":
+            ensemble = conditional(ensemble, tuple(alphabet.scaled(level)[[1, 0]]))
+        elif kind == "sampled":
+            ensemble = sample_paths(level, 300, seed=5, alphabet=alphabet)
+        noise = np.concatenate([b for _, b in ensemble.batches()])
+        want = _per_row_states(problem, noise)
+        for stepped in (ensemble, _PerPath(ensemble)):
+            trajectories = simulate_ensemble(problem, stepped, batch_size=batch_size)
+            got = np.concatenate([v for _, v in trajectories.batches()])
+            assert got.tobytes() == want.tobytes()
+        for row in (0, ensemble.count - 1):
+            got = solve_grid_ode(problem, NoisePath(level, noise[row])).values
+            assert got.tobytes() == want[row].tobytes()
+
+    @pytest.mark.parametrize("batch_size", [1 << 15, 7])
+    def test_sampled_divergence_names_a_path_that_diverges_there(self, batch_size):
+        level = GridLevel(10)
+        problem = CauchyProblem("exp(2*x)", "3", 0.0, level)
+        ensemble = sample_paths(level, 300, seed=11)
+        with pytest.raises(DivergenceError) as info:
+            density(simulate_ensemble(problem, ensemble, batch_size=batch_size))
+        step, index = info.value.step, info.value.path_index
+        assert index > 0
+        with pytest.raises(DivergenceError) as single:
+            solve_grid_ode(problem, ensemble.path(index))
+        assert (single.value.step, single.value.path_index) == (step, index)
+        # every earlier path survives, or fails later in the same batch
+        for j in range(index):
+            try:
+                solve_grid_ode(problem, ensemble.path(j))
+            except DivergenceError as other:
+                assert j // batch_size == index // batch_size and other.step > step
 
     def test_int64_guard_trips_before_traversal(self):
         level = GridLevel(40)
