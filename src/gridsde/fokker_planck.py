@@ -305,6 +305,17 @@ def _max_over_window(fn, t_samples: np.ndarray, xs: np.ndarray) -> float:
     return worst
 
 
+def _check_density(state: np.ndarray, dx: float, t: float) -> float:
+    """Mass of ``state``; VerificationError unless it is 1 and no cell is negative."""
+    mass = float(np.add.reduce(state) * dx)
+    low = float(np.minimum.reduce(state))
+    if abs(mass - 1.0) > 1e-6:
+        raise VerificationError(f"mass conservation violated: mass = {mass} at t = {t}")
+    if low < -1e-12:
+        raise VerificationError(f"negative density {low} at t = {t}")
+    return mass
+
+
 def fp_solve(
     drift,
     diffusion,
@@ -320,21 +331,37 @@ def fp_solve(
     Requires dt <= dx^2 / (2 max h^2 + dx max |f|); passing dt=None picks
     90% of that bound.  Snapshots land exactly on the requested save times
     (the step is shortened per interval as needed, never lengthened).
+    ``dx``, ``t_end`` and the save times must be finite, with dx > 0 and
+    t_end >= 0; a given dt must be finite and positive.
+
+    When neither f nor h reads t, the face velocities, the cell diffusion
+    h^2 and the upwind cell of each face are evaluated once per solve;
+    otherwise once per substep.  Mass and sign are checked after every
+    substep.
     """
     drift = as_expr(drift)
     diffusion = as_expr(diffusion)
+    dx, t_end = float(dx), float(t_end)
+    if not (math.isfinite(dx) and dx > 0):
+        raise VerificationError(f"dx must be finite and positive, got {dx}")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise VerificationError(f"t_end must be finite and >= 0, got {t_end}")
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise VerificationError(f"dt must be finite and positive, got {dt}")
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise VerificationError("window must satisfy lo < hi")
     if not lo <= x0 < hi:
         raise VerificationError("window must contain x0")
     cells_f = (hi - lo) / dx
-    cells = round(cells_f)
+    cells = round(cells_f) if math.isfinite(cells_f) else 0
     if cells < 3 or abs(cells_f - cells) > 1e-9:
         raise VerificationError("window width must be an integer number (>= 3) of dx cells")
     if save_times is None:
         save_times = (t_end,)
     save_times = tuple(float(t) for t in save_times)
+    if not all(map(math.isfinite, save_times)):
+        raise VerificationError("save times must be finite")
     if any(t < 0 or t > t_end + 1e-12 for t in save_times):
         raise VerificationError("save times must lie in [0, t_end]")
     if any(t2 <= t1 for t1, t2 in zip(save_times, save_times[1:])):
@@ -363,43 +390,63 @@ def fp_solve(
     i0 = min(int(math.floor((x0 - lo) / dx + 1e-12)), cells - 1)
     state[i0] = 1.0 / dx
 
+    # Coefficients and work buffers, written in place by every substep.
+    # full[0] and full[-1] stay 0 (zero-flux boundaries); flux is its interior.
+    v_face = np.empty(cells - 1)
+    d_cell = np.empty(cells)
+    upwind_row = np.empty(cells - 1, dtype=np.intp)
+    left_cell = np.arange(cells - 1, dtype=np.intp)
+    full = np.zeros(cells + 1)
+    flux, full_hi, full_lo = full[1:-1], full[1:], full[:-1]
+    d_state = np.empty(cells)
+    d_hi, d_lo = d_state[1:], d_state[:-1]
+    d_diff = np.empty(cells - 1)
+    cell_diff = np.empty(cells)
+    two_dx = 2.0 * dx
+
+    def coefficients(t: float) -> None:
+        v_face[...] = drift_fn(t, faces)
+        np.square(diffusion_fn(t, centers), out=d_cell)
+        # upwind cell of each face: its left cell where v >= 0, else its right
+        np.add(left_cell, np.logical_not(v_face >= 0.0), out=upwind_row)
+
+    time_dependent = "t" in drift.variables() | diffusion.variables()
     snapshots = []
     masses = []
     now = 0.0
-
-    def check(p: np.ndarray, t: float) -> float:
-        mass = float(np.sum(p) * dx)
-        if abs(mass - 1.0) > 1e-6:
-            raise VerificationError(f"mass conservation violated: mass = {mass} at t = {t}")
-        if float(np.min(p)) < -1e-12:
-            raise VerificationError(f"negative density {float(np.min(p))} at t = {t}")
-        return mass
-
     with np.errstate(all="ignore"):
+        if not time_dependent:
+            coefficients(0.0)
         for target in save_times:
             span = target - now
             if span > 1e-15:
                 substeps = max(1, math.ceil(span / dt - 1e-9))
                 dt_local = span / substeps
+                ratio = dt_local / dx
                 for step in range(substeps):
                     t_here = now + step * dt_local
-                    v_face = _arr(drift_fn(t_here, faces), faces)
-                    d_cell = _arr(diffusion_fn(t_here, centers), centers) ** 2
-                    upwind = np.where(v_face >= 0.0, state[:-1], state[1:])
-                    flux = v_face * upwind - (d_cell[1:] * state[1:] - d_cell[:-1] * state[:-1]) / (
-                        2.0 * dx
-                    )
-                    full = np.concatenate(([0.0], flux, [0.0]))
-                    state = state - (dt_local / dx) * (full[1:] - full[:-1])
-                    check(state, t_here + dt_local)
+                    if time_dependent:
+                        coefficients(t_here)
+                    # flux = v * upwind - (d[1:] s[1:] - d[:-1] s[:-1]) / (2 dx)
+                    state.take(upwind_row, out=flux)
+                    np.multiply(v_face, flux, out=flux)
+                    np.multiply(d_cell, state, out=d_state)
+                    np.subtract(d_hi, d_lo, out=d_diff)
+                    np.divide(d_diff, two_dx, out=d_diff)
+                    np.subtract(flux, d_diff, out=flux)
+                    # state -= (dt / dx) * (full[1:] - full[:-1])
+                    np.subtract(full_hi, full_lo, out=cell_diff)
+                    np.multiply(ratio, cell_diff, out=cell_diff)
+                    np.subtract(state, cell_diff, out=state)
+                    _check_density(state, dx, t_here + dt_local)
             now = target
             snapshots.append(state.copy())
-            masses.append(check(state, now))
+            masses.append(_check_density(state, dx, now))
 
     return FPSolution(
         lo=lo,
         hi=hi,
-        dx=float(dx),
+        dx=dx,
         times=save_times,
         values=np.asarray(snapshots),
         masses=tuple(masses),

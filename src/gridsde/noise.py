@@ -9,6 +9,12 @@ mode draws reproducible paths from a counter-based generator.
 The generator is a pure function of (seed, path index, grid point), so a
 path's value never depends on how work is batched or on how many workers
 run; ensemble statistics cannot change with the degree of parallelism.
+Grid point j of path i has counter i*(n+1) + j, hashed by splitmix64 to a
+64-bit z.  With u = (z >> 11) * 2^-53 in [0, 1), the symbol index is
+floor(u * |A|), capped at |A| - 1, computed in floats.  For the binary
+alphabet that is exactly the top bit z >> 63, which is how it is computed;
+for other sizes the float rule stays, because floor(u * 3) in floats can
+differ from integer arithmetic on z.
 """
 
 from __future__ import annotations
@@ -57,19 +63,24 @@ def _mix_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _hash_block(seed: int, first: int, count: int) -> np.ndarray:
+    """splitmix64 hashes of the counters first..first+count-1 (uint64, fresh array).
 
-
-def _uniform01(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Deterministic uniforms in [0, 1) addressed by (seed, counter)."""
-    base = _mix_int(seed ^ 0xD1B54A32D192ED03)
-    with np.errstate(over="ignore"):
-        z = np.uint64(base) + (counters.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)
-        u = _mix_array(z)
-    return (u >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    Counter c hashes to mix(key(seed) + (c + 1) * golden) modulo 2^64, which is
+    ``_mix_int`` applied per element; the rounds run in place on one block
+    with one shift temporary.
+    """
+    z = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(_mix_int(seed ^ 0xD1B54A32D192ED03))
+    shifted = np.empty_like(z)
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, np.uint64(shift), out=shifted)
+        z ^= shifted
+        z *= np.uint64(multiplier)
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    return z
 
 
 @dataclass(frozen=True)
@@ -185,11 +196,21 @@ class NoiseEnsemble:
         scaled = self.alphabet.scaled(self.level)
         if self.mode == "exhaustive":
             return _lexicographic_block(scaled, start, stop, points)
-        idx = np.arange(start, stop, dtype=np.int64)
-        counters = idx[:, None] * points + np.arange(points, dtype=np.int64)[None, :]
-        u = _uniform01(self.seed, counters.reshape(-1)).reshape(stop - start, points)
-        digits = np.minimum((u * self.alphabet.size).astype(np.int64), self.alphabet.size - 1)
-        return scaled[digits]
+        # rows start..stop-1 are the consecutive counters start*points .. stop*points-1
+        z = _hash_block(self.seed, start * points, (stop - start) * points)
+        size = self.alphabet.size
+        digits = z.view(np.int64)
+        if size == 2:
+            # floor(u * 2) with u = (z >> 11) * 2^-53 is exactly the top bit
+            np.right_shift(z, np.uint64(63), out=z)
+        else:
+            np.right_shift(z, np.uint64(11), out=z)
+            u = z.astype(np.float64)
+            u *= 2.0**-53
+            u *= size
+            digits[...] = u
+            np.minimum(digits, size - 1, out=digits)
+        return scaled[digits.reshape(stop - start, points)]
 
     def batches(self, batch_size: int = _DEFAULT_BATCH) -> Iterator[tuple[int, np.ndarray]]:
         """Yield (first path index, value matrix [batch, n+1]) in index order."""
@@ -328,6 +349,7 @@ class ConditionalEnsemble:
         return self.base._values_for(self._offset + start, self._offset + stop)
 
     batches = NoiseEnsemble.batches
+    path = NoiseEnsemble.path
     paths = NoiseEnsemble.paths
 
 

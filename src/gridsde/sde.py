@@ -227,7 +227,9 @@ class TrajectorySet:
         self.problem = problem
         self.ensemble = ensemble
         self.batch_size = int(batch_size)
-        self.threads = max(1, int(threads))
+        if threads < 1:
+            raise ValueError(f"threads must be a positive integer, got {threads}")
+        self.threads = int(threads)
         self._drift_fn = problem.drift.vectorized()
         self._diffusion_fn = problem.diffusion.vectorized()
         n = problem.level.n

@@ -218,6 +218,25 @@ class TestFpSolve:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--dt", "nan", "dt must be finite and positive"),
+            ("--dx", "nan", "dx must be finite and positive"),
+            ("--t-end", "inf", "t_end must be finite"),
+            ("--dx", "0", "dx must be finite and positive"),
+            ("--t-end", "nan", "t_end must be finite"),
+        ],
+        ids=["dt-nan", "dx-nan", "t-end-inf", "dx-zero", "t-end-nan"],
+    )
+    def test_non_finite_or_zero_value_is_one_error_line(self, tmp_path, capsys, flag, value, message):
+        rc = run("fp-solve", "--f=-x", "--h", "1", f"{flag}={value}", "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "fp.csv").exists()
+
 
 class TestPairAndEquivalent:
     def test_pair_dirac_exact(self, tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gridsde.expr import Const, TestFunction
+from gridsde.expr import Const, TestFunction, as_expr
 from gridsde.fokker_planck import (
     FPStabilityError,
     VerificationError,
@@ -215,6 +215,95 @@ class TestFPSolve:
     def test_time_dependent_coefficients(self):
         fp = fp_solve("sin(6*t)", "1", 0.0, (-3.0, 3.0), 1 / 32, t_end=0.5)
         assert fp.masses[-1] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "drift, diffusion, dx, save_times",
+        [
+            ("-x", "1", 1 / 128, (1.0,)),
+            ("0.3", "1", 1 / 64, (1.0,)),
+            ("sin(6*t)", "1", 1 / 64, (1.0,)),
+            ("-x", "1", 1 / 64, (0.25, 0.5, 1.0)),
+        ],
+        ids=["ou", "constant", "t-dependent", "three-saves"],
+    )
+    def test_matches_reference_substep_loop_bit_for_bit(self, drift, diffusion, dx, save_times):
+        fp = fp_solve(drift, diffusion, 0.0, (-3.0, 3.0), dx, save_times=save_times)
+        values, masses = reference_fp_solve(drift, diffusion, 0.0, (-3.0, 3.0), dx, save_times)
+        assert fp.values.tobytes() == values.tobytes()
+        assert fp.masses == masses
+
+    def test_guard_stops_a_negative_density_at_its_substep(self):
+        # a drift pulse of height 2000 outruns the explicit bound sampled at
+        # 33 times; the first negative cell is caught on the substep it appears
+        with pytest.raises(VerificationError) as info:
+            fp_solve("2000*bump((t-0.015)/0.01)", "1", 0.0, (-3.0, 3.0), 1 / 64)
+        assert str(info.value) == (
+            "negative density -3.7864835970963515e-09 at t = 0.008129188179720971"
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"dt": math.nan}, "dt must be finite and positive"),
+            ({"dt": math.inf}, "dt must be finite and positive"),
+            ({"dt": -1e-4}, "dt must be finite and positive"),
+            ({"dx": math.nan}, "dx must be finite and positive"),
+            ({"dx": 0.0}, "dx must be finite and positive"),
+            ({"dx": -1 / 16}, "dx must be finite and positive"),
+            ({"t_end": math.inf}, "t_end must be finite"),
+            ({"t_end": math.nan}, "t_end must be finite"),
+            ({"t_end": -0.5}, "t_end must be finite and >= 0"),
+            ({"save_times": (0.5, math.nan)}, "save times must be finite"),
+            ({"window": (-math.inf, math.inf)}, "integer number"),
+        ],
+        ids=[
+            "dt-nan", "dt-inf", "dt-negative", "dx-nan", "dx-zero", "dx-negative",
+            "t-end-inf", "t-end-nan", "t-end-negative", "save-nan", "window-inf",
+        ],
+    )
+    def test_non_finite_or_non_positive_inputs_rejected(self, kwargs, message):
+        args = {"window": (-2.0, 2.0), "dx": 1 / 16, **kwargs}
+        with pytest.raises(VerificationError, match=message):
+            fp_solve("0", "1", 0.0, **args)
+
+
+def reference_fp_solve(drift, diffusion, x0, window, dx, save_times):
+    """The finite-volume loop written out plainly: fresh arrays every substep."""
+    drift_fn, diffusion_fn = as_expr(drift).vectorized(), as_expr(diffusion).vectorized()
+    lo, hi = window
+    cells = round((hi - lo) / dx)
+    centers = lo + (np.arange(cells, dtype=np.float64) + 0.5) * dx
+    faces = lo + np.arange(1, cells, dtype=np.float64) * dx
+
+    def full(fn, t, xs):
+        return np.broadcast_to(np.asarray(fn(t, xs), dtype=np.float64), xs.shape)
+
+    t_samples = np.linspace(0.0, save_times[-1], 33)
+    max_h = max(float(np.max(np.abs(full(diffusion_fn, float(t), centers)))) for t in t_samples)
+    max_f = max(float(np.max(np.abs(full(drift_fn, float(t), faces)))) for t in t_samples)
+    dt = 0.9 * (dx * dx / (2.0 * max_h**2 + dx * max_f))
+
+    state = np.zeros(cells)
+    state[int(math.floor((x0 - lo) / dx + 1e-12))] = 1.0 / dx
+    snapshots, masses, now = [], [], 0.0
+    with np.errstate(all="ignore"):
+        for target in save_times:
+            substeps = max(1, math.ceil((target - now) / dt - 1e-9))
+            dt_local = (target - now) / substeps
+            for step in range(substeps):
+                t_here = now + step * dt_local
+                v_face = full(drift_fn, t_here, faces)
+                d_cell = full(diffusion_fn, t_here, centers) ** 2
+                upwind = np.where(v_face >= 0.0, state[:-1], state[1:])
+                flux = v_face * upwind - (d_cell[1:] * state[1:] - d_cell[:-1] * state[:-1]) / (
+                    2.0 * dx
+                )
+                flux = np.concatenate(([0.0], flux, [0.0]))
+                state = state - (dt_local / dx) * (flux[1:] - flux[:-1])
+            now = target
+            snapshots.append(state.copy())
+            masses.append(float(np.sum(state) * dx))
+    return np.asarray(snapshots), tuple(masses)
 
 
 class TestCrossValidate:

@@ -14,6 +14,7 @@ from gridsde.noise import (
     expectation,
     expectation_detail,
     sample_paths,
+    _mix_int,
 )
 
 
@@ -134,6 +135,35 @@ class TestSampling:
         block = next(ens.batches(500))[1]
         assert set(np.unique(block)) <= {-3.0, 3.0}
 
+    @pytest.mark.parametrize(
+        "alphabet",
+        [NoiseAlphabet.white(), NoiseAlphabet.from_symbols((-3, 1, 2))],
+        ids=["binary", "ternary"],
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    @pytest.mark.parametrize("start", [0, 1, 32767])
+    def test_block_matches_per_element_hash(self, alphabet, seed, start):
+        level, rows = GridLevel(8), 40
+        ens = sample_paths(level, 40000, seed=seed, alphabet=alphabet)
+        block = ens._values_for(start, start + rows)
+        assert block.tobytes() == reference_sampled_block(ens, start, start + rows).tobytes()
+
+
+def reference_sampled_block(ens, start, stop):
+    """Sampled values hashed one element at a time with the integer mixer.
+
+    Point j of path i has counter c = i*(n+1) + j and hash
+    z = mix(key + (c + 1) * golden); its symbol index is floor(u * |A|) for
+    u = (z >> 11) * 2^-53, capped at |A| - 1.
+    """
+    points, size = ens.level.n + 1, ens.alphabet.size
+    key = _mix_int(ens.seed ^ 0xD1B54A32D192ED03)
+    digits = []
+    for counter in range(start * points, stop * points):
+        u = (_mix_int(key + (counter + 1) * 0x9E3779B97F4A7C15) >> 11) * 2.0**-53
+        digits.append(min(int(u * size), size - 1))
+    return ens.alphabet.scaled(ens.level)[np.reshape(digits, (stop - start, points))]
+
 
 class TestConditional:
     def test_count_formula(self):
@@ -197,6 +227,25 @@ class TestConditional:
         ens = enumerate_paths(GridLevel(4))
         with pytest.raises(NoiseError):
             conditional(ens, (0.5,))
+
+    @pytest.mark.parametrize(
+        "alphabet",
+        [NoiseAlphabet.white(), NoiseAlphabet.from_symbols((-1.0, 0.0, 1.0))],
+        ids=["binary", "ternary"],
+    )
+    def test_path_is_base_path_at_offset(self, alphabet):
+        level = GridLevel(6)
+        ens = enumerate_paths(level, alphabet)
+        scaled = alphabet.scaled(level)
+        cond = conditional(ens, (scaled[-1], scaled[0]))
+        offset = (alphabet.size - 1) * alphabet.size * cond.count
+        for i in (0, cond.count // 2, cond.count - 1):
+            path = cond.path(i)
+            assert path.path_index == i
+            assert np.array_equal(path.values, ens.path(offset + i).values)
+        for bad in (-1, cond.count):
+            with pytest.raises(NoiseError, match="out of range"):
+                cond.path(bad)
 
 
 class TestExpectation:

@@ -114,6 +114,19 @@ class TestSimulateEnsemble:
         )
         assert np.array_equal(serial, threaded)
 
+    def test_threads_below_one_rejected(self):
+        level = GridLevel(6)
+        problem = CauchyProblem("-x", "1", 0.0, level)
+        ens = enumerate_paths(level)
+        phi = TestFunction.from_expression("bump((t-0.5)/0.45)*bump(x/2)")
+        with pytest.raises(ValueError, match="threads must be a positive integer, got 0"):
+            simulate_ensemble(problem, ens, threads=0)
+        with pytest.raises(ValueError, match="got -3"):
+            weak_form_residual(problem, ens, phi, threads=-3)
+        for threads in (1, 2):
+            assert simulate_ensemble(problem, ens, threads=threads).threads == threads
+            assert weak_form_residual(problem, ens, phi, threads=threads).n == 6
+
     def test_ou_second_moment_closed_form(self):
         n, m = 64, 100_000
         level = GridLevel(n)
