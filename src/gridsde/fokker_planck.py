@@ -332,12 +332,8 @@ def fp_solve(
     90% of that bound.  Snapshots land exactly on the requested save times
     (the step is shortened per interval as needed, never lengthened).
     ``dx``, ``t_end`` and the save times must be finite, with dx > 0 and
-    t_end >= 0; a given dt must be finite and positive.
-
-    When neither f nor h reads t, the face velocities, the cell diffusion
-    h^2 and the upwind cell of each face are evaluated once per solve;
-    otherwise once per substep.  Mass and sign are checked after every
-    substep.
+    t_end >= 0; a given dt must be finite and positive.  f and h are
+    evaluated, and mass and sign checked, on every substep.
     """
     drift = as_expr(drift)
     diffusion = as_expr(diffusion)
@@ -346,8 +342,6 @@ def fp_solve(
         raise VerificationError(f"dx must be finite and positive, got {dx}")
     if not (math.isfinite(t_end) and t_end >= 0):
         raise VerificationError(f"t_end must be finite and >= 0, got {t_end}")
-    if dt is not None and not (math.isfinite(dt) and dt > 0):
-        raise VerificationError(f"dt must be finite and positive, got {dt}")
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise VerificationError("window must satisfy lo < hi")
@@ -379,12 +373,12 @@ def fp_solve(
     limit = dx * dx / denom if denom > 0 else math.inf
     if dt is None:
         dt = 0.9 * limit if math.isfinite(limit) else max(t_end, 1e-9)
-    elif dt > limit * (1.0 + 1e-12):
+    if not (math.isfinite(dt) and dt > 0):
+        raise VerificationError(f"dt must be finite and positive, got {dt}")
+    if dt > limit * (1.0 + 1e-12):
         raise FPStabilityError(
             f"dt = {dt} violates the explicit stability bound; maximal admissible dt is {limit}"
         )
-    if dt <= 0:
-        raise VerificationError("dt must be positive")
 
     state = np.zeros(cells)
     i0 = min(int(math.floor((x0 - lo) / dx + 1e-12)), cells - 1)
@@ -410,13 +404,10 @@ def fp_solve(
         # upwind cell of each face: its left cell where v >= 0, else its right
         np.add(left_cell, np.logical_not(v_face >= 0.0), out=upwind_row)
 
-    time_dependent = "t" in drift.variables() | diffusion.variables()
     snapshots = []
     masses = []
     now = 0.0
     with np.errstate(all="ignore"):
-        if not time_dependent:
-            coefficients(0.0)
         for target in save_times:
             span = target - now
             if span > 1e-15:
@@ -425,8 +416,7 @@ def fp_solve(
                 ratio = dt_local / dx
                 for step in range(substeps):
                     t_here = now + step * dt_local
-                    if time_dependent:
-                        coefficients(t_here)
+                    coefficients(t_here)
                     # flux = v * upwind - (d[1:] s[1:] - d[:-1] s[:-1]) / (2 dx)
                     state.take(upwind_row, out=flux)
                     np.multiply(v_face, flux, out=flux)
