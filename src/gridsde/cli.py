@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +71,12 @@ DEFAULT_TOLERANCES = {
 
 STANDARD_PHI = "bump((t-0.5)/0.45)*bump(x/2)"
 SPATIAL_PHI = "bump(x/2)"
+# the path functionals of the tower check in `verify lemmas`, on noise blocks [rows, n+1]
+LEMMA_FUNCTIONALS = (
+    ("mean increment", lambda v: v.mean(axis=1)),
+    ("squared midpoint", lambda v: v[:, v.shape[1] // 2] ** 2),
+    ("running max", lambda v: np.cumsum(v, axis=1).max(axis=1)),
+)
 
 
 @dataclass
@@ -172,8 +177,7 @@ def _default_n(cfg: RunConfig, default: int) -> None:
 
 
 def _level(cfg: RunConfig) -> GridLevel:
-    window = None if cfg.window is None else Fraction(cfg.window)
-    return GridLevel(cfg.n, window)
+    return GridLevel(cfg.n, cfg.window)
 
 
 def _resolve_mode(cfg: RunConfig, prefer_exhaustive: bool) -> str:
@@ -312,12 +316,7 @@ def _verify_lemmas(cfg: RunConfig) -> tuple[dict, dict, str | None]:
     tol = cfg.tol("lemmas")
 
     moments = moment_report(ensemble)
-    functionals = [
-        ("mean increment", lambda p: float(np.mean(p.values))),
-        ("squared midpoint", lambda p: float(p.values[len(p.values) // 2] ** 2)),
-        ("running max", lambda p: float(np.max(np.cumsum(p.values)))),
-    ]
-    tower = tower_property_report(ensemble, functionals, split_index=max(1, cfg.n // 2))
+    tower = tower_property_report(ensemble, LEMMA_FUNCTIONALS, split_index=max(1, cfg.n // 2))
     increments = increment_report(
         problem,
         ensemble,

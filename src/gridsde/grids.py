@@ -60,7 +60,7 @@ class GridLevel:
         else:
             try:
                 hw = Fraction(self.spatial_halfwidth)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise GridError(f"invalid spatial halfwidth: {self.spatial_halfwidth!r}") from exc
             object.__setattr__(self, "spatial_halfwidth", hw)
             if hw <= 0:
@@ -119,6 +119,8 @@ class UniformGrid:
     def index_of(self, value) -> int:
         """Position of a coordinate on the grid; snaps within 1e-9 of a point."""
         n = self.level.n
+        if not math.isfinite(float(value)):
+            raise GridError(f"{value!r} is not a finite grid coordinate")
         k = round(float(value) * n)
         if abs(float(value) * n - k) > 1e-9:
             raise GridError(f"{value!r} is not on the 1/{n} grid")

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .expr import as_expr
-from .noise import NoiseEnsemble, NoisePath, _check_prefix, _path_values
+from .noise import NoiseEnsemble, PathFunctional, _check_prefix, _path_values
 from .sde import CauchyProblem, simulate_ensemble
 
 __all__ = [
@@ -115,22 +115,22 @@ class TowerReport:
 
 def tower_property_report(
     ensemble: NoiseEnsemble,
-    functionals: Sequence[tuple[str, Callable[[NoisePath], float]]],
+    functionals: Sequence[tuple[str, PathFunctional]],
     split_index: int,
 ) -> TowerReport:
     """Compare E[Phi] with the mean over prefixes of conditional means.
 
     Exhaustive only; the prefixes run over every assignment of the first
-    ``split_index`` grid points.  Each functional is evaluated once per
-    path: in path order the paths sharing a prefix are one contiguous block
-    of |alphabet|^(n+1-split_index) values, whose exactly rounded (fsum)
-    mean is the conditional mean.
+    ``split_index`` grid points.  Each functional maps a noise block to one
+    value per row, reading each row alone.  In path order the paths sharing
+    a prefix are one contiguous block of |alphabet|^(n+1-split_index)
+    values, whose exactly rounded (fsum) mean is the conditional mean.
     """
     _check_prefix(ensemble, split_index)
     prefix_count = ensemble.alphabet.size**split_index
     values = _path_values(ensemble, [phi for _, phi in functionals])
     entries = []
-    for (label, _), column in zip(functionals, values.T):
+    for (label, _), column in zip(functionals, values):
         full = math.fsum(column) / len(column)
         blocks = column.reshape(prefix_count, -1)
         decomposed = math.fsum(math.fsum(b) / len(b) for b in blocks) / prefix_count

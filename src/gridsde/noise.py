@@ -15,12 +15,17 @@ floor(u * |A|), capped at |A| - 1, computed in floats.  For the binary
 alphabet that is exactly the top bit z >> 63, which is how it is computed;
 for other sizes the float rule stays, because floor(u * 3) in floats can
 differ from integer arithmetic on z.
+
+A path functional maps a noise block [rows, n+1] to one float per row, e.g.
+``v.mean(axis=1)``; it must read each row alone, or its values would depend
+on the batch size.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -54,6 +59,8 @@ _ENDINGS_ROWS = 1 << 12  # at most this many rows in the cached table of path en
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+PathFunctional = Callable[[np.ndarray], np.ndarray]  # noise block [rows, n+1] -> one value per row
 
 
 def _mix_int(z: int) -> int:
@@ -224,11 +231,6 @@ class NoiseEnsemble:
         values = self._values_for(index, index + 1)[0]
         return NoisePath(self.level, values, path_index=index)
 
-    def paths(self) -> Iterator[NoisePath]:
-        for start, block in self.batches():
-            for row, values in enumerate(block):
-                yield NoisePath(self.level, values, path_index=start + row)
-
 
 def _digit_matrix(indices: np.ndarray, base: int, places: int) -> np.ndarray:
     powers = base ** np.arange(places - 1, -1, -1, dtype=np.int64)
@@ -300,8 +302,9 @@ def _check_prefix(ensemble, length: int) -> None:
     """NoiseError unless a prefix of ``length`` grid points picks a block of ``ensemble``."""
     if ensemble.mode != "exhaustive":
         raise NoiseError("conditioning on a prefix requires an exhaustive ensemble")
-    if length > ensemble.level.n + 1:
-        raise NoiseError("prefix longer than the path")
+    points = ensemble.level.n + 1
+    if not (isinstance(length, numbers.Integral) and 0 <= length <= points):
+        raise NoiseError(f"prefix length {length!r} is not an integer in 0..{points}")
 
 
 @dataclass(frozen=True)
@@ -350,20 +353,14 @@ class ConditionalEnsemble:
 
     batches = NoiseEnsemble.batches
     path = NoiseEnsemble.path
-    paths = NoiseEnsemble.paths
 
 
-def conditional(ensemble: NoiseEnsemble, prefix: Sequence[float] | NoisePath) -> ConditionalEnsemble:
+def conditional(ensemble: NoiseEnsemble, prefix: Sequence[float]) -> ConditionalEnsemble:
     """Restrict an exhaustive ensemble to paths matching a prefix on [0, s).
 
-    ``prefix`` holds the fixed values at grid points 0..p-1 (pass a plain
-    sequence, or a NoisePath together with slicing done by the caller).
+    ``prefix`` holds the fixed values at grid points 0..p-1.
     """
-    if isinstance(prefix, NoisePath):
-        values = tuple(float(v) for v in prefix.values)
-    else:
-        values = tuple(float(v) for v in prefix)
-    return ConditionalEnsemble(ensemble, values)
+    return ConditionalEnsemble(ensemble, tuple(float(v) for v in prefix))
 
 
 @dataclass(frozen=True)
@@ -373,30 +370,31 @@ class ExpectationResult:
     count: int
 
 
-def _path_values(ensemble, functionals: Sequence[Callable[[NoisePath], float]]) -> np.ndarray:
-    """Every functional on every path: array [count, len(functionals)] in path order.
+def _path_values(ensemble, functionals: Sequence[PathFunctional]) -> np.ndarray:
+    """Each functional on each read-only block of one batch walk: [len(functionals), count]."""
+    out = np.empty((len(functionals), ensemble.count))
+    for start, block in ensemble.batches():
+        block.flags.writeable = False
+        values = out[:, start : start + len(block)]
+        for phi, column in zip(functionals, values):
+            got = np.asarray(phi(block), dtype=np.float64)
+            if got.shape != column.shape:
+                raise NoiseError(f"functional returned shape {got.shape}, not {column.shape}")
+            column[...] = got
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=0))
+        if bad.size:
+            raise NoiseError(f"functional returned a non-finite value for path {start + bad[0]}")
+    return out
 
-    One NoisePath is built per path and handed to each functional in turn.
-    """
 
-    def row(path: NoisePath) -> tuple[float, ...]:
-        values = tuple(float(phi(path)) for phi in functionals)
-        if not all(map(math.isfinite, values)):
-            raise NoiseError(f"functional returned a non-finite value for path {path.path_index}")
-        return values
-
-    dtype = np.dtype((np.float64, (len(functionals),)))
-    return np.fromiter(map(row, ensemble.paths()), dtype=dtype, count=ensemble.count)
-
-
-def expectation_detail(ensemble, phi: Callable[[NoisePath], float]) -> ExpectationResult:
+def expectation_detail(ensemble, phi: PathFunctional) -> ExpectationResult:
     """Uniform average of a path functional, with standard error when sampled.
 
-    Exhaustive ensembles give the exact counting mean; the summation is
-    exactly rounded (fsum), so the result does not depend on iteration
-    batching.
+    ``phi`` maps each noise block to one value per row, reading each row
+    alone.  Exhaustive ensembles give the exact counting mean; the summation
+    is exactly rounded (fsum), so the result does not depend on batching.
     """
-    values = _path_values(ensemble, [phi])[:, 0]
+    values = _path_values(ensemble, [phi])[0]
     count = len(values)
     mean = math.fsum(values) / count
     if ensemble.mode == "sampled" and count > 1:
@@ -407,6 +405,6 @@ def expectation_detail(ensemble, phi: Callable[[NoisePath], float]) -> Expectati
     return ExpectationResult(mean=mean, stderr=stderr, count=count)
 
 
-def expectation(ensemble, phi: Callable[[NoisePath], float]) -> float:
-    """Uniform average of a path functional over the ensemble."""
+def expectation(ensemble, phi: PathFunctional) -> float:
+    """Uniform average of a path functional (block -> one value per row) over the ensemble."""
     return expectation_detail(ensemble, phi).mean

@@ -147,6 +147,29 @@ def test_bad_value_is_one_config_error_line(tmp_path, capsys, argv, config):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--n", "8", "--f=-x", "--h", "1", "--slices", "nan"),
+        ("verify", "crossval", "--n", "64", "--samples", "1000", "--slices", "inf"),
+        ("convergence", "--levels", "4,8,16", "--slices", "nan"),
+        ("pair", "--center", "nan"),
+        ("equivalent", "--center2", "inf"),
+        ("simulate", "--n", "8", "--f", "0", "--h", "1", "--window", "nan"),
+        ("verify", "lemmas", "--n", "4", "--window", "inf"),
+    ],
+    ids=["simulate-slices", "crossval-slices", "convergence-slices", "pair-center",
+         "equivalent-center2", "window-nan", "window-inf"],
+)
+def test_non_finite_coordinate_is_one_error_line(tmp_path, capsys, argv):
+    assert run(*argv, "--out", str(tmp_path / "out")) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(("error:", "config error:"))
+    assert "finite grid coordinate" in lines[0] or "invalid spatial halfwidth" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
 class TestVerify:
     def test_lemmas_pass(self, tmp_path):
         assert run("verify", "lemmas", "--n", "8", "--out", str(tmp_path)) == 0

@@ -360,27 +360,43 @@ class TestTowerProperty:
     def test_exact_for_path_functionals(self):
         ens = enumerate_paths(GridLevel(6))
         functionals = [
-            ("max partial sum", lambda p: float(np.max(np.cumsum(p.values)))),
-            ("sin of midpoint", lambda p: float(math.sin(p.values[3]))),
-            ("abs sum", lambda p: float(np.abs(p.values).sum())),
+            ("max partial sum", lambda v: np.cumsum(v, axis=1).max(axis=1)),
+            ("sin of midpoint", lambda v: np.sin(v[:, 3])),
+            ("abs sum", lambda v: np.abs(v).sum(axis=1)),
         ]
         report = tower_property_report(ens, functionals, split_index=3)
         assert report.max_relative_gap() <= 1e-10
 
-    def test_one_walk_evaluates_each_functional_once_per_path(self):
-        ens = enumerate_paths(GridLevel(5))
-        seen = []
+    def test_one_walk_evaluates_each_functional_once_per_batch(self):
+        ens = enumerate_paths(GridLevel(15))  # 65536 paths: two batches of 32768
+        seen = {"first": [], "last": []}
+
+        def recorded(label, phi):
+            return label, lambda v: seen[label].append(v) or phi(v)
+
         functionals = [
-            ("first", lambda p: seen.append(("first", p.path_index)) or float(p.values[0])),
-            ("last", lambda p: seen.append(("last", p.path_index)) or float(p.values[-1] ** 2)),
+            recorded("first", lambda v: v[:, 0]),
+            recorded("last", lambda v: v[:, -1] ** 2),
         ]
         report = tower_property_report(ens, functionals, split_index=2)
-        assert sorted(seen) == sorted((label, i) for label, _ in functionals for i in range(ens.count))
+        rows = np.concatenate([block for _, block in ens.batches()])
+        for blocks in seen.values():
+            assert len(blocks) == 2
+            assert np.concatenate(blocks).tobytes() == rows.tobytes()
         assert report.max_relative_gap() <= 1e-15
 
     def test_sampled_ensemble_rejected(self):
         with pytest.raises(NoiseError, match="exhaustive"):
-            tower_property_report(sample_paths(GridLevel(4), 10, seed=1), [("c", lambda p: 1.0)], 1)
+            tower_property_report(
+                sample_paths(GridLevel(4), 10, seed=1), [("c", lambda v: np.ones(len(v)))], 1
+            )
+
+    @pytest.mark.parametrize("split_index", [-1, 6, 2.5])
+    def test_prefix_length_outside_the_path_rejected(self, split_index):
+        ens = enumerate_paths(GridLevel(4))
+        message = f"prefix length {split_index} is not an integer in 0..5"
+        with pytest.raises(NoiseError, match=message):
+            tower_property_report(ens, [("first", lambda v: v[:, 0])], split_index)
 
 
 class TestIncrementIdentities:

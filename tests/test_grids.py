@@ -69,6 +69,17 @@ class TestGridLevel:
         with pytest.raises(GridError):
             grid.index_of(2.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "nan"])
+    def test_index_of_rejects_non_finite(self, value):
+        for grid in (GridLevel(8).time_grid(), GridLevel(8).spatial_grid()):
+            with pytest.raises(GridError, match="not a finite grid coordinate"):
+                grid.index_of(value)
+
+    @pytest.mark.parametrize("window", [math.nan, math.inf, -math.inf])
+    def test_non_finite_window_rejected(self, window):
+        with pytest.raises(GridError, match="invalid spatial halfwidth"):
+            GridLevel(8, window)
+
 
 class TestGridFunction:
     def test_length_must_match(self):

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from gridsde.cli import LEMMA_FUNCTIONALS
 from gridsde.grids import GridLevel
+from gridsde.identities import tower_property_report
 from gridsde.noise import (
     NoiseAlphabet,
     NoiseError,
@@ -15,7 +17,26 @@ from gridsde.noise import (
     expectation_detail,
     sample_paths,
     _mix_int,
+    _path_values,
 )
+
+
+def all_rows(ens):
+    """Every path of the ensemble as one [count, n+1] matrix, in index order."""
+    return np.concatenate([block for _, block in ens.batches()])
+
+
+def row_marker(ens, marks):
+    """A block functional: marks[i] on rows equal to path i, 0 elsewhere; reads each row alone."""
+    targets = {i: ens.path(i).values for i in marks}
+
+    def phi(v):
+        out = np.zeros(len(v))
+        for i, target in targets.items():
+            out[(v == target).all(axis=1)] = marks[i]
+        return out
+
+    return phi
 
 
 class TestAlphabet:
@@ -49,12 +70,12 @@ class TestEnumeration:
 
     def test_n_equal_one_paths_in_lexicographic_order(self):
         ens = enumerate_paths(GridLevel(1))
-        paths = [tuple(p.values) for p in ens.paths()]
+        paths = [tuple(row) for row in all_rows(ens)]
         assert paths == [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
 
     def test_each_path_exactly_once(self):
         ens = enumerate_paths(GridLevel(3))
-        seen = {tuple(p.values) for p in ens.paths()}
+        seen = {tuple(row) for row in all_rows(ens)}
         assert len(seen) == 16
 
     @pytest.mark.parametrize(
@@ -89,7 +110,7 @@ class TestEnumeration:
         alpha = NoiseAlphabet.from_symbols([-1.0, 0.0, 1.0])
         ens = enumerate_paths(GridLevel(2), alpha)
         assert ens.count == 3**3
-        assert len({tuple(p.values) for p in ens.paths()}) == 27
+        assert len({tuple(row) for row in all_rows(ens)}) == 27
 
 
 class TestSampling:
@@ -177,8 +198,8 @@ class TestConditional:
         ens = enumerate_paths(GridLevel(n))
         prefix = (math.sqrt(n), -math.sqrt(n))
         cond = conditional(ens, prefix)
-        for path in cond.paths():
-            assert tuple(path.values[:2]) == prefix
+        for row in all_rows(cond):
+            assert tuple(row[:2]) == prefix
 
     def test_count_independent_of_prefix(self):
         n = 5
@@ -194,8 +215,8 @@ class TestConditional:
         n = 4
         ens = enumerate_paths(GridLevel(n))
         cond = conditional(ens, (math.sqrt(n), math.sqrt(n)))
-        mean = expectation(cond, lambda p: float(p.values[2]))
-        second = expectation(cond, lambda p: float(p.values[2] ** 2))
+        mean = expectation(cond, lambda v: v[:, 2])
+        second = expectation(cond, lambda v: v[:, 2] ** 2)
         assert mean == 0.0
         assert second == pytest.approx(n, rel=1e-14)
 
@@ -251,19 +272,19 @@ class TestConditional:
 class TestExpectation:
     def test_constant_functional(self):
         ens = enumerate_paths(GridLevel(3))
-        assert expectation(ens, lambda p: 2.5) == 2.5
+        assert expectation(ens, lambda v: np.full(len(v), 2.5)) == 2.5
 
     def test_single_point_mean_zero_exact(self):
         ens = enumerate_paths(GridLevel(6))
-        assert expectation(ens, lambda p: float(p.values[4])) == 0.0
+        assert expectation(ens, lambda v: v[:, 4]) == 0.0
 
     def test_tower_property_exact_for_arbitrary_functionals(self):
         n = 4
         ens = enumerate_paths(GridLevel(n))
         functionals = [
-            lambda p: float(np.max(np.cumsum(p.values))),
-            lambda p: float(math.sin(p.values[1]) * p.values[3] ** 2),
-            lambda p: float(abs(p.values).sum()),
+            lambda v: np.cumsum(v, axis=1).max(axis=1),
+            lambda v: np.sin(v[:, 1]) * v[:, 3] ** 2,
+            lambda v: np.abs(v).sum(axis=1),
         ]
         s = math.sqrt(n)
         for phi in functionals:
@@ -276,14 +297,13 @@ class TestExpectation:
 
     def test_non_finite_value_names_path(self):
         ens = enumerate_paths(GridLevel(2))
-        def bad(p):
-            return float("inf") if p.path_index == 5 else 0.0
-        with pytest.raises(NoiseError, match="path 5"):
+        bad = row_marker(ens, {5: np.inf})
+        with pytest.raises(NoiseError, match="path 5$"):
             expectation(ens, bad)
 
     def test_sampled_standard_error_reported(self):
         ens = sample_paths(GridLevel(4), 400, seed=9)
-        detail = expectation_detail(ens, lambda p: float(p.values[0]))
+        detail = expectation_detail(ens, lambda v: v[:, 0])
         assert detail.count == 400
         assert detail.stderr > 0.0
 
@@ -293,6 +313,66 @@ class TestExpectation:
         block = np.concatenate([b for _, b in ens.batches()])
         second = block.T @ block / ens.count
         assert np.max(np.abs(second - n * np.eye(n + 1))) <= 1e-10 * n
+
+
+def reference_lemma_values(ens):
+    """The CLI's three tower functionals on each path alone, in a per-row loop.
+
+    Row r gives mean(r), r[mid]^2 and max(cumsum(r)), each as a Python float;
+    the result is [3, count] in path order.
+    """
+    return np.array(
+        [
+            [float(np.mean(r)), float(r[len(r) // 2] ** 2), float(np.max(np.cumsum(r)))]
+            for r in all_rows(ens)
+        ]
+    ).T
+
+
+BLOCK_CASES = {
+    "binary-n14": (GridLevel(14), NoiseAlphabet.white()),
+    "binary-n15": (GridLevel(15), NoiseAlphabet.white()),  # 65536 paths in 2 batches
+    "ternary-n8": (GridLevel(8), NoiseAlphabet.from_symbols((-3, 1, 2))),
+}
+
+
+class TestBlockFunctionals:
+    @pytest.mark.parametrize("case", list(BLOCK_CASES))
+    def test_cli_functionals_match_per_row_loop(self, case):
+        ens = enumerate_paths(*BLOCK_CASES[case])
+        got = _path_values(ens, [phi for _, phi in LEMMA_FUNCTIONALS])
+        assert got.tobytes() == reference_lemma_values(ens).tobytes()
+
+    def test_tower_entries_match_per_row_fsum_means(self):
+        ens = enumerate_paths(GridLevel(15))
+        split = 7
+        report = tower_property_report(ens, LEMMA_FUNCTIONALS, split)
+        for (label, _), column, entry in zip(
+            LEMMA_FUNCTIONALS, reference_lemma_values(ens), report.entries
+        ):
+            full = math.fsum(column) / len(column)
+            blocks = column.reshape(2**split, -1)
+            decomposed = math.fsum(math.fsum(b) / len(b) for b in blocks) / 2**split
+            assert entry == (label, full, decomposed, abs(full - decomposed))
+
+    @pytest.mark.parametrize(
+        "phi",
+        [lambda v: v.mean(), lambda v: np.stack([v[:, 0], v[:, 1]], axis=1)],
+        ids=["scalar", "two-columns"],
+    )
+    def test_return_not_one_value_per_row_rejected(self, phi):
+        ens = enumerate_paths(GridLevel(4))
+        with pytest.raises(NoiseError, match=r"shape \((|32, 2)\), not \(32,\)"):
+            expectation(ens, phi)
+        with pytest.raises(NoiseError, match="shape"):
+            tower_property_report(ens, [("bad", phi)], 2)
+
+    def test_non_finite_value_in_second_batch_names_global_path(self):
+        ens = enumerate_paths(GridLevel(15))
+        first = 32768 + 5
+        bad = row_marker(ens, {first: np.inf, first + 1000: np.nan, 3: 1.0})
+        with pytest.raises(NoiseError, match=f"path {first}$"):
+            expectation(ens, bad)
 
 
 class TestNoisePath:

@@ -62,9 +62,9 @@ def identity_cases(draw):
 
 
 PATH_FUNCTIONALS = [
-    ("mean increment", lambda p: float(p.values.mean())),
-    ("squared midpoint", lambda p: float(p.values[len(p.values) // 2] ** 2)),
-    ("running max", lambda p: float(p.values.cumsum().max())),
+    ("mean increment", lambda v: v.mean(axis=1)),
+    ("squared midpoint", lambda v: v[:, v.shape[1] // 2] ** 2),
+    ("running max", lambda v: v.cumsum(axis=1).max(axis=1)),
 ]
 
 
