@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -99,9 +100,6 @@ class RunConfig:
     def tol(self, key: str) -> float:
         return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _number_list(convert):
     """Parser of a comma-separated string or a JSON list into a tuple."""
@@ -121,12 +119,20 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _finite(value) -> float:
+    """float() that refuses nan and the infinities."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError("not a finite number")
+    return number
+
+
 # One converter per RunConfig field; config-file values and flags both go
 # through it, and None means "not given" in either source.
 _CONVERTERS = {
     **dict.fromkeys(("n", "samples", "seed", "threads", "cap"), _integer),
     **dict.fromkeys(("mode", "f", "h", "phi", "out"), str),
-    **dict.fromkeys(("x0", "window"), float),
+    **dict.fromkeys(("x0", "window"), _finite),
     "slices": _number_list(float),
 }
 
@@ -155,7 +161,7 @@ def load_config(ns: argparse.Namespace) -> RunConfig:
     for key, value in [*data.items(), *flags]:
         if key.startswith("tol_") and key[4:] in DEFAULT_TOLERANCES:
             if value is not None:
-                cfg.tolerances[key[4:]] = _convert(key, float, value)
+                cfg.tolerances[key[4:]] = _convert(key, _finite, value)
         elif key not in _CONVERTERS:
             raise ConfigError(f"unknown config key {key!r}")
         elif value is not None:
@@ -209,22 +215,18 @@ def _phi(cfg: RunConfig, default: str = STANDARD_PHI) -> TestFunction:
     return TestFunction.from_expression(cfg.phi if cfg.phi is not None else default)
 
 
-def _write_json(cfg: RunConfig, name: str, payload: dict) -> Path:
+def _out_path(cfg: RunConfig, name: str) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / name
+    return out / name
+
+
+def _write_json(cfg: RunConfig, name: str, command: str, **payload) -> Path:
+    """Write one result file: the payload plus the command and the resolved config."""
+    path = _out_path(cfg, name)
+    payload.update(command=command, config=asdict(cfg))
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def _report(cfg: RunConfig, command: str, results: dict, tolerances: dict, passed: bool) -> dict:
-    return {
-        "command": command,
-        "config": cfg.to_dict(),
-        "results": results,
-        "tolerances": tolerances,
-        "passed": passed,
-    }
 
 
 def _auto_dx(n: int) -> float:
@@ -257,23 +259,18 @@ def cmd_simulate(cfg: RunConfig, ns: argparse.Namespace) -> int:
 
     trajset = simulate_ensemble(problem, ensemble, threads=cfg.threads)
     dens = density(trajset, time_indices=indices)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "density.csv"
+    csv_path = _out_path(cfg, "density.csv")
     dens.to_csv(csv_path)
     _write_json(
         cfg,
         "density.json",
-        {
-            "command": "simulate",
-            "config": cfg.to_dict(),
-            "problem": problem.describe(),
-            "ensemble": dens.ensemble_descriptor,
-            "slices": list(slices),
-            "overflow_fractions": [float(v) for v in dens.overflow_fractions()],
-            "normalization_exact": dens.normalization_exact(),
-            "csv": csv_path.name,
-        },
+        "simulate",
+        problem=problem.describe(),
+        ensemble=dens.ensemble_descriptor,
+        slices=list(slices),
+        overflow_fractions=[float(v) for v in dens.overflow_fractions()],
+        normalization_exact=dens.normalization_exact(),
+        csv=csv_path.name,
     )
     print(f"wrote {csv_path}")
     return 0
@@ -289,20 +286,9 @@ def cmd_fp_solve(cfg: RunConfig, ns: argparse.Namespace) -> int:
     t_end = ns.t_end if ns.t_end is not None else 1.0
     save = cfg.slices if cfg.slices is not None else (t_end,)
     solution = fp_solve(cfg.f, cfg.h, cfg.x0, window, dx, dt=ns.dt, t_end=t_end, save_times=save)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "fp.csv"
+    csv_path = _out_path(cfg, "fp.csv")
     solution.to_csv(csv_path)
-    _write_json(
-        cfg,
-        "fp.json",
-        {
-            "command": "fp-solve",
-            "config": cfg.to_dict(),
-            "solution": solution.to_dict(),
-            "csv": csv_path.name,
-        },
-    )
+    _write_json(cfg, "fp.json", "fp-solve", solution=solution.to_dict(), csv=csv_path.name)
     print(f"wrote {csv_path}")
     return 0
 
@@ -322,18 +308,18 @@ def _verify_lemmas(cfg: RunConfig) -> tuple[dict, dict, str | None]:
         ensemble,
         state_functions=["sin(x) + 1", "bump(x/4)", "x^2"],
     )
-    results = {
-        "moments": moments.to_dict(),
-        "tower": tower.to_dict(),
-        "increments": increments.to_dict(),
-    }
     worst = max(
-        moments.max_relative_deviation(),
-        tower.max_relative_gap(),
-        increments.max_orthogonality_rel(),
-        increments.max_quadratic_rel(),
+        moments.max_relative_deviation,
+        tower.max_relative_gap,
+        increments.max_orthogonality_rel,
+        increments.max_quadratic_rel,
     )
-    results["worst_relative_deviation"] = worst
+    results = {
+        "moments": asdict(moments),
+        "tower": asdict(tower),
+        "increments": asdict(increments),
+        "worst_relative_deviation": worst,
+    }
     failure = None if worst <= tol else f"worst relative deviation {worst:.3e} exceeds {tol}"
     return results, {"lemmas": tol}, failure
 
@@ -346,8 +332,7 @@ def _verify_weakform(cfg: RunConfig) -> tuple[dict, dict, str | None]:
     phi = _phi(cfg)
     report = weak_form_residual(problem, ensemble, phi, threads=cfg.threads)
     bound = cfg.tol("weakform_scale") / cfg.n
-    results = report.to_dict()
-    results["bound"] = bound
+    results = {**asdict(report), "bound": bound}
     failure = None
     if abs(report.residual) > bound:
         failure = f"|residual| {abs(report.residual):.3e} exceeds the bound {bound:.3e}"
@@ -372,9 +357,8 @@ def _verify_crossval(cfg: RunConfig) -> tuple[dict, dict, str | None]:
         threads=cfg.threads,
     )
     tol = cfg.tol("crossval_l1")
-    results = report.to_dict()
     failure = None if report.max_l1 <= tol else f"max L1 {report.max_l1:.3e} exceeds {tol}"
-    return results, {"crossval_l1": tol}, failure
+    return asdict(report), {"crossval_l1": tol}, failure
 
 
 def _ito_mean(phi: TestFunction, problem: CauchyProblem, seed: int, seeds: int) -> float:
@@ -382,7 +366,7 @@ def _ito_mean(phi: TestFunction, problem: CauchyProblem, seed: int, seeds: int) 
     per_seed = []
     for offset in range(seeds):
         path = sample_paths(problem.level, 1, seed + offset).path(0)
-        per_seed.append(ito_residual(phi, solve_grid_ode(problem, path), problem).max_abs_residual)
+        per_seed.append(ito_residual(phi, solve_grid_ode(problem, path)).max_abs_residual)
     return float(np.mean(per_seed))
 
 
@@ -407,7 +391,7 @@ def _verify_ito(cfg: RunConfig) -> tuple[dict, dict, str | None]:
     for n in levels:
         level = GridLevel(n)
         problem = CauchyProblem(det_f, "0", cfg.x0, level)
-        det_values.append(ito_residual(phi, solve_grid_ode(problem), problem).max_abs_residual)
+        det_values.append(ito_residual(phi, solve_grid_ode(problem)).max_abs_residual)
         noise_values.append(_ito_mean(phi, CauchyProblem(noise_f, noise_h, cfg.x0, level), cfg.seed, 5))
 
     for ladder, values in (("deterministic", det_values), ("noise", noise_values)):
@@ -444,8 +428,14 @@ def cmd_verify(cfg: RunConfig, ns: argparse.Namespace) -> int:
         "ito": _verify_ito,
     }[which]
     results, tolerances, failure = runner(cfg)
-    payload = _report(cfg, f"verify {which}", results, tolerances, failure is None)
-    path = _write_json(cfg, f"verify_{which}.json", payload)
+    path = _write_json(
+        cfg,
+        f"verify_{which}.json",
+        f"verify {which}",
+        results=results,
+        tolerances=tolerances,
+        passed=failure is None,
+    )
     if failure is None:
         print(f"PASS verify {which} ({path})")
         return 0
@@ -490,9 +480,7 @@ def cmd_convergence(cfg: RunConfig, ns: argparse.Namespace) -> int:
         "ito": _decay_exponent(levels, [r[2] for r in rows]),
         "l1_fp": _decay_exponent(levels, [r[3] for r in rows]),
     }
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "convergence.csv"
+    csv_path = _out_path(cfg, "convergence.csv")
     lines = ["n,weakform_residual,ito_max_residual,l1_fp"]
     for n, weak, ito_max, l1 in rows:
         lines.append(f"{n},{weak!r},{ito_max!r},{l1!r}")
@@ -500,14 +488,11 @@ def cmd_convergence(cfg: RunConfig, ns: argparse.Namespace) -> int:
     _write_json(
         cfg,
         "convergence.json",
-        {
-            "command": "convergence",
-            "config": cfg.to_dict(),
-            "levels": levels,
-            "rows": [list(r) for r in rows],
-            "exponents": exponents,
-            "csv": csv_path.name,
-        },
+        "convergence",
+        levels=levels,
+        rows=[list(r) for r in rows],
+        exponents=exponents,
+        csv=csv_path.name,
     )
     print(f"wrote {csv_path}; exponents {exponents}")
     return 0
@@ -533,14 +518,11 @@ def cmd_pair(cfg: RunConfig, ns: argparse.Namespace) -> int:
     _write_json(
         cfg,
         "pair.json",
-        {
-            "command": "pair",
-            "config": cfg.to_dict(),
-            "distribution": dist.label,
-            "phi": phi.label,
-            "fixed_t": ns.fixed_t,
-            "value": value,
-        },
+        "pair",
+        distribution=dist.label,
+        phi=phi.label,
+        fixed_t=ns.fixed_t,
+        value=value,
     )
     print(repr(value))
     return 0
@@ -551,18 +533,10 @@ def cmd_equivalent(cfg: RunConfig, ns: argparse.Namespace) -> int:
     level = _level(cfg)
     d1 = _build_distribution(ns.dist, level, ns.center)
     d2 = _build_distribution(ns.dist2, level, ns.center2)
-    tol = ns.tol if ns.tol is not None else 10.0 / cfg.n
+    tol = _convert("tol", _finite, ns.tol) if ns.tol is not None else 10.0 / cfg.n
     report = equivalent(d1, d2, tol=tol)
     _write_json(
-        cfg,
-        "equivalent.json",
-        {
-            "command": "equivalent",
-            "config": cfg.to_dict(),
-            "left": d1.label,
-            "right": d2.label,
-            "report": report.to_dict(),
-        },
+        cfg, "equivalent.json", "equivalent", left=d1.label, right=d2.label, report=asdict(report)
     )
     if report.equivalent:
         print(f"equivalent within {tol} (max gap {report.max_gap()!r})")

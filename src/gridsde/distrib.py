@@ -121,25 +121,23 @@ def pair(dist: GridDistribution, phi: TestFunction, fixed_t: float = 0.0) -> flo
 
 
 @dataclass(frozen=True)
+class EquivalenceEntry:
+    phi: str
+    pair_left: float
+    pair_right: float
+    gap: float  # |pair_left - pair_right|
+
+
+@dataclass(frozen=True)
 class EquivalenceReport:
     """Per-test-function pairings of two grid functions and their gaps."""
 
     equivalent: bool
     tolerance: float
-    entries: tuple[tuple[str, float, float, float], ...]  # (label, pair1, pair2, |gap|)
+    entries: tuple[EquivalenceEntry, ...]
 
     def max_gap(self) -> float:
-        return max((entry[3] for entry in self.entries), default=0.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "equivalent": self.equivalent,
-            "tolerance": self.tolerance,
-            "entries": [
-                {"phi": label, "pair_left": p1, "pair_right": p2, "gap": gap}
-                for label, p1, p2, gap in self.entries
-            ],
-        }
+        return max((entry.gap for entry in self.entries), default=0.0)
 
 
 def default_bump_family(
@@ -183,6 +181,6 @@ def equivalent(
     for phi in phis:
         p1 = pair(d1, phi, fixed_t)
         p2 = pair(d2, phi, fixed_t)
-        entries.append((phi.label or str(phi.expr), p1, p2, abs(p1 - p2)))
-    ok = all(gap <= tol for _, _, _, gap in entries)
+        entries.append(EquivalenceEntry(phi.label or str(phi.expr), p1, p2, abs(p1 - p2)))
+    ok = all(entry.gap <= tol for entry in entries)
     return EquivalenceReport(equivalent=ok, tolerance=tol, entries=tuple(entries))

@@ -87,7 +87,7 @@ class ItoReport:
     phi_label: str
 
 
-def ito_residual(phi: TestFunction, trajectory: Trajectory, problem: CauchyProblem | None = None) -> ItoReport:
+def ito_residual(phi: TestFunction, trajectory: Trajectory) -> ItoReport:
     """Per-step residual of the second-order chain-rule estimate, k = 0..n-2."""
     n = trajectory.level.n
     if n < 2:
@@ -138,27 +138,8 @@ class WeakFormReport:
     quadratic_term: float
     taylor_total: float
     pieces_sum_error: float
-    ensemble_descriptor: dict
-    phi_label: str
-
-    def pieces_sum(self) -> float:
-        return self.drift_term + self.noise_term + self.correction_term + self.quadratic_term
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "residual": self.residual,
-            "double_sum": self.double_sum,
-            "initial_term": self.initial_term,
-            "drift_term": self.drift_term,
-            "noise_term": self.noise_term,
-            "correction_term": self.correction_term,
-            "quadratic_term": self.quadratic_term,
-            "taylor_total": self.taylor_total,
-            "pieces_sum_error": self.pieces_sum_error,
-            "ensemble": self.ensemble_descriptor,
-            "phi": self.phi_label,
-        }
+    ensemble: dict
+    phi: str
 
 
 def weak_form_residual(
@@ -245,8 +226,8 @@ def weak_form_residual(
         quadratic_term=quadratic_term,
         taylor_total=taylor_total,
         pieces_sum_error=pieces_error,
-        ensemble_descriptor=ensemble.descriptor(),
-        phi_label=phi.label or str(phi.expr),
+        ensemble=ensemble.descriptor(),
+        phi=phi.label or str(phi.expr),
     )
 
 
@@ -455,18 +436,8 @@ class CrossValReport:
     l1: tuple[float, ...]
     max_l1: float
     outside_mass: tuple[float, ...]
-    fp_params: dict
-    ensemble_descriptor: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "slice_times": list(self.slice_times),
-            "l1": list(self.l1),
-            "max_l1": self.max_l1,
-            "outside_mass": list(self.outside_mass),
-            "fp": self.fp_params,
-            "ensemble": self.ensemble_descriptor,
-        }
+    fp: dict
+    ensemble: dict
 
 
 def cross_validate(
@@ -539,6 +510,6 @@ def cross_validate(
         l1=tuple(l1_list),
         max_l1=max(l1_list),
         outside_mass=tuple(outside_list),
-        fp_params={"window": [lo, hi], "dx": dx, "dt": dt, "times": list(slice_times)},
-        ensemble_descriptor=ensemble.descriptor(),
+        fp={"window": [lo, hi], "dx": dx, "dt": dt, "times": list(slice_times)},
+        ensemble=ensemble.descriptor(),
     )

@@ -44,24 +44,7 @@ class MomentReport:
     max_abs_mean: float
     max_diag_deviation: float
     max_offdiag_abs: float
-
-    def max_relative_deviation(self) -> float:
-        scale = float(self.n)
-        return max(
-            self.max_abs_mean / scale,
-            self.max_diag_deviation / scale,
-            self.max_offdiag_abs / scale,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "count": self.count,
-            "max_abs_mean": self.max_abs_mean,
-            "max_diag_deviation": self.max_diag_deviation,
-            "max_offdiag_abs": self.max_offdiag_abs,
-            "max_relative_deviation": self.max_relative_deviation(),
-        }
+    max_relative_deviation: float  # the largest of the three above, over n
 
 
 def moment_report(ensemble: NoiseEnsemble) -> MomentReport:
@@ -76,13 +59,29 @@ def moment_report(ensemble: NoiseEnsemble) -> MomentReport:
     second = cross / ensemble.count
     diag = np.diag(second)
     off = second - np.diag(diag)
+    n = ensemble.level.n
+    max_abs_mean = float(np.max(np.abs(means)))
+    max_diag_deviation = float(np.max(np.abs(diag - n)))
+    max_offdiag_abs = float(np.max(np.abs(off)))
+    scale = float(n)
     return MomentReport(
-        n=ensemble.level.n,
+        n=n,
         count=ensemble.count,
-        max_abs_mean=float(np.max(np.abs(means))),
-        max_diag_deviation=float(np.max(np.abs(diag - ensemble.level.n))),
-        max_offdiag_abs=float(np.max(np.abs(off))),
+        max_abs_mean=max_abs_mean,
+        max_diag_deviation=max_diag_deviation,
+        max_offdiag_abs=max_offdiag_abs,
+        max_relative_deviation=max(
+            max_abs_mean / scale, max_diag_deviation / scale, max_offdiag_abs / scale
+        ),
     )
+
+
+@dataclass(frozen=True)
+class TowerEntry:
+    functional: str
+    full: float
+    decomposed: float
+    gap: float  # |full - decomposed|
 
 
 @dataclass(frozen=True)
@@ -91,26 +90,8 @@ class TowerReport:
 
     n: int
     split_index: int
-    entries: tuple[tuple[str, float, float, float], ...]  # (label, full, decomposed, |gap|)
-
-    def max_gap(self) -> float:
-        return max(entry[3] for entry in self.entries)
-
-    def max_relative_gap(self) -> float:
-        return max(
-            gap / max(1.0, abs(full)) for _, full, _, gap in self.entries
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "split_index": self.split_index,
-            "entries": [
-                {"functional": label, "full": full, "decomposed": dec, "gap": gap}
-                for label, full, dec, gap in self.entries
-            ],
-            "max_relative_gap": self.max_relative_gap(),
-        }
+    entries: tuple[TowerEntry, ...]
+    max_relative_gap: float  # max of gap / max(1, |full|)
 
 
 def tower_property_report(
@@ -134,13 +115,18 @@ def tower_property_report(
         full = math.fsum(column) / len(column)
         blocks = column.reshape(prefix_count, -1)
         decomposed = math.fsum(math.fsum(b) / len(b) for b in blocks) / prefix_count
-        entries.append((label, full, decomposed, abs(full - decomposed)))
-    return TowerReport(n=ensemble.level.n, split_index=split_index, entries=tuple(entries))
+        entries.append(TowerEntry(label, full, decomposed, abs(full - decomposed)))
+    return TowerReport(
+        n=ensemble.level.n,
+        split_index=split_index,
+        entries=tuple(entries),
+        max_relative_gap=max(e.gap / max(1.0, abs(e.full)) for e in entries),
+    )
 
 
 @dataclass(frozen=True)
 class IncrementEntry:
-    label: str
+    F: str
     time_index: int
     orthogonality_gap: float  # |E[F xi]|
     orthogonality_scale: float  # E[|F xi|]
@@ -155,29 +141,8 @@ class IncrementReport:
     n: int
     count: int
     entries: tuple[IncrementEntry, ...]
-
-    def max_orthogonality_rel(self) -> float:
-        return max(e.orthogonality_gap / max(1.0, e.orthogonality_scale) for e in self.entries)
-
-    def max_quadratic_rel(self) -> float:
-        return max(e.quadratic_gap / e.quadratic_scale for e in self.entries)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "count": self.count,
-            "max_orthogonality_rel": self.max_orthogonality_rel(),
-            "max_quadratic_rel": self.max_quadratic_rel(),
-            "entries": [
-                {
-                    "F": e.label,
-                    "time_index": e.time_index,
-                    "orthogonality_gap": e.orthogonality_gap,
-                    "quadratic_gap": e.quadratic_gap,
-                }
-                for e in self.entries
-            ],
-        }
+    max_orthogonality_rel: float  # max of orthogonality_gap / max(1, orthogonality_scale)
+    max_quadratic_rel: float  # max of quadratic_gap / quadratic_scale
 
 
 def increment_report(
@@ -219,7 +184,7 @@ def increment_report(
             target = n * mean_f
             entries.append(
                 IncrementEntry(
-                    label=label,
+                    F=label,
                     time_index=int(k),
                     orthogonality_gap=abs(sums_fxi[row, col] / count),
                     orthogonality_scale=sums_abs[row, col] / count,
@@ -227,4 +192,12 @@ def increment_report(
                     quadratic_scale=max(1.0, abs(target)),
                 )
             )
-    return IncrementReport(n=n, count=count, entries=tuple(entries))
+    return IncrementReport(
+        n=n,
+        count=count,
+        entries=tuple(entries),
+        max_orthogonality_rel=max(
+            e.orthogonality_gap / max(1.0, e.orthogonality_scale) for e in entries
+        ),
+        max_quadratic_rel=max(e.quadratic_gap / e.quadratic_scale for e in entries),
+    )

@@ -42,7 +42,7 @@ import numpy as np
 
 from .expr import Expr, as_expr
 from .grids import GridError, GridLevel
-from .noise import NoiseEnsemble, NoiseError, NoisePath
+from .noise import _DEFAULT_BATCH, NoiseEnsemble, NoiseError, NoisePath
 
 __all__ = [
     "DivergenceError",
@@ -61,7 +61,6 @@ __all__ = [
 ]
 
 DIVERGENCE_GUARD = 1e12
-_DEFAULT_BATCH = 1 << 15
 
 
 class DivergenceError(RuntimeError):
@@ -273,7 +272,10 @@ class TrajectorySet:
         if self.threads == 1:
             for start, noise_block in self.ensemble.batches(self.batch_size):
                 out = self._run(start, noise_block)
+                # hold no batch while the next is built: one batch is alive at a time
+                del noise_block
                 yield out if with_noise else (out[0], out[2])
+                del out
             return
         source = self.ensemble.batches(self.batch_size)
         pending: deque = deque()
@@ -295,13 +297,15 @@ class TrajectorySet:
         ensembles yield every path with weight 1.  Exhaustive ensembles
         yield each distinct state of a batch once, weighted by the paths
         through it; with ``with_noise`` each distinct pair (x_k, xi_k).
-        Without it xi_k is None.
+        Without it xi_k is None.  x_k and xi_k are copies, so a caller's
+        loop variables do not keep a finished batch alive.
         """
         shift = 1 if with_noise else 0
         for _, noise, values in self.batches(with_noise=True):
             for i, k in enumerate(time_indices):
                 w = self._widths[k + shift]
-                yield i, values[::w, k], noise[::w, k] if with_noise else None, w
+                yield i, values[::w, k].copy(), noise[::w, k].copy() if with_noise else None, w
+            del noise, values
 
 
 def simulate_ensemble(

@@ -57,7 +57,7 @@ def test_criterion_01_cardinalities():
 def test_criterion_02_moments():
     for n in (4, 8, 10):
         report = g.moment_report(g.enumerate_paths(g.GridLevel(n)))
-        assert report.max_relative_deviation() <= 1e-10
+        assert report.max_relative_deviation <= 1e-10
 
 
 @criterion(3, "exact tower and increment identities at n = 8", 10.0)
@@ -70,14 +70,14 @@ def test_criterion_03_lemma_suite():
         ("absolute sum", lambda v: np.abs(v).sum(axis=1)),
     ]
     tower = g.tower_property_report(ens, functionals, split_index=4)
-    assert tower.max_relative_gap() <= 1e-10
+    assert tower.max_relative_gap <= 1e-10
 
     problem = g.CauchyProblem("-x", "1", 0.2, level)
     inc = g.increment_report(
         problem, ens, state_functions=["sin(x)+1", "bump(x/4)", "x^2"]
     )
-    assert inc.max_orthogonality_rel() <= 1e-10
-    assert inc.max_quadratic_rel() <= 1e-10
+    assert inc.max_orthogonality_rel <= 1e-10
+    assert inc.max_quadratic_rel <= 1e-10
 
 
 @criterion(4, "fundamental theorem of the grid calculus at n = 128", 1.0)
@@ -165,7 +165,7 @@ def test_criterion_08_ito_decay():
     for n in (64, 128, 256):
         level = g.GridLevel(n)
         problem = g.CauchyProblem("-x", "0", 0.3, level)
-        det.append(g.ito_residual(STANDARD_PHI, g.solve_grid_ode(problem), problem).max_abs_residual)
+        det.append(g.ito_residual(STANDARD_PHI, g.solve_grid_ode(problem)).max_abs_residual)
     assert det[0] / det[1] >= 1.8
     assert det[1] / det[2] >= 1.8
 
@@ -177,7 +177,7 @@ def test_criterion_08_ito_decay():
         for seed in range(1, 6):
             path = g.sample_paths(level, 1, seed).path(0)
             per_seed.append(
-                g.ito_residual(STANDARD_PHI, g.solve_grid_ode(problem, path), problem).max_abs_residual
+                g.ito_residual(STANDARD_PHI, g.solve_grid_ode(problem, path)).max_abs_residual
             )
         noise.append(float(np.mean(per_seed)))
     assert noise[0] / noise[1] >= 1.3

@@ -127,11 +127,19 @@ class TestConfigFile:
           "--threads", "0"), None),
         (("simulate", "--n", "8", "--mode", "exhaustive", "--f", "0", "--h", "1",
           "--threads=-3"), None),
+        (("simulate", "--n", "8", "--f", "0", "--h", "1", "--window", "nan"), None),
+        (("verify", "lemmas", "--n", "4", "--window", "inf"), None),
+        (("simulate", "--n", "8", "--f", "0", "--h", "1", "--x0", "nan"), None),
+        (("verify", "weakform", "--x0", "inf"), None),
+        (("verify", "lemmas", "--n", "4"), {"x0": float("-inf")}),
+        (("verify", "lemmas", "--n", "4"), {"tol_lemmas": float("nan")}),
+        (("equivalent", "--tol", "nan"), None),
     ],
     ids=[
         "levels", "slices-flag", "slices-config", "window-config", "tol-value", "tol-name",
         "n-fraction", "seed-fraction", "samples-bool", "threads-inf", "cap-fraction",
-        "threads-zero", "threads-negative",
+        "threads-zero", "threads-negative", "window-nan", "window-inf", "x0-nan", "x0-inf",
+        "x0-config", "tol-nan", "equivalent-tol-nan",
     ],
 )
 def test_bad_value_is_one_config_error_line(tmp_path, capsys, argv, config):
@@ -155,18 +163,16 @@ def test_bad_value_is_one_config_error_line(tmp_path, capsys, argv, config):
         ("convergence", "--levels", "4,8,16", "--slices", "nan"),
         ("pair", "--center", "nan"),
         ("equivalent", "--center2", "inf"),
-        ("simulate", "--n", "8", "--f", "0", "--h", "1", "--window", "nan"),
-        ("verify", "lemmas", "--n", "4", "--window", "inf"),
     ],
     ids=["simulate-slices", "crossval-slices", "convergence-slices", "pair-center",
-         "equivalent-center2", "window-nan", "window-inf"],
+         "equivalent-center2"],
 )
 def test_non_finite_coordinate_is_one_error_line(tmp_path, capsys, argv):
     assert run(*argv, "--out", str(tmp_path / "out")) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(("error:", "config error:"))
-    assert "finite grid coordinate" in lines[0] or "invalid spatial halfwidth" in lines[0]
+    assert "finite grid coordinate" in lines[0]
     assert not (tmp_path / "out").exists()
 
 
@@ -300,3 +306,95 @@ class TestUsage:
     def test_missing_subcommand_exits_two(self, capsys):
         assert run() == 2
         capsys.readouterr()
+
+
+def key_paths(value, prefix=""):
+    """Sorted dotted key paths of a JSON value; list entries that are objects add '[]'."""
+    if isinstance(value, dict) and value:
+        keys = {k: f"{prefix}.{k}" if prefix else k for k in value}
+        return sorted({p for k, v in value.items() for p in key_paths(v, keys[k])})
+    if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+        return sorted({p for v in value for p in key_paths(v, prefix + "[]")})
+    return [prefix]
+
+
+ENVELOPE_KEYS = [
+    "command", "config.cap", "config.f", "config.h", "config.mode", "config.n", "config.out",
+    "config.phi", "config.samples", "config.seed", "config.slices", "config.threads",
+    "config.tolerances", "config.window", "config.x0",
+]
+ENSEMBLE_KEYS = ["alphabet", "count", "mode", "n", "seed"]
+
+# Each result file's key tree: report fields are the keys written, so a field
+# rename shows up here.
+RESULT_FILES = {
+    "density.json": (
+        ("simulate", "--n", "4", "--mode", "exhaustive", "--f", "0", "--h", "1"),
+        ["csv", *(f"ensemble.{k}" for k in ENSEMBLE_KEYS), "normalization_exact",
+         "overflow_fractions", "problem.f", "problem.h", "problem.n", "problem.t0",
+         "problem.x0", "slices"],
+    ),
+    "fp.json": (
+        ("fp-solve", "--f=-x", "--h", "1", "--dx", "0.125"),
+        ["csv", "solution.dx", "solution.masses", "solution.times", "solution.window"],
+    ),
+    "verify_lemmas.json": (
+        ("verify", "lemmas", "--n", "4"),
+        ["passed", "results.increments.count", "results.increments.entries[].F",
+         "results.increments.entries[].orthogonality_gap",
+         "results.increments.entries[].orthogonality_scale",
+         "results.increments.entries[].quadratic_gap",
+         "results.increments.entries[].quadratic_scale",
+         "results.increments.entries[].time_index", "results.increments.max_orthogonality_rel",
+         "results.increments.max_quadratic_rel", "results.increments.n",
+         "results.moments.count", "results.moments.max_abs_mean",
+         "results.moments.max_diag_deviation", "results.moments.max_offdiag_abs",
+         "results.moments.max_relative_deviation", "results.moments.n",
+         "results.tower.entries[].decomposed", "results.tower.entries[].full",
+         "results.tower.entries[].functional", "results.tower.entries[].gap",
+         "results.tower.max_relative_gap", "results.tower.n", "results.tower.split_index",
+         "results.worst_relative_deviation", "tolerances.lemmas"],
+    ),
+    "verify_weakform.json": (
+        ("verify", "weakform", "--n", "8", "--mode", "exhaustive"),
+        ["passed", "results.bound", "results.correction_term", "results.double_sum",
+         "results.drift_term", *(f"results.ensemble.{k}" for k in ENSEMBLE_KEYS),
+         "results.initial_term", "results.n", "results.noise_term", "results.phi",
+         "results.pieces_sum_error", "results.quadratic_term", "results.residual",
+         "results.taylor_total", "tolerances.pieces_sum", "tolerances.weakform_bound"],
+    ),
+    "verify_crossval.json": (
+        ("verify", "crossval", "--n", "64", "--samples", "1000"),
+        ["passed", *(f"results.ensemble.{k}" for k in ENSEMBLE_KEYS), "results.fp.dt",
+         "results.fp.dx", "results.fp.times", "results.fp.window", "results.l1",
+         "results.max_l1", "results.outside_mass", "results.slice_times",
+         "tolerances.crossval_l1"],
+    ),
+    "verify_ito.json": (
+        ("verify", "ito", "--n", "8"),
+        ["passed", "results.deterministic_exponent", "results.deterministic_max_residuals",
+         "results.deterministic_ratios", "results.levels", "results.noise_exponent",
+         "results.noise_max_residuals", "results.noise_ratios", "tolerances.ito_ratio_det",
+         "tolerances.ito_ratio_noise"],
+    ),
+    "convergence.json": (
+        ("convergence", "--levels", "4,8,16", "--samples", "1000"),
+        ["csv", "exponents.ito", "exponents.l1_fp", "exponents.weakform", "levels", "rows"],
+    ),
+    "pair.json": (("pair",), ["distribution", "fixed_t", "phi", "value"]),
+    "equivalent.json": (
+        ("equivalent",),
+        ["left", "report.entries[].gap", "report.entries[].pair_left",
+         "report.entries[].pair_right", "report.entries[].phi", "report.equivalent",
+         "report.tolerance", "right"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RESULT_FILES))
+def test_result_file_key_tree(tmp_path, capsys, name):
+    argv, keys = RESULT_FILES[name]
+    assert run(*argv, "--out", str(tmp_path)) in (0, 1)  # a tolerance failure still writes
+    capsys.readouterr()
+    written = json.loads((tmp_path / name).read_text())
+    assert key_paths(written) == sorted([*ENVELOPE_KEYS, *keys])

@@ -36,7 +36,7 @@ class TestItoResidual:
         level = GridLevel(32)
         problem = CauchyProblem("-x", "1", 0.0, level)
         path = sample_paths(level, 1, seed=1).path(0)
-        report = ito_residual(const_phi, solve_grid_ode(problem, path), problem)
+        report = ito_residual(const_phi, solve_grid_ode(problem, path))
         assert report.max_abs_residual == 0.0
 
     def test_deterministic_residual_order_one_over_n(self):
@@ -44,7 +44,7 @@ class TestItoResidual:
         for n in (64, 128):
             level = GridLevel(n)
             problem = CauchyProblem("-x", "0", 0.3, level)
-            values.append(ito_residual(STANDARD_PHI, solve_grid_ode(problem), problem).max_abs_residual)
+            values.append(ito_residual(STANDARD_PHI, solve_grid_ode(problem)).max_abs_residual)
         assert values[0] / values[1] >= 1.8
 
     def test_deterministic_x_weighted_phi_bounded_by_fitted_constant(self):
@@ -55,7 +55,7 @@ class TestItoResidual:
         for n in (64, 128, 256):
             level = GridLevel(n)
             problem = CauchyProblem("-x", "0", 0.3, level)
-            values.append(ito_residual(phi, solve_grid_ode(problem), problem).max_abs_residual)
+            values.append(ito_residual(phi, solve_grid_ode(problem)).max_abs_residual)
         fitted = 1.05 * max(64 * values[0], 128 * values[1])
         assert values[2] <= fitted / 256
         assert values[0] / values[1] >= 1.8
@@ -70,7 +70,7 @@ class TestItoResidual:
             for seed in range(1, 6):
                 path = sample_paths(level, 1, seed).path(0)
                 per_seed.append(
-                    ito_residual(STANDARD_PHI, solve_grid_ode(problem, path), problem).max_abs_residual
+                    ito_residual(STANDARD_PHI, solve_grid_ode(problem, path)).max_abs_residual
                 )
             means.append(np.mean(per_seed))
         assert means[0] / means[1] >= 1.3
@@ -80,7 +80,7 @@ class TestItoResidual:
         level = GridLevel(n)
         problem = CauchyProblem("0", "1", 0.0, level)
         path = sample_paths(level, 1, seed=2).path(0)
-        report = ito_residual(STANDARD_PHI, solve_grid_ode(problem, path), problem)
+        report = ito_residual(STANDARD_PHI, solve_grid_ode(problem, path))
         # max rate sqrt(n) is below the n^(2/3) threshold
         assert report.hypothesis_ok
         assert report.max_rate == pytest.approx(math.sqrt(n), rel=1e-12)
@@ -90,7 +90,7 @@ class TestItoResidual:
         level = GridLevel(n)
         problem = CauchyProblem("0", "1", 0.0, level)
         path = sample_paths(level, 1, seed=3).path(0)
-        report = ito_residual(STANDARD_PHI, solve_grid_ode(problem, path), problem)
+        report = ito_residual(STANDARD_PHI, solve_grid_ode(problem, path))
         assert len(report.residuals) == n - 1
 
 
@@ -348,7 +348,7 @@ class TestMomentIdentities:
     @pytest.mark.parametrize("n", [4, 8, 10])
     def test_exact_moments(self, n):
         report = moment_report(enumerate_paths(GridLevel(n)))
-        assert report.max_relative_deviation() <= 1e-10
+        assert report.max_relative_deviation <= 1e-10
 
     def test_sampled_moments_are_noisy_but_close(self):
         report = moment_report(sample_paths(GridLevel(8), 200_000, seed=1))
@@ -365,7 +365,7 @@ class TestTowerProperty:
             ("abs sum", lambda v: np.abs(v).sum(axis=1)),
         ]
         report = tower_property_report(ens, functionals, split_index=3)
-        assert report.max_relative_gap() <= 1e-10
+        assert report.max_relative_gap <= 1e-10
 
     def test_one_walk_evaluates_each_functional_once_per_batch(self):
         ens = enumerate_paths(GridLevel(15))  # 65536 paths: two batches of 32768
@@ -383,7 +383,7 @@ class TestTowerProperty:
         for blocks in seen.values():
             assert len(blocks) == 2
             assert np.concatenate(blocks).tobytes() == rows.tobytes()
-        assert report.max_relative_gap() <= 1e-15
+        assert report.max_relative_gap <= 1e-15
 
     def test_sampled_ensemble_rejected(self):
         with pytest.raises(NoiseError, match="exhaustive"):
@@ -408,5 +408,5 @@ class TestIncrementIdentities:
             enumerate_paths(level),
             state_functions=["sin(x)+1", "bump(x/4)", "x^2"],
         )
-        assert report.max_orthogonality_rel() <= 1e-10
-        assert report.max_quadratic_rel() <= 1e-10
+        assert report.max_orthogonality_rel <= 1e-10
+        assert report.max_quadratic_rel <= 1e-10

@@ -6,7 +6,7 @@ import pytest
 
 from gridsde.cli import LEMMA_FUNCTIONALS
 from gridsde.grids import GridLevel
-from gridsde.identities import tower_property_report
+from gridsde.identities import TowerEntry, tower_property_report
 from gridsde.noise import (
     NoiseAlphabet,
     NoiseError,
@@ -353,7 +353,7 @@ class TestBlockFunctionals:
             full = math.fsum(column) / len(column)
             blocks = column.reshape(2**split, -1)
             decomposed = math.fsum(math.fsum(b) / len(b) for b in blocks) / 2**split
-            assert entry == (label, full, decomposed, abs(full - decomposed))
+            assert entry == TowerEntry(label, full, decomposed, abs(full - decomposed))
 
     @pytest.mark.parametrize(
         "phi",

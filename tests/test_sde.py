@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -166,10 +167,28 @@ class TestBatchAndThreadIndependence:
             assert sum(results[0][1]) > 0
             assert all(r == results[0] for r in results[1:])
             # float sums are reproducible across worker counts at a fixed batch size
-            serial, threaded = (
-                weak_form_residual(problem, ens, phi, threads=t).to_dict() for t in (1, 2)
-            )
+            serial, threaded = (weak_form_residual(problem, ens, phi, threads=t) for t in (1, 2))
             assert serial == threaded
+
+    @pytest.mark.parametrize(
+        "ens", [sample_paths(GridLevel(8), 64, seed=2), enumerate_paths(GridLevel(7))],
+        ids=["sampled", "exhaustive"],
+    )
+    def test_one_batch_alive_while_the_next_is_built(self, monkeypatch, ens):
+        ts = simulate_ensemble(CauchyProblem("-x", "1", 0.0, ens.level), ens, batch_size=16)
+        run, built = ts._run, []
+
+        def recording_run(start, block):
+            assert all(ref() is None for ref in built), "an earlier batch is still alive"
+            out = run(start, block)
+            built.extend(weakref.ref(a) for a in out[1:])
+            return out
+
+        monkeypatch.setattr(ts, "_run", recording_run)
+        yielded = 0
+        for _, xk, xik, _ in ts.steps((0, 4), with_noise=True):
+            yielded += 1  # xk and xik stay bound while the next batch is built
+        assert yielded == len(built) == 2 * (ens.count // 16)
 
 
 class TestBinCounts:

@@ -73,11 +73,11 @@ PATH_FUNCTIONALS = [
 def test_exhaustive_identities_hold_on_random_alphabets(case):
     problem, ensemble, split_index = case
     n = problem.level.n
-    assert moment_report(ensemble).max_relative_deviation() <= 1e-10
+    assert moment_report(ensemble).max_relative_deviation <= 1e-10
     tower = tower_property_report(ensemble, PATH_FUNCTIONALS, split_index)
-    assert tower.max_relative_gap() <= 1e-10
+    assert tower.max_relative_gap <= 1e-10
     increments = increment_report(
         problem, ensemble, ["sin(x) + 1", "bump(x/4)", "x^2"], range(n + 1)
     )
-    assert increments.max_orthogonality_rel() <= 1e-10
-    assert increments.max_quadratic_rel() <= 1e-10
+    assert increments.max_orthogonality_rel <= 1e-10
+    assert increments.max_quadratic_rel <= 1e-10
