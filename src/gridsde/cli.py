@@ -120,7 +120,9 @@ def _integer(value) -> int:
 
 
 def _finite(value) -> float:
-    """float() that refuses nan and the infinities."""
+    """float() that refuses booleans, nan and the infinities."""
+    if isinstance(value, bool):
+        raise ValueError("not a number")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError("not a finite number")
@@ -172,6 +174,8 @@ def load_config(ns: argparse.Namespace) -> RunConfig:
         raise ConfigError("n must be a positive integer")
     if cfg.threads < 1:
         raise ConfigError("threads must be a positive integer")
+    if cfg.window is not None and cfg.window <= 0:
+        raise ConfigError("window must be positive")
     return cfg
 
 

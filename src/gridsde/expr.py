@@ -29,10 +29,12 @@ overflow in '+', '-', '*' or inside a bump names the whole expression.
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Callable
+from functools import cached_property, lru_cache, partial
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -106,7 +108,7 @@ class Expr:
         return self._compiled
 
     def variables(self) -> frozenset[str]:
-        return self._vars()
+        return frozenset().union(*(v.variables() for v in vars(self).values() if isinstance(v, Expr)))
 
     def __str__(self) -> str:
         return self._src()[0]
@@ -117,9 +119,6 @@ class Expr:
     @cached_property
     def _compiled(self) -> _VectorFn:
         return self._vector()
-
-    def _vars(self) -> frozenset[str]:
-        return frozenset().union(*(v._vars() for v in vars(self).values() if isinstance(v, Expr)))
 
     # subclass hooks
     def _diff(self, var: str) -> "Expr":
@@ -183,7 +182,7 @@ class Var(Expr):
             return lambda t, x: t
         return lambda t, x: x
 
-    def _vars(self):
+    def variables(self):
         return frozenset((self.name,))
 
     def _src(self):
@@ -206,71 +205,63 @@ class Neg(Expr):
 
 
 @dataclass(frozen=True, repr=False)
-class Add(Expr):
+class _Binary(Expr):
+    """``left symbol right``; a subclass gives its operation, symbol,
+    precedence and derivative.  The right operand binds one level tighter,
+    so x - (t - 1.0) keeps its parentheses and x - t - 1.0 needs none.
+    """
+
     left: Expr
     right: Expr
+
+    op: ClassVar[Callable]
+    symbol: ClassVar[str]
+    prec: ClassVar[int]
+
+    def _operation(self):
+        return self.op
+
+    def _vector(self):
+        f, g, op = self.left._vector(), self.right._vector(), self._operation()
+        return lambda t, x: op(f(t, x), g(t, x))
+
+    def _src(self):
+        left, right = self._child(self.left, self.prec), self._child(self.right, self.prec + 1)
+        return f"{left}{self.symbol}{right}", self.prec
+
+
+class Add(_Binary):
+    op, symbol, prec = operator.add, " + ", _P_ADD
 
     def _diff(self, var):
         return _add(self.left._diff(var), self.right._diff(var))
 
-    def _vector(self):
-        f, g = self.left._vector(), self.right._vector()
-        return lambda t, x: f(t, x) + g(t, x)
 
-    def _src(self):
-        return f"{self._child(self.left, _P_ADD)} + {self._child(self.right, _P_MUL)}", _P_ADD
-
-
-@dataclass(frozen=True, repr=False)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Sub(_Binary):
+    op, symbol, prec = operator.sub, " - ", _P_ADD
 
     def _diff(self, var):
         return _sub(self.left._diff(var), self.right._diff(var))
 
-    def _vector(self):
-        f, g = self.left._vector(), self.right._vector()
-        return lambda t, x: f(t, x) - g(t, x)
 
-    def _src(self):
-        return f"{self._child(self.left, _P_ADD)} - {self._child(self.right, _P_MUL)}", _P_ADD
-
-
-@dataclass(frozen=True, repr=False)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Mul(_Binary):
+    op, symbol, prec = operator.mul, "*", _P_MUL
 
     def _diff(self, var):
         da, db = self.left._diff(var), self.right._diff(var)
         return _add(_mul(da, self.right), _mul(self.left, db))
 
-    def _vector(self):
-        f, g = self.left._vector(), self.right._vector()
-        return lambda t, x: f(t, x) * g(t, x)
 
-    def _src(self):
-        return f"{self._child(self.left, _P_MUL)}*{self._child(self.right, _P_POW)}", _P_MUL
+class Div(_Binary):
+    op, symbol, prec = operator.truediv, "/", _P_MUL
 
-
-@dataclass(frozen=True, repr=False)
-class Div(Expr):
-    left: Expr
-    right: Expr
+    def _operation(self):
+        return _guarded(self.op, "division by zero", self)
 
     def _diff(self, var):
         da, db = self.left._diff(var), self.right._diff(var)
         num = _sub(_mul(da, self.right), _mul(self.left, db))
         return _div(num, _pow(self.right, 2))
-
-    def _vector(self):
-        f, g = self.left._vector(), self.right._vector()
-        divide = _guarded(lambda a, b: a / b, "division by zero", self)
-        return lambda t, x: divide(f(t, x), g(t, x))
-
-    def _src(self):
-        return f"{self._child(self.left, _P_MUL)}/{self._child(self.right, _P_POW)}", _P_MUL
 
 
 @dataclass(frozen=True, repr=False)
@@ -298,13 +289,13 @@ class Pow(Expr):
         return f"{self._child(self.base, _P_NEG)}^{self.exponent}", _P_POW
 
 
-# name -> (ufunc, message for a fault in its argument)
+# name -> (ufunc, message for a fault in its argument, derivative (u, du) -> Expr)
 _FUNCTIONS = {
-    "sin": (np.sin, "sin of an infinite value"),
-    "cos": (np.cos, "cos of an infinite value"),
-    "exp": (np.exp, "overflow"),
-    "log": (np.log, "log of a non-positive value"),
-    "sqrt": (np.sqrt, "sqrt of a negative value"),
+    "sin": (np.sin, "sin of an infinite value", lambda u, du: _mul(Call("cos", u), du)),
+    "cos": (np.cos, "cos of an infinite value", lambda u, du: _mul(_neg(Call("sin", u)), du)),
+    "exp": (np.exp, "overflow", lambda u, du: _mul(Call("exp", u), du)),
+    "log": (np.log, "log of a non-positive value", lambda u, du: _div(du, u)),
+    "sqrt": (np.sqrt, "sqrt of a negative value", lambda u, du: _div(du, _mul(Const(2.0), Call("sqrt", u)))),
 }
 
 
@@ -318,22 +309,12 @@ class Call(Expr):
             raise ExprError(f"unknown function {self.name!r}")
 
     def _diff(self, var):
-        u, du = self.arg, self.arg._diff(var)
-        if self.name == "sin":
-            outer = Call("cos", u)
-        elif self.name == "cos":
-            outer = _neg(Call("sin", u))
-        elif self.name == "exp":
-            outer = Call("exp", u)
-        elif self.name == "log":
-            return _div(du, u)
-        else:  # sqrt
-            return _div(du, _mul(Const(2.0), Call("sqrt", u)))
-        return _mul(outer, du)
+        return _FUNCTIONS[self.name][2](self.arg, self.arg._diff(var))
 
     def _vector(self):
         f = self.arg._vector()
-        apply = _guarded(*_FUNCTIONS[self.name], self)
+        ufunc, message, _ = _FUNCTIONS[self.name]
+        apply = _guarded(ufunc, message, self)
         return lambda t, x: apply(f(t, x))
 
     def _src(self):
@@ -494,7 +475,8 @@ def derivative(e: Expr, var: str) -> Expr:
 
 _NUM_RE = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_BUMP_D_RE = re.compile(r"bump_d(\d+)$")
+_BUMP_RE = re.compile(r"bump(?:_d(\d+))?$")
+_BINARY = {node_type.symbol.strip(): node_type for node_type in (Add, Sub, Mul, Div)}
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
@@ -558,23 +540,14 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected token {text!r}", offset)
         return e
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            op = self.accept_op("+", "-")
-            if op is None:
-                return node
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            op = self.accept_op("*", "/")
-            if op is None:
-                return node
-            rhs = self.factor()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+    def expr(self, prec: int = _P_ADD) -> Expr:
+        """One left-associative level: '+ -' at _P_ADD, '* /' at _P_MUL."""
+        operand = self.factor if prec == _P_MUL else partial(self.expr, prec + 1)
+        ops = [symbol for symbol, node_type in _BINARY.items() if node_type.prec == prec]
+        node = operand()
+        while (op := self.accept_op(*ops)) is not None:
+            node = _BINARY[op](node, operand())
+        return node
 
     def factor(self) -> Expr:
         node = self.unary()
@@ -602,14 +575,14 @@ class _Parser:
         if kind == "name":
             if text in ("t", "x"):
                 return Var(text)
-            if text in _FUNCTIONS or text == "bump" or _BUMP_D_RE.match(text):
+            bump = _BUMP_RE.match(text)
+            if text in _FUNCTIONS or bump:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
-                if text in _FUNCTIONS:
-                    return Call(text, arg)
-                m = _BUMP_D_RE.match(text)
-                return Bump(int(m.group(1)) if m else 0, arg)
+                if bump:
+                    return Bump(int(bump.group(1) or 0), arg)
+                return Call(text, arg)
             raise ExprSyntaxError(f"unknown identifier {text!r}", offset)
         raise ExprSyntaxError(f"unexpected token {text!r}" if text else "unexpected end of input", offset)
 
@@ -636,53 +609,12 @@ def as_expr(value) -> Expr:
 _UNBOUNDED = (-np.inf, np.inf)
 
 
-def _affine(e: Expr, var: str):
-    """(a, b) with e = a*var + b if e is affine in var alone, else None."""
-    if isinstance(e, Const):
-        return 0.0, e.value
-    if isinstance(e, Var):
-        return (1.0, 0.0) if e.name == var else None
-    if isinstance(e, Neg):
-        inner = _affine(e.arg, var)
-        return None if inner is None else (-inner[0], -inner[1])
-    if isinstance(e, (Add, Sub)):
-        lhs, rhs = _affine(e.left, var), _affine(e.right, var)
-        if lhs is None or rhs is None:
-            return None
-        sign = 1.0 if isinstance(e, Add) else -1.0
-        return lhs[0] + sign * rhs[0], lhs[1] + sign * rhs[1]
-    if isinstance(e, Mul):
-        for const_side, other in ((e.left, e.right), (e.right, e.left)):
-            if not const_side._vars():
-                inner = _affine(other, var)
-                if inner is None:
-                    return None
-                c = const_side(0.0, 0.0)
-                return c * inner[0], c * inner[1]
-        return None
-    if isinstance(e, Div):
-        if e.right._vars():
-            return None
-        inner = _affine(e.left, var)
-        if inner is None:
-            return None
-        c = e.right(0.0, 0.0)
-        if c == 0.0:
-            return None
-        return inner[0] / c, inner[1] / c
-    return None
-
-
 def _product_factors(e: Expr) -> list[Expr]:
     if isinstance(e, Mul):
         return _product_factors(e.left) + _product_factors(e.right)
     if isinstance(e, Neg):
         return [Const(-1.0)] + _product_factors(e.arg)
     return [e]
-
-
-def _intersect(lo_hi, other):
-    return max(lo_hi[0], other[0]), min(lo_hi[1], other[1])
 
 
 @dataclass(frozen=True)
@@ -716,70 +648,60 @@ class TestFunction:
         label: str = "",
     ) -> "TestFunction":
         """Product of axis bumps bump((v - center) / width), one per given axis."""
+        given = {"x_center": x_center, "x_width": x_width, "t_center": t_center, "t_width": t_width}
+        for name, value in given.items():
+            if value is not None and not math.isfinite(value):
+                raise ExprError(f"{name} must be finite, got {value!r}")
         factors: list[Expr] = []
-        t_support = _UNBOUNDED
         if t_center is not None:
             if t_width is None or t_width <= 0:
                 raise ExprError("t_width must be positive when t_center is given")
             factors.append(Bump(0, _div(_sub(Var("t"), Const(float(t_center))), Const(float(t_width)))))
-            t_support = (t_center - t_width, t_center + t_width)
         if x_width <= 0:
             raise ExprError("x_width must be positive")
         factors.append(Bump(0, _div(_sub(Var("x"), Const(float(x_center))), Const(float(x_width)))))
-        x_support = (x_center - x_width, x_center + x_width)
         if extra is not None:
             factors.append(as_expr(extra))
         e = factors[0]
         for factor in factors[1:]:
             e = Mul(e, factor)
-        return cls._build(e, t_support, x_support, label)
+        return cls.from_expression(e, label)
 
     @classmethod
     def from_expression(cls, source, label: str = "") -> "TestFunction":
         """Infer the support rectangle from top-level bump factors.
 
-        Each bump factor must have an argument affine in a single variable;
-        the declared support is the intersection of |affine| < 1 regions per
-        axis (unbounded on an axis with no bump factor, which is sound: the
-        true support can only be smaller).
+        Each bump factor's argument u must be affine in a single variable v:
+        du/dv has no variables and evaluates to a finite nonzero slope a,
+        so u = a*v + u(0, 0).  The declared support is the intersection of
+        the |u| < 1 intervals per axis (unbounded on an axis with no bump
+        factor, which is sound: the true support can only be smaller).
         """
         e = as_expr(source)
-        t_support, x_support = _UNBOUNDED, _UNBOUNDED
+        supports = {"t": _UNBOUNDED, "x": _UNBOUNDED}
         for factor in _product_factors(e):
             if not isinstance(factor, Bump):
                 continue
-            used = factor.arg._vars()
+            used = factor.arg.variables()
             if not used:
                 continue
             if len(used) > 1:
                 raise ExprError(
                     f"bump argument '{factor.arg}' mixes t and x; support inference needs one variable per factor"
                 )
-            var = next(iter(used))
-            aff = _affine(factor.arg, var)
-            if aff is None or aff[0] == 0.0:
-                raise ExprError(
-                    f"bump argument '{factor.arg}' must be affine in {var} to infer support"
-                )
-            a, b = aff
+            (var,) = used
+            slope = factor.arg.diff(var)
+            try:
+                a = math.nan if slope.variables() else slope(0.0, 0.0)
+                b = factor.arg(0.0, 0.0)
+            except ExprDomainError:
+                a = math.nan
+            if not math.isfinite(a) or a == 0.0:
+                raise ExprError(f"bump argument '{factor.arg}' must be affine in {var} to infer support")
             lo, hi = sorted(((-1.0 - b) / a, (1.0 - b) / a))
-            if var == "t":
-                t_support = _intersect(t_support, (lo, hi))
-            else:
-                x_support = _intersect(x_support, (lo, hi))
-        return cls._build(e, t_support, x_support, label or str(e))
-
-    @classmethod
-    def _build(cls, e: Expr, t_support, x_support, label: str) -> "TestFunction":
-        return cls(
-            expr=e,
-            d_t=e.diff("t"),
-            d_x=e.diff("x"),
-            d_xx=e.diff("x").diff("x"),
-            t_support=t_support,
-            x_support=x_support,
-            label=label,
-        )
+            supports[var] = max(supports[var][0], lo), min(supports[var][1], hi)
+        d_x = e.diff("x")
+        return cls(e, e.diff("t"), d_x, d_x.diff("x"), supports["t"], supports["x"], label or str(e))
 
     def __call__(self, t: float, x: float) -> float:
         return self.expr(t, x)

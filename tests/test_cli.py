@@ -134,12 +134,18 @@ class TestConfigFile:
         (("verify", "lemmas", "--n", "4"), {"x0": float("-inf")}),
         (("verify", "lemmas", "--n", "4"), {"tol_lemmas": float("nan")}),
         (("equivalent", "--tol", "nan"), None),
+        (("verify", "lemmas", "--n", "4"), {"x0": True}),
+        (("verify", "lemmas", "--n", "4"), {"tol_lemmas": True}),
+        (("simulate", "--n", "8", "--f", "0", "--h", "1", "--window=-1"), None),
+        (("simulate", "--n", "8", "--f", "0", "--h", "1", "--window=0"), None),
+        (("fp-solve", "--f=-x", "--h", "1", "--window=-1"), None),
     ],
     ids=[
         "levels", "slices-flag", "slices-config", "window-config", "tol-value", "tol-name",
         "n-fraction", "seed-fraction", "samples-bool", "threads-inf", "cap-fraction",
         "threads-zero", "threads-negative", "window-nan", "window-inf", "x0-nan", "x0-inf",
-        "x0-config", "tol-nan", "equivalent-tol-nan",
+        "x0-config", "tol-nan", "equivalent-tol-nan", "x0-true", "tol-true",
+        "window-negative", "window-zero", "fp-solve-window-negative",
     ],
 )
 def test_bad_value_is_one_config_error_line(tmp_path, capsys, argv, config):

@@ -8,10 +8,14 @@ from gridsde.expr import (
     Add,
     Bump,
     Const,
+    Div,
     ExprDomainError,
+    ExprError,
     ExprSyntaxError,
     Mul,
+    Neg,
     Pow,
+    Sub,
     TestFunction,
     Var,
     parse,
@@ -211,6 +215,26 @@ class TestPrinterRoundTrip:
             t, x = rng.uniform(-0.8, 0.8, 2)
             assert reparsed(t, x) == original(t, x)
 
+    @pytest.mark.parametrize(
+        "node, text",
+        [
+            (Sub(Var("x"), Sub(Var("t"), Const(1.0))), "x - (t - 1.0)"),
+            (Sub(Sub(Var("x"), Var("t")), Const(1.0)), "x - t - 1.0"),
+            (Div(Var("x"), Mul(Var("t"), Const(2.0))), "x/(t*2.0)"),
+            (Mul(Div(Var("x"), Var("t")), Const(2.0)), "x/t*2.0"),
+            (Neg(Add(Var("x"), Var("t"))), "-(x + t)"),
+            (Pow(Add(Var("x"), Var("t")), 2), "(x + t)^2"),
+        ],
+    )
+    def test_binary_nodes_print_with_their_associativity(self, node, text):
+        assert str(node) == text
+        assert parse(text) == node
+
+    def test_binary_nodes_compare_by_type(self):
+        x, t = Var("x"), Var("t")
+        assert Add(x, t) != Sub(x, t)
+        assert Mul(x, t) != Div(x, t)
+
     def test_derivative_expressions_round_trip(self):
         rng = np.random.default_rng(13)
         e = parse("bump(x/2)*sin(t)").diff("x").diff("x")
@@ -280,6 +304,37 @@ class TestTestFunction:
     def test_from_expression_rejects_nonaffine_argument(self):
         with pytest.raises(Exception, match="affine"):
             TestFunction.from_expression("bump(x^2)")
+
+    @pytest.mark.parametrize("shape", ["v^2", "sin(v)", "v*v", "1/v", "exp(v)", "v/0"])
+    @pytest.mark.parametrize("var", ["t", "x"])
+    def test_from_expression_rejects_each_nonaffine_argument(self, shape, var):
+        with pytest.raises(ExprError, match="affine"):
+            TestFunction.from_expression(f"bump({shape.replace('v', var)})")
+
+    def test_from_expression_accepts_power_one(self):
+        assert TestFunction.from_expression("bump(x^1)").x_support == (-1.0, 1.0)
+
+    def test_extra_bump_narrows_support(self):
+        phi = TestFunction.from_bumps(extra="bump(x/0.5)")
+        assert phi.x_support == (-0.5, 0.5)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"x_center": math.nan},
+            {"x_center": math.inf},
+            {"x_width": math.nan},
+            {"x_width": math.inf},
+            {"t_center": math.nan, "t_width": 0.5},
+            {"t_center": 0.5, "t_width": math.nan},
+            {"t_center": 0.5, "t_width": math.inf},
+        ],
+        ids=["x-center-nan", "x-center-inf", "x-width-nan", "x-width-inf", "t-center-nan",
+             "t-width-nan", "t-width-inf"],
+    )
+    def test_from_bumps_rejects_non_finite_geometry(self, kwargs):
+        with pytest.raises(ExprError, match="finite"):
+            TestFunction.from_bumps(**kwargs)
 
     def test_extra_factor_keeps_compact_support(self):
         phi = TestFunction.from_bumps(x_center=0.0, x_width=2.0, extra="x^3 + sin(x)")
