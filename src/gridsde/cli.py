@@ -1,9 +1,15 @@
 """Command-line front end: simulate, verify, convergence tables, FP solves,
 distribution pairings.
 
-Configuration comes from a flat JSON file (--config) with CLI flags taking
-precedence.  Every output file embeds the resolved configuration and the
-ensemble descriptor so a run can be reproduced from its artifacts alone.
+Each command reads only its own settings, listed with their defaults in
+`_COMMANDS`; each `verify` suite is a subcommand and takes its flags after
+the suite name.  A setting takes the command's default, then the value in
+a flat JSON config file (--config), then the flag, each through the one
+converter that `_SETTINGS` gives it; `cap` and `tol_<name>` can only be
+set in the config file.  A flag or config key that the command does not
+read is a usage or config error.  Every output file embeds the command's
+resolved settings as `config`, and passing that object back with --config
+reruns the command, so a run can be reproduced from its artifacts alone.
 Exit codes: 0 pass, 1 tolerance failure, 2 usage or config error,
 3 runtime divergence.
 """
@@ -14,8 +20,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,24 +60,12 @@ from .sde import (
     solve_grid_ode,
 )
 
-__all__ = ["main", "ConfigError", "RunConfig", "DEFAULT_TOLERANCES"]
+__all__ = ["main", "ConfigError"]
 
 
 class ConfigError(ValueError):
     """Unusable configuration."""
 
-
-# Frozen defaults.  The weak-form bound scale comes from a pilot fit of the
-# residual on the standard test function at n in {8, 16} (exhaustive,
-# f = 0, h = 1): max(n * |residual|) rounded up to 0.04, so the per-level
-# bound is 0.04 / n.
-DEFAULT_TOLERANCES = {
-    "lemmas": 1e-10,
-    "weakform_scale": 0.04,
-    "crossval_l1": 0.1,
-    "ito_ratio_noise": 1.3,
-    "ito_ratio_det": 1.8,
-}
 
 STANDARD_PHI = "bump((t-0.5)/0.45)*bump(x/2)"
 SPATIAL_PHI = "bump(x/2)"
@@ -78,36 +75,19 @@ LEMMA_FUNCTIONALS = (
     ("squared midpoint", lambda v: v[:, v.shape[1] // 2] ** 2),
     ("running max", lambda v: np.cumsum(v, axis=1).max(axis=1)),
 )
-
-
-@dataclass
-class RunConfig:
-    n: int | None = None
-    mode: str | None = None
-    samples: int = 100000
-    seed: int = 1
-    f: str | None = None
-    h: str | None = None
-    phi: str | None = None
-    x0: float = 0.0
-    window: float | None = None
-    slices: tuple[float, ...] | None = None
-    out: str = "out"
-    threads: int = 1
-    cap: int = DEFAULT_ENUMERATION_CAP
-    tolerances: dict = field(default_factory=dict)
-
-    def tol(self, key: str) -> float:
-        return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
+_DISTRIBUTIONS = {"dirac": dirac, "dirac-derivative": dirac_derivative, "split-dirac": split_dirac}
 
 
 def _number_list(convert):
-    """Parser of a comma-separated string or a JSON list into a tuple."""
+    """Parser of a comma-separated string or a JSON list into a non-empty tuple."""
 
     def parse(raw) -> tuple:
         if isinstance(raw, str):
             raw = [p for p in raw.split(",") if p.strip()]
-        return tuple(convert(v) for v in raw)
+        values = tuple(convert(v) for v in raw)
+        if not values:
+            raise ValueError("empty list")
+        return values
 
     return parse
 
@@ -119,37 +99,82 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _finite(value) -> float:
-    """float() that refuses booleans, nan and the infinities."""
+def _number(value) -> float:
+    """float() that refuses booleans; nan and the infinities go on to the library's checks."""
     if isinstance(value, bool):
         raise ValueError("not a number")
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError("not a finite number")
-    return number
+    return float(value)
 
 
-# One converter per RunConfig field; config-file values and flags both go
-# through it, and None means "not given" in either source.
-_CONVERTERS = {
-    **dict.fromkeys(("n", "samples", "seed", "threads", "cap"), _integer),
-    **dict.fromkeys(("mode", "f", "h", "phi", "out"), str),
-    **dict.fromkeys(("x0", "window"), _finite),
-    "slices": _number_list(float),
+def _checked(convert, accept, message: str):
+    """Converter of convert(value) that refuses a result for which accept is false."""
+
+    def parse(value):
+        value = convert(value)
+        if not accept(value):
+            raise ValueError(message)
+        return value
+
+    return parse
+
+
+_finite = _checked(_number, math.isfinite, "not a finite number")
+_positive_integer = _checked(_integer, lambda v: v >= 1, "not a positive integer")
+_tolerance = _checked(_finite, lambda v: v >= 0, "not a non-negative tolerance")
+_mode = _checked(str, ("exhaustive", "sampled").__contains__, "not exhaustive or sampled")
+_distribution = _checked(str, _DISTRIBUTIONS.__contains__, "not " + " or ".join(_DISTRIBUTIONS))
+
+# Every setting: its converter, which config values and flags both go
+# through, and its flag help.  A setting with help None has no flag and can
+# only be set in a config file.
+_SETTINGS = {
+    "n": (_positive_integer, "grid level n (step 1/n)"),
+    "mode": (_mode, "ensemble mode: exhaustive | sampled"),
+    "samples": (_integer, "sample count M for sampled mode"),
+    "seed": (_integer, "seed for sampled mode"),
+    "cap": (_integer, None),
+    "threads": (_positive_integer, "worker cap (does not change results)"),
+    "f": (str, "drift expression f(t, x); write --f=-x for a leading minus"),
+    "h": (str, "diffusion expression h(t, x)"),
+    "phi": (str, "test function expression (product of bumps)"),
+    "x0": (_finite, "initial state"),
+    "window": (_checked(_finite, lambda v: v > 0, "not positive"), "spatial window halfwidth"),
+    "slices": (_number_list(_number), "comma-separated time slices"),
+    "out": (str, "output directory"),
+    "levels": (_number_list(_integer), "comma-separated increasing levels (>= 3)"),
+    "dx": (_number, "cell width"),
+    "dt": (_number, "time step (defaults to 90%% of the stability bound)"),
+    "t_end": (_number, "final time"),
+    "dist": (_distribution, " | ".join(_DISTRIBUTIONS)),
+    "center": (_number, "lattice point of the distribution"),
+    "fixed_t": (_number, "time at which phi is paired"),
+    "dist2": (_distribution, "the second distribution"),
+    "center2": (_number, "lattice point of the second distribution"),
+    "tol": (_tolerance, "pairing tolerance (default 10/n)"),
+    **dict.fromkeys(
+        ("tol_lemmas", "tol_weakform_scale", "tol_crossval_l1", "tol_ito_ratio_det",
+         "tol_ito_ratio_noise"),
+        (_tolerance, None),
+    ),
 }
 
 
-def _convert(key: str, convert, value):
+def _convert(key: str, value):
     try:
-        return convert(value)
+        return _SETTINGS[key][0](value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value {value!r} for {key}: {exc}") from exc
 
 
-def load_config(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+def load_config(command: str, ns: argparse.Namespace) -> SimpleNamespace:
+    """The command's settings: its defaults, then the config file, then the flags.
+
+    None means "not given" in every source; a setting whose value is still
+    None is left to the command or the library.
+    """
+    defaults = _COMMANDS[command].settings
     data = {}
-    if getattr(ns, "config", None):
+    if ns.config:
         path = Path(ns.config)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
@@ -159,76 +184,48 @@ def load_config(ns: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a flat JSON object")
-    flags = [(key, value) for key, value in vars(ns).items() if key in _CONVERTERS]
-    for key, value in [*data.items(), *flags]:
-        if key.startswith("tol_") and key[4:] in DEFAULT_TOLERANCES:
-            if value is not None:
-                cfg.tolerances[key[4:]] = _convert(key, _finite, value)
-        elif key not in _CONVERTERS:
-            raise ConfigError(f"unknown config key {key!r}")
-        elif value is not None:
-            setattr(cfg, key, _convert(key, _CONVERTERS[key], value))
-    if cfg.mode is not None and cfg.mode not in ("exhaustive", "sampled"):
-        raise ConfigError(f"unknown mode {cfg.mode!r}")
-    if cfg.n is not None and cfg.n < 1:
-        raise ConfigError("n must be a positive integer")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be a positive integer")
-    if cfg.window is not None and cfg.window <= 0:
-        raise ConfigError("window must be positive")
+    for key in data:
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {key!r} for {command}")
+    cfg = SimpleNamespace(**dict.fromkeys(defaults))
+    for source in (defaults, data, vars(ns)):
+        for key, value in source.items():
+            if key in defaults and value is not None:
+                setattr(cfg, key, _convert(key, value))
     return cfg
 
 
-def _default_n(cfg: RunConfig, default: int) -> None:
-    # per-command default levels: the exact identity suites live at small
-    # exhaustive n while cross-validation needs a fine lattice
-    if cfg.n is None:
-        cfg.n = default
-
-
-def _level(cfg: RunConfig) -> GridLevel:
+def _level(cfg) -> GridLevel:
     return GridLevel(cfg.n, cfg.window)
 
 
-def _resolve_mode(cfg: RunConfig, prefer_exhaustive: bool) -> str:
-    if cfg.mode is not None:
-        return cfg.mode
-    if prefer_exhaustive and 2 ** (cfg.n + 1) <= cfg.cap:
-        return "exhaustive"
-    return "sampled"
-
-
-def _ensemble(cfg: RunConfig, level: GridLevel, prefer_exhaustive: bool = False):
-    mode = _resolve_mode(cfg, prefer_exhaustive)
-    if mode == "exhaustive":
+def _ensemble(cfg, level: GridLevel):
+    """The ensemble of cfg.mode; without one, exhaustive when its 2^(n+1) paths fit under cfg.cap."""
+    if cfg.mode is None:
+        cfg.mode = "exhaustive" if 2 ** (level.n + 1) <= cfg.cap else "sampled"
+    if cfg.mode == "exhaustive":
         return enumerate_paths(level, cap=cfg.cap)
     return sample_paths(level, cfg.samples, cfg.seed)
 
 
-def _problem(cfg: RunConfig, level: GridLevel, default_f=None, default_h=None) -> CauchyProblem:
-    f = cfg.f if cfg.f is not None else default_f
-    h = cfg.h if cfg.h is not None else default_h
-    if f is None:
+def _problem(cfg, level: GridLevel) -> CauchyProblem:
+    if cfg.f is None:
         raise ConfigError("missing drift expression --f")
-    if h is None:
+    if cfg.h is None:
         raise ConfigError("missing diffusion expression --h")
-    return CauchyProblem(f, h, cfg.x0, level)
+    return CauchyProblem(cfg.f, cfg.h, cfg.x0, level)
 
 
-def _phi(cfg: RunConfig, default: str = STANDARD_PHI) -> TestFunction:
-    return TestFunction.from_expression(cfg.phi if cfg.phi is not None else default)
-
-
-def _out_path(cfg: RunConfig, name: str) -> Path:
+def _out_path(cfg, name: str) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return out / name
 
 
-def _write_json(cfg: RunConfig, name: str, command: str, **payload) -> Path:
-    """Write one result file: the payload plus the command and the resolved config."""
+def _write_json(cfg, name: str, command: str, **payload) -> Path:
+    """Write one result file: the payload plus the command and its resolved settings."""
     path = _out_path(cfg, name)
-    payload.update(command=command, config=asdict(cfg))
+    payload.update(command=command, config=vars(cfg))
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -247,17 +244,13 @@ def _fp_window(level: GridLevel) -> tuple[float, float]:
 # subcommands
 
 
-def cmd_simulate(cfg: RunConfig, ns: argparse.Namespace) -> int:
-    _default_n(cfg, 16)
+def cmd_simulate(cfg) -> int:
     level = _level(cfg)
     problem = _problem(cfg, level)
-    mode = cfg.mode or "sampled"
-    cfg.mode = mode
     ensemble = _ensemble(cfg, level)
-    slices = cfg.slices if cfg.slices is not None else (0.0, 0.25, 0.5, 0.75, 1.0)
     grid = level.time_grid()
     try:
-        indices = [grid.index_of(t) for t in slices]
+        indices = [grid.index_of(t) for t in cfg.slices]
     except GridError as exc:
         raise ConfigError(f"slice times must be grid points: {exc}") from exc
 
@@ -271,7 +264,7 @@ def cmd_simulate(cfg: RunConfig, ns: argparse.Namespace) -> int:
         "simulate",
         problem=problem.describe(),
         ensemble=dens.ensemble_descriptor,
-        slices=list(slices),
+        slices=list(cfg.slices),
         overflow_fractions=[float(v) for v in dens.overflow_fractions()],
         normalization_exact=dens.normalization_exact(),
         csv=csv_path.name,
@@ -280,16 +273,13 @@ def cmd_simulate(cfg: RunConfig, ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fp_solve(cfg: RunConfig, ns: argparse.Namespace) -> int:
-    _default_n(cfg, 16)
+def cmd_fp_solve(cfg) -> int:
     if cfg.f is None or cfg.h is None:
         raise ConfigError("fp-solve needs --f and --h")
-    window_half = cfg.window if cfg.window is not None else 3.0
-    window = (-float(window_half), float(window_half))
-    dx = ns.dx if ns.dx is not None else 1.0 / 64
-    t_end = ns.t_end if ns.t_end is not None else 1.0
-    save = cfg.slices if cfg.slices is not None else (t_end,)
-    solution = fp_solve(cfg.f, cfg.h, cfg.x0, window, dx, dt=ns.dt, t_end=t_end, save_times=save)
+    window = (-cfg.window, cfg.window)
+    solution = fp_solve(
+        cfg.f, cfg.h, cfg.x0, window, cfg.dx, dt=cfg.dt, t_end=cfg.t_end, save_times=cfg.slices
+    )
     csv_path = _out_path(cfg, "fp.csv")
     solution.to_csv(csv_path)
     _write_json(cfg, "fp.json", "fp-solve", solution=solution.to_dict(), csv=csv_path.name)
@@ -297,13 +287,11 @@ def cmd_fp_solve(cfg: RunConfig, ns: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_lemmas(cfg: RunConfig) -> tuple[dict, dict, str | None]:
-    _default_n(cfg, 8)
-    cfg.mode = "exhaustive"
+def _verify_lemmas(cfg) -> tuple[dict, dict, str | None]:
     level = _level(cfg)
-    ensemble = _ensemble(cfg, level, prefer_exhaustive=True)
-    problem = _problem(cfg, level, default_f="0", default_h="1")
-    tol = cfg.tol("lemmas")
+    ensemble = enumerate_paths(level, cap=cfg.cap)
+    problem = _problem(cfg, level)
+    tol = cfg.tol_lemmas
 
     moments = moment_report(ensemble)
     tower = tower_property_report(ensemble, LEMMA_FUNCTIONALS, split_index=max(1, cfg.n // 2))
@@ -328,14 +316,13 @@ def _verify_lemmas(cfg: RunConfig) -> tuple[dict, dict, str | None]:
     return results, {"lemmas": tol}, failure
 
 
-def _verify_weakform(cfg: RunConfig) -> tuple[dict, dict, str | None]:
-    _default_n(cfg, 16)
+def _verify_weakform(cfg) -> tuple[dict, dict, str | None]:
     level = _level(cfg)
-    ensemble = _ensemble(cfg, level, prefer_exhaustive=True)
-    problem = _problem(cfg, level, default_f="0", default_h="1")
-    phi = _phi(cfg)
+    ensemble = _ensemble(cfg, level)
+    problem = _problem(cfg, level)
+    phi = TestFunction.from_expression(cfg.phi)
     report = weak_form_residual(problem, ensemble, phi, threads=cfg.threads)
-    bound = cfg.tol("weakform_scale") / cfg.n
+    bound = cfg.tol_weakform_scale / cfg.n
     results = {**asdict(report), "bound": bound}
     failure = None
     if abs(report.residual) > bound:
@@ -345,22 +332,19 @@ def _verify_weakform(cfg: RunConfig) -> tuple[dict, dict, str | None]:
     return results, {"weakform_bound": bound, "pieces_sum": 1e-10}, failure
 
 
-def _verify_crossval(cfg: RunConfig) -> tuple[dict, dict, str | None]:
-    _default_n(cfg, 128)
+def _verify_crossval(cfg) -> tuple[dict, dict, str | None]:
     level = _level(cfg)
-    cfg.mode = cfg.mode or "sampled"
     ensemble = _ensemble(cfg, level)
-    problem = _problem(cfg, level, default_f="-x", default_h="1")
-    slices = cfg.slices if cfg.slices is not None else (0.5, 0.75, 1.0)
+    problem = _problem(cfg, level)
     report = cross_validate(
         problem,
         ensemble,
         window=_fp_window(level),
         dx=_auto_dx(cfg.n),
-        slice_times=slices,
+        slice_times=cfg.slices,
         threads=cfg.threads,
     )
-    tol = cfg.tol("crossval_l1")
+    tol = cfg.tol_crossval_l1
     failure = None if report.max_l1 <= tol else f"max L1 {report.max_l1:.3e} exceeds {tol}"
     return asdict(report), {"crossval_l1": tol}, failure
 
@@ -382,13 +366,12 @@ def _decay_exponent(levels, values) -> float:
     return float(-np.polyfit(np.log2(levels), np.log2(vals), 1)[0])
 
 
-def _verify_ito(cfg: RunConfig) -> tuple[dict, dict, str | None]:
-    _default_n(cfg, 64)
-    phi = _phi(cfg)
+def _verify_ito(cfg) -> tuple[dict, dict, str | None]:
+    phi = TestFunction.from_expression(cfg.phi)
     levels = (cfg.n, 2 * cfg.n, 4 * cfg.n)
+    # f = None leaves each ladder its own drift: -x without noise, 0 with it
     det_f = cfg.f if cfg.f is not None else "-x"
     noise_f = cfg.f if cfg.f is not None else "0"
-    noise_h = cfg.h if cfg.h is not None else "1"
 
     det_values = []
     noise_values = []
@@ -396,7 +379,7 @@ def _verify_ito(cfg: RunConfig) -> tuple[dict, dict, str | None]:
         level = GridLevel(n)
         problem = CauchyProblem(det_f, "0", cfg.x0, level)
         det_values.append(ito_residual(phi, solve_grid_ode(problem)).max_abs_residual)
-        noise_values.append(_ito_mean(phi, CauchyProblem(noise_f, noise_h, cfg.x0, level), cfg.seed, 5))
+        noise_values.append(_ito_mean(phi, CauchyProblem(noise_f, cfg.h, cfg.x0, level), cfg.seed, 5))
 
     for ladder, values in (("deterministic", det_values), ("noise", noise_values)):
         if 0.0 in values[1:]:
@@ -404,7 +387,7 @@ def _verify_ito(cfg: RunConfig) -> tuple[dict, dict, str | None]:
             raise VerificationError(f"{ladder} chain-rule residual is exactly 0 at n = {n}; no decay ratio")
     det_ratios = [a / b for a, b in zip(det_values, det_values[1:])]
     noise_ratios = [a / b for a, b in zip(noise_values, noise_values[1:])]
-    tol_det, tol_noise = cfg.tol("ito_ratio_det"), cfg.tol("ito_ratio_noise")
+    tol_det, tol_noise = cfg.tol_ito_ratio_det, cfg.tol_ito_ratio_noise
     failure = None
     if not all(r >= tol_det for r in det_ratios):
         failure = f"deterministic decay ratios {det_ratios} fall below {tol_det}"
@@ -423,15 +406,8 @@ def _verify_ito(cfg: RunConfig) -> tuple[dict, dict, str | None]:
     return results, {"ito_ratio_det": tol_det, "ito_ratio_noise": tol_noise}, failure
 
 
-def cmd_verify(cfg: RunConfig, ns: argparse.Namespace) -> int:
-    which = ns.which
-    runner = {
-        "lemmas": _verify_lemmas,
-        "weakform": _verify_weakform,
-        "crossval": _verify_crossval,
-        "ito": _verify_ito,
-    }[which]
-    results, tolerances, failure = runner(cfg)
+def cmd_verify(which: str, check, cfg) -> int:
+    results, tolerances, failure = check(cfg)
     path = _write_json(
         cfg,
         f"verify_{which}.json",
@@ -447,21 +423,20 @@ def cmd_verify(cfg: RunConfig, ns: argparse.Namespace) -> int:
     return 1
 
 
-def cmd_convergence(cfg: RunConfig, ns: argparse.Namespace) -> int:
-    _default_n(cfg, 16)
-    levels = _convert("levels", _number_list(int), ns.levels)
+def cmd_convergence(cfg) -> int:
+    levels = cfg.levels
+    if levels is None:
+        raise ConfigError("convergence needs --levels")
     if len(levels) < 3:
         raise ConfigError("convergence needs at least 3 levels")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigError("levels must be strictly increasing")
-    phi = _phi(cfg)
-    f = cfg.f if cfg.f is not None else "0"
-    h = cfg.h if cfg.h is not None else "1"
+    phi = TestFunction.from_expression(cfg.phi)
 
     rows = []
     for n in levels:
         level = GridLevel(n)
-        problem = CauchyProblem(f, h, cfg.x0, level)
+        problem = _problem(cfg, level)
         if 2 ** (n + 1) <= min(cfg.cap, 1 << 17):
             ensemble = enumerate_paths(level)
         else:
@@ -474,7 +449,7 @@ def cmd_convergence(cfg: RunConfig, ns: argparse.Namespace) -> int:
             mc,
             window=_fp_window(level),
             dx=_auto_dx(n),
-            slice_times=cfg.slices if cfg.slices is not None else (0.5, 0.75, 1.0),
+            slice_times=cfg.slices,
             threads=cfg.threads,
         )
         rows.append((n, abs(weak.residual), ito_max, cross.max_l1))
@@ -502,106 +477,119 @@ def cmd_convergence(cfg: RunConfig, ns: argparse.Namespace) -> int:
     return 0
 
 
-def _build_distribution(kind: str, level: GridLevel, center: float):
-    builders = {
-        "dirac": dirac,
-        "dirac-derivative": dirac_derivative,
-        "split-dirac": split_dirac,
-    }
-    if kind not in builders:
-        raise ConfigError(f"unknown distribution {kind!r}")
-    return builders[kind](level, center)
-
-
-def cmd_pair(cfg: RunConfig, ns: argparse.Namespace) -> int:
-    _default_n(cfg, 64)
-    level = _level(cfg)
-    dist = _build_distribution(ns.dist, level, ns.center)
-    phi = _phi(cfg, default=SPATIAL_PHI)
-    value = pair(dist, phi, fixed_t=ns.fixed_t)
+def cmd_pair(cfg) -> int:
+    dist = _DISTRIBUTIONS[cfg.dist](_level(cfg), cfg.center)
+    phi = TestFunction.from_expression(cfg.phi)
+    value = pair(dist, phi, fixed_t=cfg.fixed_t)
     _write_json(
         cfg,
         "pair.json",
         "pair",
         distribution=dist.label,
         phi=phi.label,
-        fixed_t=ns.fixed_t,
+        fixed_t=cfg.fixed_t,
         value=value,
     )
     print(repr(value))
     return 0
 
 
-def cmd_equivalent(cfg: RunConfig, ns: argparse.Namespace) -> int:
-    _default_n(cfg, 64)
+def cmd_equivalent(cfg) -> int:
     level = _level(cfg)
-    d1 = _build_distribution(ns.dist, level, ns.center)
-    d2 = _build_distribution(ns.dist2, level, ns.center2)
-    tol = _convert("tol", _finite, ns.tol) if ns.tol is not None else 10.0 / cfg.n
-    report = equivalent(d1, d2, tol=tol)
+    d1 = _DISTRIBUTIONS[cfg.dist](level, cfg.center)
+    d2 = _DISTRIBUTIONS[cfg.dist2](level, cfg.center2)
+    if cfg.tol is None:
+        cfg.tol = 10.0 / cfg.n
+    report = equivalent(d1, d2, tol=cfg.tol)
     _write_json(
         cfg, "equivalent.json", "equivalent", left=d1.label, right=d2.label, report=asdict(report)
     )
     if report.equivalent:
-        print(f"equivalent within {tol} (max gap {report.max_gap()!r})")
+        print(f"equivalent within {cfg.tol} (max gap {report.max_gap()!r})")
         return 0
-    print(f"not equivalent: max gap {report.max_gap()!r} > {tol}", file=sys.stderr)
+    print(f"not equivalent: max gap {report.max_gap()!r} > {cfg.tol}", file=sys.stderr)
     return 1
 
 
 # ----------------------------------------------------------------------
-# argument parsing
+# commands and argument parsing
+
+
+class _Command(NamedTuple):
+    runner: Callable
+    help: str
+    settings: dict  # every setting the command reads, with its default
+
+
+def _command(runner, help: str, **settings) -> _Command:
+    return _Command(runner, help, {**settings, "out": "out"})
+
+
+_SAMPLING = {"samples": 100000, "seed": 1, "cap": DEFAULT_ENUMERATION_CAP, "threads": 1}
+
+# The frozen tolerances.  The weak-form bound scale comes from a pilot fit of
+# the residual on the standard test function at n in {8, 16} (exhaustive,
+# f = 0, h = 1): max(n * |residual|) rounded up to 0.04, so the per-level
+# bound is 0.04 / n.
+_COMMANDS = {
+    "simulate": _command(
+        cmd_simulate, "simulate an ensemble and write the density",
+        n=16, mode="sampled", **_SAMPLING, f=None, h=None, x0=0.0, window=None,
+        slices=(0.0, 0.25, 0.5, 0.75, 1.0),
+    ),
+    "verify lemmas": _command(
+        partial(cmd_verify, "lemmas", _verify_lemmas), "exact identities on the exhaustive ensemble",
+        n=8, cap=DEFAULT_ENUMERATION_CAP, f="0", h="1", x0=0.0, window=None, tol_lemmas=1e-10,
+    ),
+    "verify weakform": _command(
+        partial(cmd_verify, "weakform", _verify_weakform), "weak-form residual against its bound",
+        n=16, mode=None, **_SAMPLING, f="0", h="1", phi=STANDARD_PHI, x0=0.0, window=None,
+        tol_weakform_scale=0.04,
+    ),
+    "verify crossval": _command(
+        partial(cmd_verify, "crossval", _verify_crossval), "empirical density vs FP solve",
+        n=128, mode="sampled", **_SAMPLING, f="-x", h="1", x0=0.0, window=None,
+        slices=(0.5, 0.75, 1.0), tol_crossval_l1=0.1,
+    ),
+    "verify ito": _command(
+        partial(cmd_verify, "ito", _verify_ito), "chain-rule residual decay",
+        n=64, seed=1, f=None, h="1", phi=STANDARD_PHI, x0=0.0,
+        tol_ito_ratio_det=1.8, tol_ito_ratio_noise=1.3,
+    ),
+    "convergence": _command(
+        cmd_convergence, "residual decay table across levels",
+        levels=None, **_SAMPLING, f="0", h="1", phi=STANDARD_PHI, x0=0.0,
+        slices=(0.5, 0.75, 1.0),
+    ),
+    "fp-solve": _command(
+        cmd_fp_solve, "finite-volume forward solve",
+        f=None, h=None, x0=0.0, window=3.0, slices=None, dx=1.0 / 64, dt=None, t_end=1.0,
+    ),
+    "pair": _command(
+        cmd_pair, "pair a grid distribution with a test function",
+        n=64, window=None, phi=SPATIAL_PHI, dist="dirac", center=0.0, fixed_t=0.0,
+    ),
+    "equivalent": _command(
+        cmd_equivalent, "macroscopic equivalence of two distributions",
+        n=64, window=None, dist="dirac", center=0.0, dist2="split-dirac", center2=0.0, tol=None,
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--n", type=int, help="grid level n (step 1/n)")
-    shared.add_argument("--mode", choices=("exhaustive", "sampled"), help="ensemble mode")
-    shared.add_argument("--samples", type=int, help="sample count M for sampled mode")
-    shared.add_argument("--seed", type=int, help="seed for sampled mode")
-    shared.add_argument("--f", help="drift expression f(t, x); write --f=-x for a leading minus")
-    shared.add_argument("--h", help="diffusion expression h(t, x)")
-    shared.add_argument("--phi", help="test function expression (product of bumps)")
-    shared.add_argument("--x0", type=float, help="initial state")
-    shared.add_argument("--window", type=float, help="spatial window halfwidth")
-    shared.add_argument("--slices", help="comma-separated time slices")
-    shared.add_argument("--out", help="output directory")
-    shared.add_argument("--threads", type=int, help="worker cap (does not change results)")
-    shared.add_argument("--config", help="flat JSON config file")
-
     parser = argparse.ArgumentParser(prog="gridsde", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", parents=[shared], help="simulate an ensemble and write the density")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", parents=[shared], help="run a verification suite")
-    p.add_argument("which", choices=("ito", "weakform", "crossval", "lemmas"))
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("convergence", parents=[shared], help="residual decay table across levels")
-    p.add_argument("--levels", required=True, help="comma-separated increasing levels (>= 3)")
-    p.set_defaults(func=cmd_convergence)
-
-    p = sub.add_parser("fp-solve", parents=[shared], help="finite-volume forward solve")
-    p.add_argument("--dx", type=float, help="cell width")
-    p.add_argument("--dt", type=float, help="time step (defaults to 90%% of the stability bound)")
-    p.add_argument("--t-end", dest="t_end", type=float, help="final time")
-    p.set_defaults(func=cmd_fp_solve)
-
-    p = sub.add_parser("pair", parents=[shared], help="pair a grid distribution with a test function")
-    p.add_argument("--dist", default="dirac", help="dirac | dirac-derivative | split-dirac")
-    p.add_argument("--center", type=float, default=0.0)
-    p.add_argument("--fixed-t", dest="fixed_t", type=float, default=0.0)
-    p.set_defaults(func=cmd_pair)
-
-    p = sub.add_parser("equivalent", parents=[shared], help="macroscopic equivalence of two distributions")
-    p.add_argument("--dist", default="dirac")
-    p.add_argument("--center", type=float, default=0.0)
-    p.add_argument("--dist2", default="split-dirac")
-    p.add_argument("--center2", type=float, default=0.0)
-    p.add_argument("--tol", type=float, help="pairing tolerance (default 10/n)")
-    p.set_defaults(func=cmd_equivalent)
+    commands = parser.add_subparsers(dest="command", required=True)
+    suites = commands.add_parser("verify", help="run a verification suite")
+    suites = suites.add_subparsers(dest="suite", required=True)
+    for name, command in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        # no abbreviations: --f must not stand for pair's --fixed-t
+        p = (suites if group else commands).add_parser(leaf, help=command.help, allow_abbrev=False)
+        p.set_defaults(name=name)
+        for key in command.settings:
+            if _SETTINGS[key][1] is not None:
+                p.add_argument("--" + key.replace("_", "-"), help=_SETTINGS[key][1])
+        p.add_argument("--config", help="flat JSON config file of the same settings")
     return parser
 
 
@@ -613,8 +601,8 @@ def main(argv=None) -> int:
         code = exc.code
         return int(code) if code else 0
     try:
-        cfg = load_config(ns)
-        return ns.func(cfg, ns)
+        cfg = load_config(ns.name, ns)
+        return _COMMANDS[ns.name].runner(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

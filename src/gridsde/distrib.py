@@ -103,8 +103,11 @@ def pair(dist: GridDistribution, phi: TestFunction, fixed_t: float = 0.0) -> flo
     """Step-weighted sum of gf * phi(fixed_t, .) over the spatial lattice.
 
     The test function's spatial support must fit inside the window,
-    otherwise the truncated sum would silently drop mass.
+    otherwise the truncated sum would silently drop mass; fixed_t must be
+    finite.
     """
+    if not math.isfinite(fixed_t):
+        raise DistributionError(f"fixed_t must be finite, got {fixed_t}")
     grid = dist.gf.grid
     halfwidth = float(dist.level.spatial_halfwidth)
     lo, hi = phi.x_support

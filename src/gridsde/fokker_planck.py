@@ -312,8 +312,9 @@ def fp_solve(
     Requires dt <= dx^2 / (2 max h^2 + dx max |f|); passing dt=None picks
     90% of that bound.  Snapshots land exactly on the requested save times
     (the step is shortened per interval as needed, never lengthened).
-    ``dx``, ``t_end`` and the save times must be finite, with dx > 0 and
-    t_end >= 0; a given dt must be finite and positive.  f and h are
+    ``dx``, ``t_end`` and the save times must be finite, with dx > 0,
+    t_end >= 0 and at least one save time; a given dt must be finite and
+    positive.  f and h are
     evaluated, and mass and sign checked, on every substep.
     """
     drift = as_expr(drift)
@@ -335,6 +336,8 @@ def fp_solve(
     if save_times is None:
         save_times = (t_end,)
     save_times = tuple(float(t) for t in save_times)
+    if not save_times:
+        raise VerificationError("no save times")
     if not all(map(math.isfinite, save_times)):
         raise VerificationError("save times must be finite")
     if any(t < 0 or t > t_end + 1e-12 for t in save_times):
@@ -445,7 +448,6 @@ def cross_validate(
     ensemble: NoiseEnsemble,
     window: tuple[float, float] = (-3.0, 3.0),
     dx: float = 1.0 / 64,
-    dt: float | None = None,
     slice_times: Sequence[float] = (0.5, 0.75, 1.0),
     threads: int = 1,
 ) -> CrossValReport:
@@ -464,6 +466,8 @@ def cross_validate(
     n = level.n
     grid = level.time_grid()
     slice_times = tuple(float(t) for t in slice_times)
+    if not slice_times:
+        raise VerificationError("no slice times to compare")
     slice_indices = [grid.index_of(t) for t in slice_times]
 
     ratio_f = dx * n
@@ -487,7 +491,6 @@ def cross_validate(
         problem.x0,
         (lo, hi),
         dx,
-        dt=dt,
         t_end=max(slice_times),
         save_times=slice_times,
     )
@@ -510,6 +513,6 @@ def cross_validate(
         l1=tuple(l1_list),
         max_l1=max(l1_list),
         outside_mass=tuple(outside_list),
-        fp={"window": [lo, hi], "dx": dx, "dt": dt, "times": list(slice_times)},
+        fp={"window": [lo, hi], "dx": dx, "times": list(slice_times)},
         ensemble=ensemble.descriptor(),
     )

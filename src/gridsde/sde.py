@@ -318,17 +318,6 @@ def simulate_ensemble(
     return TrajectorySet(problem, ensemble, batch_size=batch_size, threads=threads)
 
 
-def _window_steps(level: GridLevel, window) -> int:
-    if window is None:
-        return level.window_steps
-    hw = Fraction(window)
-    if hw <= 0:
-        raise GridError("density window must be positive")
-    if (hw * level.n).denominator != 1:
-        raise GridError(f"window {window!r} is not a multiple of the step 1/{level.n}")
-    return int(hw * level.n)
-
-
 @dataclass(frozen=True)
 class DensityField:
     """Exact bin counts of trajectory positions on the spatial lattice.
@@ -365,10 +354,6 @@ class DensityField:
         totals = self.counts.sum(axis=1) + self.overflow
         return bool(np.all(totals == self.ensemble_size))
 
-    def slice_rho(self, time_index: int) -> np.ndarray:
-        pos = self.time_indices.index(time_index)
-        return self.rho()[pos]
-
     def to_csv(self, path) -> None:
         write_density_csv(path, self.times(), self.bin_left_edges(), self.rho())
 
@@ -389,9 +374,8 @@ def bin_counts(xk: np.ndarray, n: int, k_window: int, counts: np.ndarray, weight
 def density(
     trajectories: TrajectorySet,
     time_indices: Sequence[int] | None = None,
-    window=None,
 ) -> DensityField:
-    """Accumulate the empirical density over the trajectory stream."""
+    """Accumulate the empirical density over the window of the problem's level."""
     level = trajectories.problem.level
     n = level.n
     if time_indices is None:
@@ -399,7 +383,7 @@ def density(
     time_indices = tuple(int(k) for k in time_indices)
     if any(not 0 <= k <= n for k in time_indices):
         raise GridError("time indices must lie in 0..n")
-    k_window = _window_steps(level, window)
+    k_window = level.window_steps
     counts = np.zeros((len(time_indices), 2 * k_window), dtype=np.int64)
     overflow = np.zeros(len(time_indices), dtype=np.int64)
     for row, xk, _, weight in trajectories.steps(time_indices):

@@ -139,13 +139,25 @@ class TestConfigFile:
         (("simulate", "--n", "8", "--f", "0", "--h", "1", "--window=-1"), None),
         (("simulate", "--n", "8", "--f", "0", "--h", "1", "--window=0"), None),
         (("fp-solve", "--f=-x", "--h", "1", "--window=-1"), None),
+        (("simulate", "--f", "0", "--h", "1", "--n", "8.5"), None),
+        (("simulate", "--f", "0", "--h", "1", "--mode", "bogus"), None),
+        (("convergence",), None),
+        (("simulate", "--n", "8", "--f", "0", "--h", "1", "--slices", ","), None),
+        (("fp-solve", "--f", "0", "--h", "1", "--slices", ","), None),
+        (("verify", "crossval", "--n", "64", "--samples", "100", "--slices", ","), None),
+        (("convergence", "--levels", "4,8,16", "--samples", "100", "--slices", ","), None),
+        (("equivalent", "--tol=-1"), None),
+        (("verify", "lemmas", "--n", "4"), {"tol_lemmas": -1}),
     ],
     ids=[
         "levels", "slices-flag", "slices-config", "window-config", "tol-value", "tol-name",
         "n-fraction", "seed-fraction", "samples-bool", "threads-inf", "cap-fraction",
         "threads-zero", "threads-negative", "window-nan", "window-inf", "x0-nan", "x0-inf",
         "x0-config", "tol-nan", "equivalent-tol-nan", "x0-true", "tol-true",
-        "window-negative", "window-zero", "fp-solve-window-negative",
+        "window-negative", "window-zero", "fp-solve-window-negative", "n-flag-fraction",
+        "mode-bogus", "levels-missing", "simulate-slices-empty", "fp-solve-slices-empty",
+        "crossval-slices-empty", "convergence-slices-empty", "equivalent-tol-negative",
+        "tol-negative",
     ],
 )
 def test_bad_value_is_one_config_error_line(tmp_path, capsys, argv, config):
@@ -303,11 +315,64 @@ class TestPairAndEquivalent:
     def test_unknown_distribution(self, tmp_path):
         assert run("pair", "--n", "8", "--dist", "comb", "--out", str(tmp_path)) == 2
 
+    def test_non_finite_fixed_t_is_one_error_line(self, tmp_path, capsys):
+        rc = run(
+            "pair", "--fixed-t", "nan", "--phi", "bump(t-0.5)*bump(x/2)",
+            "--out", str(tmp_path / "out"),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == ["error: fixed_t must be finite, got nan"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestUsage:
     def test_unknown_flag_exits_two(self, capsys):
         assert run("simulate", "--bogus") == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "lemmas", "--n", "8", "--mode", "sampled"),
+            ("fp-solve", "--f=-x", "--h", "1", "--dx", "0.125", "--n", "64"),
+            ("convergence", "--levels", "4,8,16", "--samples", "1000", "--mode", "sampled"),
+            ("verify", "ito", "--window", "2"),
+            ("simulate", "--n", "8", "--f", "0", "--h", "1", "--phi", "x"),
+            ("pair", "--f", "0"),
+            ("verify", "--n", "8", "lemmas"),
+        ],
+        ids=["lemmas-mode", "fp-solve-n", "convergence-mode", "ito-window", "simulate-phi",
+             "pair-f", "verify-flag-before-suite"],
+    )
+    def test_flag_the_command_does_not_read_exits_two(self, tmp_path, capsys, argv):
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith("usage: gridsde")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (("verify", "lemmas", "--n", "8"), "mode", "sampled"),
+            (("fp-solve", "--f=-x", "--h", "1", "--dx", "0.125"), "n", 64),
+            (("convergence", "--levels", "4,8,16", "--samples", "1000"), "mode", "sampled"),
+            (("verify", "ito"), "window", 2),
+            (("simulate", "--n", "8", "--f", "0", "--h", "1"), "phi", "x"),
+            (("pair",), "f", "0"),
+            (("verify", "lemmas", "--n", "8"), "tolerances", {"lemmas": 1e-10}),
+        ],
+        ids=["lemmas-mode", "fp-solve-n", "convergence-mode", "ito-window", "simulate-phi",
+             "pair-f", "lemmas-tolerances"],
+    )
+    def test_config_key_the_command_does_not_read_exits_two(
+        self, tmp_path, capsys, argv, key, value
+    ):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: value}))
+        assert run(*argv, "--config", str(path), "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: unknown config key {key!r} for {command_of(argv)}"
+        ]
+        assert not (tmp_path / "out").exists()
 
     def test_missing_subcommand_exits_two(self, capsys):
         assert run() == 2
@@ -324,11 +389,28 @@ def key_paths(value, prefix=""):
     return [prefix]
 
 
-ENVELOPE_KEYS = [
-    "command", "config.cap", "config.f", "config.h", "config.mode", "config.n", "config.out",
-    "config.phi", "config.samples", "config.seed", "config.slices", "config.threads",
-    "config.tolerances", "config.window", "config.x0",
-]
+# The settings each command reads (the README table), echoed resolved under `config`.
+SETTINGS = {
+    "simulate": "n mode samples seed cap threads f h x0 window slices",
+    "verify lemmas": "n cap f h x0 window tol_lemmas",
+    "verify weakform": "n mode samples seed cap threads f h phi x0 window tol_weakform_scale",
+    "verify crossval": "n mode samples seed cap threads f h x0 window slices tol_crossval_l1",
+    "verify ito": "n seed f h phi x0 tol_ito_ratio_det tol_ito_ratio_noise",
+    "convergence": "levels samples seed cap threads f h phi x0 slices",
+    "fp-solve": "f h x0 window slices dx dt t_end",
+    "pair": "n window phi dist center fixed_t",
+    "equivalent": "n window dist center dist2 center2 tol",
+}
+ENVELOPE_KEYS = {
+    command: ["command", *(f"config.{k}" for k in [*settings.split(), "out"])]
+    for command, settings in SETTINGS.items()
+}
+
+
+def command_of(argv):
+    return " ".join(argv[:2] if argv[0] == "verify" else argv[:1])
+
+
 ENSEMBLE_KEYS = ["alphabet", "count", "mode", "n", "seed"]
 
 # Each result file's key tree: report fields are the keys written, so a field
@@ -371,10 +453,9 @@ RESULT_FILES = {
     ),
     "verify_crossval.json": (
         ("verify", "crossval", "--n", "64", "--samples", "1000"),
-        ["passed", *(f"results.ensemble.{k}" for k in ENSEMBLE_KEYS), "results.fp.dt",
-         "results.fp.dx", "results.fp.times", "results.fp.window", "results.l1",
-         "results.max_l1", "results.outside_mass", "results.slice_times",
-         "tolerances.crossval_l1"],
+        ["passed", *(f"results.ensemble.{k}" for k in ENSEMBLE_KEYS), "results.fp.dx",
+         "results.fp.times", "results.fp.window", "results.l1", "results.max_l1",
+         "results.outside_mass", "results.slice_times", "tolerances.crossval_l1"],
     ),
     "verify_ito.json": (
         ("verify", "ito", "--n", "8"),
@@ -403,4 +484,22 @@ def test_result_file_key_tree(tmp_path, capsys, name):
     assert run(*argv, "--out", str(tmp_path)) in (0, 1)  # a tolerance failure still writes
     capsys.readouterr()
     written = json.loads((tmp_path / name).read_text())
-    assert key_paths(written) == sorted([*ENVELOPE_KEYS, *keys])
+    assert written["command"] == command_of(argv)
+    assert key_paths(written) == sorted([*ENVELOPE_KEYS[command_of(argv)], *keys])
+
+
+@pytest.mark.parametrize("name", list(RESULT_FILES))
+def test_echoed_config_reruns_the_command(tmp_path, capsys, name):
+    argv, _ = RESULT_FILES[name]
+    first, out = tmp_path / "first", tmp_path / "out"
+    rc = run(*argv, "--out", str(out))
+    out.rename(first)
+    config = json.loads((first / name).read_text())["config"]
+    del config["out"]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert run(*command_of(argv).split(), "--config", str(path), "--out", str(out)) == rc
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in first.iterdir())
+    for path in first.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name

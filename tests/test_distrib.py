@@ -105,6 +105,15 @@ class TestPair:
         with pytest.raises(DistributionError, match="window too small"):
             pair(dirac(level, 0.0), wide)
 
+    @pytest.mark.parametrize("fixed_t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fixed_t_rejected(self, fixed_t):
+        # a phi with time support would otherwise pair to 0 at t = nan
+        phi = TestFunction.from_expression("bump(t-0.5)*bump(x/2)")
+        with pytest.raises(DistributionError, match="fixed_t must be finite"):
+            pair(dirac(GridLevel(8), 0.0), phi, fixed_t=fixed_t)
+        with pytest.raises(DistributionError, match="fixed_t must be finite"):
+            equivalent(dirac(GridLevel(8)), split_dirac(GridLevel(8)), [phi], fixed_t=fixed_t)
+
 
 class TestEquivalent:
     def test_dirac_vs_split_dirac_within_ten_over_n(self):

@@ -254,11 +254,12 @@ class TestFPSolve:
             ({"t_end": math.nan}, "t_end must be finite"),
             ({"t_end": -0.5}, "t_end must be finite and >= 0"),
             ({"save_times": (0.5, math.nan)}, "save times must be finite"),
+            ({"save_times": ()}, "no save times"),
             ({"window": (-math.inf, math.inf)}, "integer number"),
         ],
         ids=[
             "dt-nan", "dt-inf", "dt-negative", "dx-nan", "dx-zero", "dx-negative",
-            "t-end-inf", "t-end-nan", "t-end-negative", "save-nan", "window-inf",
+            "t-end-inf", "t-end-nan", "t-end-negative", "save-nan", "save-empty", "window-inf",
         ],
     )
     def test_non_finite_or_non_positive_inputs_rejected(self, kwargs, message):
@@ -342,6 +343,13 @@ class TestCrossValidate:
         ens = sample_paths(level, 10, seed=1)
         with pytest.raises(VerificationError, match="density window"):
             cross_validate(problem, ens, window=(-16.0, 16.0), dx=1 / 4)
+
+    def test_no_slice_times_rejected(self):
+        level = GridLevel(64)
+        problem = CauchyProblem("0", "1", 0.0, level)
+        ens = sample_paths(level, 10, seed=1)
+        with pytest.raises(VerificationError, match="no slice times"):
+            cross_validate(problem, ens, window=(-2.0, 2.0), dx=1 / 32, slice_times=())
 
 
 class TestMomentIdentities:

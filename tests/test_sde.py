@@ -158,10 +158,14 @@ class TestBatchAndThreadIndependence:
         )
         for ens, batch_sizes in cases:
             problem = CauchyProblem("sin(t)-x", "1+0.5*sin(x)", 0.0, ens.level)
+            # density bins the window of the problem's level; TrajectorySet compares only n
+            narrow = CauchyProblem(
+                problem.drift, problem.diffusion, 0.0, GridLevel(ens.level.n, Fraction(1, 2))
+            )
             results = []
             for batch_size, threads in itertools.product(batch_sizes, (1, 2)):
-                ts = simulate_ensemble(problem, ens, batch_size=batch_size, threads=threads)
-                dens = density(ts, window=Fraction(1, 2))
+                ts = simulate_ensemble(narrow, ens, batch_size=batch_size, threads=threads)
+                dens = density(ts)
                 prob = event_probability(ts, 0.5, -0.25, 0.5)
                 results.append((dens.counts.tolist(), dens.overflow.tolist(), prob))
             assert sum(results[0][1]) > 0
@@ -240,8 +244,9 @@ class TestDensity:
 
     def test_overflow_counted_with_small_window(self):
         n = 8
-        ts = simulate_ensemble(brownian_problem(n), enumerate_paths(GridLevel(n)))
-        dens = density(ts, time_indices=[n], window=Fraction(1))
+        problem = CauchyProblem("0", "1", 0.0, GridLevel(n, Fraction(1)))
+        ts = simulate_ensemble(problem, enumerate_paths(GridLevel(n)))
+        dens = density(ts, time_indices=[n])
         assert dens.overflow[0] > 0
         assert dens.normalization_exact()
 
