@@ -133,7 +133,6 @@ _SETTINGS = {
     "samples": (_integer, "sample count M for sampled mode"),
     "seed": (_integer, "seed for sampled mode"),
     "cap": (_integer, None),
-    "threads": (_positive_integer, "worker cap (does not change results)"),
     "f": (str, "drift expression f(t, x); write --f=-x for a leading minus"),
     "h": (str, "diffusion expression h(t, x)"),
     "phi": (str, "test function expression (product of bumps)"),
@@ -254,7 +253,7 @@ def cmd_simulate(cfg) -> int:
     except GridError as exc:
         raise ConfigError(f"slice times must be grid points: {exc}") from exc
 
-    trajset = simulate_ensemble(problem, ensemble, threads=cfg.threads)
+    trajset = simulate_ensemble(problem, ensemble)
     dens = density(trajset, time_indices=indices)
     csv_path = _out_path(cfg, "density.csv")
     dens.to_csv(csv_path)
@@ -321,7 +320,7 @@ def _verify_weakform(cfg) -> tuple[dict, dict, str | None]:
     ensemble = _ensemble(cfg, level)
     problem = _problem(cfg, level)
     phi = TestFunction.from_expression(cfg.phi)
-    report = weak_form_residual(problem, ensemble, phi, threads=cfg.threads)
+    report = weak_form_residual(problem, ensemble, phi)
     bound = cfg.tol_weakform_scale / cfg.n
     results = {**asdict(report), "bound": bound}
     failure = None
@@ -342,7 +341,6 @@ def _verify_crossval(cfg) -> tuple[dict, dict, str | None]:
         window=_fp_window(level),
         dx=_auto_dx(cfg.n),
         slice_times=cfg.slices,
-        threads=cfg.threads,
     )
     tol = cfg.tol_crossval_l1
     failure = None if report.max_l1 <= tol else f"max L1 {report.max_l1:.3e} exceeds {tol}"
@@ -441,7 +439,7 @@ def cmd_convergence(cfg) -> int:
             ensemble = enumerate_paths(level)
         else:
             ensemble = sample_paths(level, cfg.samples, cfg.seed)
-        weak = weak_form_residual(problem, ensemble, phi, threads=cfg.threads)
+        weak = weak_form_residual(problem, ensemble, phi)
         ito_max = _ito_mean(phi, problem, cfg.seed, 3)
         mc = sample_paths(level, min(cfg.samples, 50000), cfg.seed)
         cross = cross_validate(
@@ -450,7 +448,6 @@ def cmd_convergence(cfg) -> int:
             window=_fp_window(level),
             dx=_auto_dx(n),
             slice_times=cfg.slices,
-            threads=cfg.threads,
         )
         rows.append((n, abs(weak.residual), ito_max, cross.max_l1))
 
@@ -525,7 +522,7 @@ def _command(runner, help: str, **settings) -> _Command:
     return _Command(runner, help, {**settings, "out": "out"})
 
 
-_SAMPLING = {"samples": 100000, "seed": 1, "cap": DEFAULT_ENUMERATION_CAP, "threads": 1}
+_SAMPLING = {"samples": 100000, "seed": 1, "cap": DEFAULT_ENUMERATION_CAP}
 
 # The frozen tolerances.  The weak-form bound scale comes from a pilot fit of
 # the residual on the standard test function at n in {8, 16} (exhaustive,
@@ -585,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
         group, _, leaf = name.rpartition(" ")
         # no abbreviations: --f must not stand for pair's --fixed-t
         p = (suites if group else commands).add_parser(leaf, help=command.help, allow_abbrev=False)
-        p.set_defaults(name=name)
+        p.set_defaults(name=name, parser=p)
         for key in command.settings:
             if _SETTINGS[key][1] is not None:
                 p.add_argument("--" + key.replace("_", "-"), help=_SETTINGS[key][1])
@@ -596,7 +593,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns, unread = parser.parse_known_args(argv)
+        if unread:
+            # the command's own usage lists the flags that it does read
+            ns.parser.error("unrecognized arguments: " + " ".join(unread))
     except SystemExit as exc:
         code = exc.code
         return int(code) if code else 0

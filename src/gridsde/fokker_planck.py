@@ -12,8 +12,9 @@ for compactly supported smooth phi vanishing before t = 1.  The report also
 splits the underlying ensemble average into its four algebraic pieces
 (drift, terms linear in the noise, the f^2 step correction, and the
 quadratic noise term); the pieces are an exact regrouping, so they must sum
-to the directly computed total to roundoff, and the linear-in-noise piece
-vanishes exactly on exhaustive ensembles.
+to the directly computed total to roundoff.  On an exhaustive ensemble
+each node's children carry the whole zero-sum alphabet, so the
+linear-in-noise piece cancels up to rounding.
 
 The finite-volume solver shares nothing with the ensemble simulator beyond
 expression evaluation, so agreement between the two is evidence, not
@@ -58,7 +59,7 @@ class VerificationError(ValueError):
 
 
 class FPStabilityError(VerificationError):
-    """Requested time step violates the explicit stability bound."""
+    """The explicit stability bound rules out the requested time step, or every step at some t."""
 
 
 def _arr(value, like: np.ndarray) -> np.ndarray:
@@ -146,7 +147,6 @@ def weak_form_residual(
     problem: CauchyProblem,
     ensemble: NoiseEnsemble,
     phi: TestFunction,
-    threads: int = 1,
 ) -> WeakFormReport:
     """Residual of the weak-form density equation for one test function.
 
@@ -174,7 +174,7 @@ def weak_form_residual(
 
     fdrift = problem.drift.vectorized()
     fdiff = problem.diffusion.vectorized()
-    trajset = simulate_ensemble(problem, ensemble, threads=threads)
+    trajset = simulate_ensemble(problem, ensemble)
     with np.errstate(all="ignore"):
         for k, xk, xik, weight in trajset.steps(range(n), with_noise=True):
             tk = k / n
@@ -309,9 +309,13 @@ def fp_solve(
 ) -> FPSolution:
     """Solve the forward density equation from a delta at the cell containing x0.
 
-    Requires dt <= dx^2 / (2 max h^2 + dx max |f|); passing dt=None picks
-    90% of that bound.  Snapshots land exactly on the requested save times
-    (the step is shortened per interval as needed, never lengthened).
+    Requires dt <= dx^2 / (2 max h^2 + dx max |f|), the maxima taken at 33
+    times in [0, t_end]; passing dt=None picks 90% of that bound.  Snapshots
+    land exactly on the requested save times (the step is shortened per
+    interval as needed, never lengthened).  When f or h reads t, a substep
+    longer than the bound from its own coefficients is split into equal
+    substeps of at most 90% of it, and FPStabilityError is raised where
+    that bound is below the float resolution of t.
     ``dx``, ``t_end`` and the save times must be finite, with dx > 0,
     t_end >= 0 and at least one save time; a given dt must be finite and
     positive.  f and h are
@@ -388,6 +392,42 @@ def fp_solve(
         # upwind cell of each face: its left cell where v >= 0, else its right
         np.add(left_cell, np.logical_not(v_face >= 0.0), out=upwind_row)
 
+    # Without t the one bound above holds at every face and centre at every
+    # time; with t it holds only at the sampled times, so each substep is
+    # checked against the coefficients it steps with.
+    reads_t = "t" in drift.variables() | diffusion.variables()
+
+    def advance(t: float, length: float) -> None:
+        """Step the state from t to t + length, in equal shorter substeps if unstable."""
+        coefficients(t)
+        if reads_t:
+            denom = 2.0 * float(np.max(d_cell)) + dx * float(np.max(np.abs(v_face)))
+            if not math.isfinite(denom):
+                raise VerificationError(f"coefficient is not finite on the solver window at t = {t}")
+            bound = dx * dx / denom if denom > 0 else math.inf
+            if length > bound * (1.0 + 1e-12):
+                pieces = math.ceil(length / (0.9 * bound))
+                piece = length / pieces
+                if t + piece == t:
+                    raise FPStabilityError(
+                        f"stability bound {bound} at t = {t} is below the float resolution of t"
+                    )
+                for j in range(pieces):
+                    advance(t + j * piece, piece)
+                return
+        # flux = v * upwind - (d[1:] s[1:] - d[:-1] s[:-1]) / (2 dx)
+        state.take(upwind_row, out=flux)
+        np.multiply(v_face, flux, out=flux)
+        np.multiply(d_cell, state, out=d_state)
+        np.subtract(d_hi, d_lo, out=d_diff)
+        np.divide(d_diff, two_dx, out=d_diff)
+        np.subtract(flux, d_diff, out=flux)
+        # state -= (dt / dx) * (full[1:] - full[:-1])
+        np.subtract(full_hi, full_lo, out=cell_diff)
+        np.multiply(length / dx, cell_diff, out=cell_diff)
+        np.subtract(state, cell_diff, out=state)
+        _check_density(state, dx, t + length)
+
     snapshots = []
     masses = []
     now = 0.0
@@ -397,22 +437,8 @@ def fp_solve(
             if span > 1e-15:
                 substeps = max(1, math.ceil(span / dt - 1e-9))
                 dt_local = span / substeps
-                ratio = dt_local / dx
                 for step in range(substeps):
-                    t_here = now + step * dt_local
-                    coefficients(t_here)
-                    # flux = v * upwind - (d[1:] s[1:] - d[:-1] s[:-1]) / (2 dx)
-                    state.take(upwind_row, out=flux)
-                    np.multiply(v_face, flux, out=flux)
-                    np.multiply(d_cell, state, out=d_state)
-                    np.subtract(d_hi, d_lo, out=d_diff)
-                    np.divide(d_diff, two_dx, out=d_diff)
-                    np.subtract(flux, d_diff, out=flux)
-                    # state -= (dt / dx) * (full[1:] - full[:-1])
-                    np.subtract(full_hi, full_lo, out=cell_diff)
-                    np.multiply(ratio, cell_diff, out=cell_diff)
-                    np.subtract(state, cell_diff, out=state)
-                    _check_density(state, dx, t_here + dt_local)
+                    advance(now + step * dt_local, dt_local)
             now = target
             snapshots.append(state.copy())
             masses.append(_check_density(state, dx, now))
@@ -449,7 +475,6 @@ def cross_validate(
     window: tuple[float, float] = (-3.0, 3.0),
     dx: float = 1.0 / 64,
     slice_times: Sequence[float] = (0.5, 0.75, 1.0),
-    threads: int = 1,
 ) -> CrossValReport:
     """Compare the empirical density with the finite-volume solution.
 
@@ -483,7 +508,7 @@ def cross_validate(
     if lo_idx < -k_window or hi_idx > k_window:
         raise VerificationError("solver window must fit inside the density window")
 
-    trajset = simulate_ensemble(problem, ensemble, threads=threads)
+    trajset = simulate_ensemble(problem, ensemble)
     dens = density(trajset, time_indices=slice_indices)
     fp = fp_solve(
         problem.drift,

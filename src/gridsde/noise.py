@@ -7,8 +7,7 @@ exactly once so ensemble averages are exact counting sums, while sampled
 mode draws reproducible paths from a counter-based generator.
 
 The generator is a pure function of (seed, path index, grid point), so a
-path's value never depends on how work is batched or on how many workers
-run; ensemble statistics cannot change with the degree of parallelism.
+path's value never depends on how work is batched.
 Grid point j of path i has counter i*(n+1) + j, hashed by splitmix64 to a
 64-bit z.  With u = (z >> 11) * 2^-53 in [0, 1), the symbol index is
 floor(u * |A|), capped at |A| - 1, computed in floats.  For the binary

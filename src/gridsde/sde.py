@@ -9,8 +9,8 @@ and deterministic.
 Densities, event probabilities, the weak form and the increment report all
 read one step stream, ``TrajectorySet.steps``: per batch of paths, the
 states x_k, the noise values xi_k and a path multiplicity.  Batches
-(a million paths never live in memory at once) arrive in path order at any
-worker count, so results do not depend on the worker count.
+(a million paths never live in memory at once) arrive in path order, one
+at a time.
 
 One kernel steps every batch as a piece of the noise tree: x_k depends
 only on xi_0..xi_{k-1}, so it steps each distinct noise prefix once.  A
@@ -30,10 +30,7 @@ batch sizes only to rounding.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -208,10 +205,10 @@ def solve_grid_ode(problem: CauchyProblem, noise: NoisePath | None = None) -> Tr
 class TrajectorySet:
     """Streaming view of the solutions over every path of an ensemble.
 
-    ``threads`` workers run the one batch kernel, which steps each distinct
-    noise prefix of a batch once: a sampled batch is a tree with one child
-    per node, so its paths are stepped one by one; an exhaustive batch is a
-    whole subtree of the noise tree.
+    One batch kernel steps each distinct noise prefix of a batch once: a
+    sampled batch is a tree with one child per node, so its paths are
+    stepped one by one; an exhaustive batch is a whole subtree of the noise
+    tree.
     """
 
     def __init__(
@@ -219,16 +216,12 @@ class TrajectorySet:
         problem: CauchyProblem,
         ensemble: NoiseEnsemble,
         batch_size: int = _DEFAULT_BATCH,
-        threads: int = 1,
     ):
         if ensemble.level.n != problem.level.n:
             raise GridError("ensemble level does not match the problem level")
         self.problem = problem
         self.ensemble = ensemble
         self.batch_size = int(batch_size)
-        if threads < 1:
-            raise ValueError(f"threads must be a positive integer, got {threads}")
-        self.threads = int(threads)
         self._drift_fn = problem.drift.vectorized()
         self._diffusion_fn = problem.diffusion.vectorized()
         n = problem.level.n
@@ -247,18 +240,11 @@ class TrajectorySet:
     def count(self) -> int:
         return self.ensemble.count
 
-    def _run(self, start: int, noise_block: np.ndarray):
-        values = _step_block(
-            self.problem, noise_block, start, self._widths, self._drift_fn, self._diffusion_fn
-        )
-        return start, noise_block, values
-
     def batches(self, with_noise: bool = False) -> Iterator[tuple]:
         """Yield (start, values) or (start, noise, values) in path order.
 
         The batch boundaries are fixed by batch_size alone (for exhaustive
-        ensembles, by the largest power of |A| not above it), and batches
-        are yielded in index order regardless of thread count, so any
+        ensembles, by the largest power of |A| not above it), so any
         reduction that combines batch results in yield order is
         reproducible.  Exhaustive path indices and weights are int64, so an
         exhaustive ensemble of 2^63 paths or more raises NoiseError before
@@ -269,25 +255,15 @@ class TrajectorySet:
                 f"exhaustive ensemble of {self.count} paths: path indices would pass "
                 "the int64 limit 2**63 - 1"
             )
-        if self.threads == 1:
-            for start, noise_block in self.ensemble.batches(self.batch_size):
-                out = self._run(start, noise_block)
-                # hold no batch while the next is built: one batch is alive at a time
-                del noise_block
-                yield out if with_noise else (out[0], out[2])
-                del out
-            return
-        source = self.ensemble.batches(self.batch_size)
-        pending: deque = deque()
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            for start, block in itertools.islice(source, 2 * self.threads):
-                pending.append(pool.submit(self._run, start, block))
-            while pending:
-                out = pending.popleft().result()
-                nxt = next(source, None)
-                if nxt is not None:
-                    pending.append(pool.submit(self._run, *nxt))
-                yield out if with_noise else (out[0], out[2])
+        for start, noise_block in self.ensemble.batches(self.batch_size):
+            values = _step_block(
+                self.problem, noise_block, start, self._widths, self._drift_fn, self._diffusion_fn
+            )
+            out = (start, noise_block, values) if with_noise else (start, values)
+            # hold no batch while the next is built: one batch is alive at a time
+            del noise_block, values
+            yield out
+            del out
 
     def steps(self, time_indices: Sequence[int], with_noise: bool = False) -> Iterator[tuple]:
         """Yield (i, x_k, xi_k, weight) for k = time_indices[i], batch by batch.
@@ -312,10 +288,9 @@ def simulate_ensemble(
     problem: CauchyProblem,
     ensemble: NoiseEnsemble,
     batch_size: int = _DEFAULT_BATCH,
-    threads: int = 1,
 ) -> TrajectorySet:
     """One trajectory per noise path, as a streaming set."""
-    return TrajectorySet(problem, ensemble, batch_size=batch_size, threads=threads)
+    return TrajectorySet(problem, ensemble, batch_size=batch_size)
 
 
 @dataclass(frozen=True)

@@ -58,19 +58,6 @@ class TestSimulate:
         )
         assert rc == 2
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        outs = []
-        for threads, sub in (("1", "a"), ("4", "b")):
-            out = tmp_path / sub
-            rc = run(
-                "simulate", "--n", "10", "--mode", "sampled", "--samples", "20000",
-                "--seed", "3", "--f=-x", "--h", "1", "--x0", "0",
-                "--slices", "0,0.5,1", "--threads", threads, "--out", str(out),
-            )
-            assert rc == 0
-            outs.append((out / "density.csv").read_bytes())
-        assert outs[0] == outs[1]
-
     def test_rerun_reproduces_bytes(self, tmp_path):
         blobs = []
         for sub in ("first", "second"):
@@ -121,12 +108,7 @@ class TestConfigFile:
         (("simulate", "--f", "0", "--h", "1"), {"n": 8.5}),
         (("simulate", "--f", "0", "--h", "1", "--n", "8"), {"seed": 1.9}),
         (("simulate", "--f", "0", "--h", "1"), {"samples": True}),
-        (("simulate", "--f", "0", "--h", "1", "--n", "8"), {"threads": 1e400}),
         (("verify", "lemmas", "--n", "4"), {"cap": 1e9 + 0.5}),
-        (("simulate", "--n", "8", "--mode", "exhaustive", "--f", "0", "--h", "1",
-          "--threads", "0"), None),
-        (("simulate", "--n", "8", "--mode", "exhaustive", "--f", "0", "--h", "1",
-          "--threads=-3"), None),
         (("simulate", "--n", "8", "--f", "0", "--h", "1", "--window", "nan"), None),
         (("verify", "lemmas", "--n", "4", "--window", "inf"), None),
         (("simulate", "--n", "8", "--f", "0", "--h", "1", "--x0", "nan"), None),
@@ -151,8 +133,7 @@ class TestConfigFile:
     ],
     ids=[
         "levels", "slices-flag", "slices-config", "window-config", "tol-value", "tol-name",
-        "n-fraction", "seed-fraction", "samples-bool", "threads-inf", "cap-fraction",
-        "threads-zero", "threads-negative", "window-nan", "window-inf", "x0-nan", "x0-inf",
+        "n-fraction", "seed-fraction", "samples-bool", "cap-fraction", "window-nan", "window-inf", "x0-nan", "x0-inf",
         "x0-config", "tol-nan", "equivalent-tol-nan", "x0-true", "tol-true",
         "window-negative", "window-zero", "fp-solve-window-negative", "n-flag-fraction",
         "mode-bogus", "levels-missing", "simulate-slices-empty", "fp-solve-slices-empty",
@@ -331,22 +312,44 @@ class TestUsage:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, command, error",
         [
-            ("verify", "lemmas", "--n", "8", "--mode", "sampled"),
-            ("fp-solve", "--f=-x", "--h", "1", "--dx", "0.125", "--n", "64"),
-            ("convergence", "--levels", "4,8,16", "--samples", "1000", "--mode", "sampled"),
-            ("verify", "ito", "--window", "2"),
-            ("simulate", "--n", "8", "--f", "0", "--h", "1", "--phi", "x"),
-            ("pair", "--f", "0"),
-            ("verify", "--n", "8", "lemmas"),
+            (("verify", "lemmas", "--n", "8", "--mode", "sampled"), "verify lemmas",
+             "unrecognized arguments: --mode sampled"),
+            (("fp-solve", "--f=-x", "--h", "1", "--dx", "0.125", "--n", "64"), "fp-solve",
+             "unrecognized arguments: --n 64"),
+            (("convergence", "--levels", "4,8,16", "--samples", "1000", "--mode", "sampled"),
+             "convergence", "unrecognized arguments: --mode sampled"),
+            (("verify", "ito", "--window", "2"), "verify ito", "unrecognized arguments: --window 2"),
+            (("simulate", "--n", "8", "--f", "0", "--h", "1", "--phi", "x"), "simulate",
+             "unrecognized arguments: --phi x"),
+            (("pair", "--f", "0"), "pair", "unrecognized arguments: --f 0"),
+            (("verify", "--n", "8", "lemmas"), "verify", "argument suite: invalid choice: '8'"),
+            (("simulate", "--n", "8", "--mode", "exhaustive", "--f", "0", "--h", "1",
+              "--threads", "0"), "simulate", "unrecognized arguments: --threads 0"),
+            (("simulate", "--n", "8", "--mode", "exhaustive", "--f", "0", "--h", "1",
+              "--threads=-3"), "simulate", "unrecognized arguments: --threads=-3"),
+            (("simulate", "--n", "8", "--f", "0", "--h", "1", "--threads", "2"), "simulate",
+             "unrecognized arguments: --threads 2"),
+            (("verify", "weakform", "--n", "8", "--threads", "2"), "verify weakform",
+             "unrecognized arguments: --threads 2"),
+            (("verify", "crossval", "--n", "64", "--threads", "2"), "verify crossval",
+             "unrecognized arguments: --threads 2"),
+            (("convergence", "--levels", "4,8,16", "--threads", "2"), "convergence",
+             "unrecognized arguments: --threads 2"),
         ],
         ids=["lemmas-mode", "fp-solve-n", "convergence-mode", "ito-window", "simulate-phi",
-             "pair-f", "verify-flag-before-suite"],
+             "pair-f", "verify-flag-before-suite", "threads-zero", "threads-negative",
+             "simulate-threads", "weakform-threads", "crossval-threads", "convergence-threads"],
     )
-    def test_flag_the_command_does_not_read_exits_two(self, tmp_path, capsys, argv):
+    def test_flag_the_command_does_not_read_exits_two(
+        self, tmp_path, capsys, argv, command, error
+    ):
         assert run(*argv, "--out", str(tmp_path / "out")) == 2
-        assert capsys.readouterr().err.startswith("usage: gridsde")
+        err = capsys.readouterr().err
+        # the usage of the command itself, which lists the flags that it reads
+        assert err.startswith(f"usage: gridsde {command} ")
+        assert f"gridsde {command}: error: {error}" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -359,9 +362,10 @@ class TestUsage:
             (("simulate", "--n", "8", "--f", "0", "--h", "1"), "phi", "x"),
             (("pair",), "f", "0"),
             (("verify", "lemmas", "--n", "8"), "tolerances", {"lemmas": 1e-10}),
+            (("simulate", "--f", "0", "--h", "1", "--n", "8"), "threads", 1e400),
         ],
         ids=["lemmas-mode", "fp-solve-n", "convergence-mode", "ito-window", "simulate-phi",
-             "pair-f", "lemmas-tolerances"],
+             "pair-f", "lemmas-tolerances", "threads-inf"],
     )
     def test_config_key_the_command_does_not_read_exits_two(
         self, tmp_path, capsys, argv, key, value
@@ -391,12 +395,12 @@ def key_paths(value, prefix=""):
 
 # The settings each command reads (the README table), echoed resolved under `config`.
 SETTINGS = {
-    "simulate": "n mode samples seed cap threads f h x0 window slices",
+    "simulate": "n mode samples seed cap f h x0 window slices",
     "verify lemmas": "n cap f h x0 window tol_lemmas",
-    "verify weakform": "n mode samples seed cap threads f h phi x0 window tol_weakform_scale",
-    "verify crossval": "n mode samples seed cap threads f h x0 window slices tol_crossval_l1",
+    "verify weakform": "n mode samples seed cap f h phi x0 window tol_weakform_scale",
+    "verify crossval": "n mode samples seed cap f h x0 window slices tol_crossval_l1",
     "verify ito": "n seed f h phi x0 tol_ito_ratio_det tol_ito_ratio_noise",
-    "convergence": "levels samples seed cap threads f h phi x0 slices",
+    "convergence": "levels samples seed cap f h phi x0 slices",
     "fp-solve": "f h x0 window slices dx dt t_end",
     "pair": "n window phi dist center fixed_t",
     "equivalent": "n window dist center dist2 center2 tol",

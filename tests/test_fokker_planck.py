@@ -7,6 +7,7 @@ from gridsde.expr import Const, TestFunction, as_expr
 from gridsde.fokker_planck import (
     FPStabilityError,
     VerificationError,
+    _check_density,
     cross_validate,
     fp_solve,
     ito_residual,
@@ -232,14 +233,28 @@ class TestFPSolve:
         assert fp.values.tobytes() == values.tobytes()
         assert fp.masses == masses
 
+    def test_pulse_in_t_is_split_into_stable_substeps(self):
+        # a drift pulse of height 2000 falls between the 33 sampled times, so
+        # only the bound from each substep's own coefficients keeps it stable
+        fp = fp_solve("2000*bump((t-0.015)/0.01)", "1", 0.0, (-3.0, 3.0), 1 / 64)
+        assert all(abs(m - 1.0) <= 1e-6 for m in fp.masses)
+        assert float(fp.values.min()) >= -1e-12
+
+    def test_coefficient_not_finite_between_sampled_times_rejected(self):
+        # NaN inside the pulse, 0 at every sampled time
+        with pytest.raises(VerificationError, match="not finite on the solver window at t = "):
+            fp_solve("sqrt(-bump((t-0.015)/0.01))", "1", 0.0, (-3.0, 3.0), 1 / 16)
+
+    def test_pulse_beyond_the_float_resolution_of_t_raises(self):
+        with pytest.raises(FPStabilityError, match="below the float resolution of t"):
+            fp_solve("1e300*bump((t-0.015)/0.01)", "1", 0.0, (-3.0, 3.0), 1 / 16)
+
     def test_guard_stops_a_negative_density_at_its_substep(self):
-        # a drift pulse of height 2000 outruns the explicit bound sampled at
-        # 33 times; the first negative cell is caught on the substep it appears
+        # every substep ends in this guard; each substep meets the bound of
+        # its own coefficients, so only a hand-made state shows it firing
         with pytest.raises(VerificationError) as info:
-            fp_solve("2000*bump((t-0.015)/0.01)", "1", 0.0, (-3.0, 3.0), 1 / 64)
-        assert str(info.value) == (
-            "negative density -3.7864835970963515e-09 at t = 0.008129188179720971"
-        )
+            _check_density(np.array([1.0, 0.5, -1e-9, 0.5 + 1e-9]), 0.5, 0.25)
+        assert str(info.value) == "negative density -1e-09 at t = 0.25"
 
     @pytest.mark.parametrize(
         "kwargs, message",

@@ -1,4 +1,3 @@
-import itertools
 import math
 import weakref
 from fractions import Fraction
@@ -6,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gridsde import sde
 from gridsde.expr import TestFunction
 from gridsde.fokker_planck import weak_form_residual
 from gridsde.grids import GridError, GridLevel
@@ -103,31 +103,6 @@ class TestSimulateEnsemble:
         for _, block in ts.batches():
             assert np.array_equal(block, np.tile(single.values, (block.shape[0], 1)))
 
-    def test_threads_do_not_change_results(self):
-        level = GridLevel(10)
-        problem = CauchyProblem("-x", "1", 0.0, level)
-        ens = enumerate_paths(level)
-        serial = np.concatenate(
-            [b for _, b in simulate_ensemble(problem, ens, batch_size=128).batches()]
-        )
-        threaded = np.concatenate(
-            [b for _, b in simulate_ensemble(problem, ens, batch_size=128, threads=4).batches()]
-        )
-        assert np.array_equal(serial, threaded)
-
-    def test_threads_below_one_rejected(self):
-        level = GridLevel(6)
-        problem = CauchyProblem("-x", "1", 0.0, level)
-        ens = enumerate_paths(level)
-        phi = TestFunction.from_expression("bump((t-0.5)/0.45)*bump(x/2)")
-        with pytest.raises(ValueError, match="threads must be a positive integer, got 0"):
-            simulate_ensemble(problem, ens, threads=0)
-        with pytest.raises(ValueError, match="got -3"):
-            weak_form_residual(problem, ens, phi, threads=-3)
-        for threads in (1, 2):
-            assert simulate_ensemble(problem, ens, threads=threads).threads == threads
-            assert weak_form_residual(problem, ens, phi, threads=threads).n == 6
-
     def test_ou_second_moment_closed_form(self):
         n, m = 64, 100_000
         level = GridLevel(n)
@@ -151,28 +126,23 @@ class TestSimulateEnsemble:
 
 class TestBatchAndThreadIndependence:
     def test_counts_and_weak_form_ignore_batching_and_workers(self):
-        phi = TestFunction.from_expression("bump((t-0.5)/0.45)*bump(x/2)")
         cases = (
             (sample_paths(GridLevel(16), 40000, seed=4), (777, 32768)),
             (enumerate_paths(GridLevel(12)), (5, 777, 32768)),
         )
         for ens, batch_sizes in cases:
-            problem = CauchyProblem("sin(t)-x", "1+0.5*sin(x)", 0.0, ens.level)
             # density bins the window of the problem's level; TrajectorySet compares only n
             narrow = CauchyProblem(
-                problem.drift, problem.diffusion, 0.0, GridLevel(ens.level.n, Fraction(1, 2))
+                "sin(t)-x", "1+0.5*sin(x)", 0.0, GridLevel(ens.level.n, Fraction(1, 2))
             )
             results = []
-            for batch_size, threads in itertools.product(batch_sizes, (1, 2)):
-                ts = simulate_ensemble(narrow, ens, batch_size=batch_size, threads=threads)
+            for batch_size in batch_sizes:
+                ts = simulate_ensemble(narrow, ens, batch_size=batch_size)
                 dens = density(ts)
                 prob = event_probability(ts, 0.5, -0.25, 0.5)
                 results.append((dens.counts.tolist(), dens.overflow.tolist(), prob))
             assert sum(results[0][1]) > 0
             assert all(r == results[0] for r in results[1:])
-            # float sums are reproducible across worker counts at a fixed batch size
-            serial, threaded = (weak_form_residual(problem, ens, phi, threads=t) for t in (1, 2))
-            assert serial == threaded
 
     @pytest.mark.parametrize(
         "ens", [sample_paths(GridLevel(8), 64, seed=2), enumerate_paths(GridLevel(7))],
@@ -180,15 +150,15 @@ class TestBatchAndThreadIndependence:
     )
     def test_one_batch_alive_while_the_next_is_built(self, monkeypatch, ens):
         ts = simulate_ensemble(CauchyProblem("-x", "1", 0.0, ens.level), ens, batch_size=16)
-        run, built = ts._run, []
+        step_block, built = sde._step_block, []
 
-        def recording_run(start, block):
+        def recording_step_block(problem, block, *args):
             assert all(ref() is None for ref in built), "an earlier batch is still alive"
-            out = run(start, block)
-            built.extend(weakref.ref(a) for a in out[1:])
-            return out
+            values = step_block(problem, block, *args)
+            built.extend((weakref.ref(block), weakref.ref(values)))
+            return values
 
-        monkeypatch.setattr(ts, "_run", recording_run)
+        monkeypatch.setattr(sde, "_step_block", recording_step_block)
         yielded = 0
         for _, xk, xik, _ in ts.steps((0, 4), with_noise=True):
             yielded += 1  # xk and xik stay bound while the next batch is built
@@ -383,9 +353,9 @@ def _close(a, b, scale=1.0):
     return abs(a - b) <= 1e-12 * max(scale, abs(a), abs(b))
 
 
-def assert_tree_matches_per_path(problem, ensemble, batch_size=1 << 15, threads=1):
+def assert_tree_matches_per_path(problem, ensemble, batch_size=1 << 15):
     n = problem.level.n
-    tree = simulate_ensemble(problem, ensemble, batch_size=batch_size, threads=threads)
+    tree = simulate_ensemble(problem, ensemble, batch_size=batch_size)
     reference = simulate_ensemble(problem, _PerPath(ensemble))
 
     for k in range(n + 1):
@@ -399,7 +369,7 @@ def assert_tree_matches_per_path(problem, ensemble, batch_size=1 << 15, threads=
     for t, a, b in (((n // 2) / n, -0.25, 0.5), (1.0, 0.0, math.inf), (1.0, -0.3, 0.1)):
         assert event_probability(tree, t, a, b) == event_probability(reference, t, a, b)
 
-    got = weak_form_residual(problem, ensemble, PHI, threads=threads)
+    got = weak_form_residual(problem, ensemble, PHI)
     want = weak_form_residual(problem, _PerPath(ensemble), PHI)
     assert (got.residual, got.double_sum) == (want.residual, want.double_sum)
     pieces = ("drift_term", "noise_term", "correction_term", "quadratic_term", "taylor_total")

@@ -37,15 +37,14 @@ def tree_cases(draw):
     digits = draw(st.lists(st.integers(0, alphabet.size - 1), max_size=3))
     if digits:
         ensemble = conditional(ensemble, tuple(alphabet.scaled(level)[digits]))
-    batch_size, threads = draw(st.sampled_from([3, 64, 1 << 15])), draw(st.sampled_from([1, 2]))
-    return problem, ensemble, batch_size, threads
+    return problem, ensemble, draw(st.sampled_from([3, 64, 1 << 15]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(tree_cases())
 def test_tree_matches_per_path_reduction(case):
-    problem, ensemble, batch_size, threads = case
-    assert_tree_matches_per_path(problem, ensemble, batch_size, threads)
+    problem, ensemble, batch_size = case
+    assert_tree_matches_per_path(problem, ensemble, batch_size)
 
 
 @st.composite
