@@ -312,10 +312,12 @@ def fp_solve(
     Requires dt <= dx^2 / (2 max h^2 + dx max |f|), the maxima taken at 33
     times in [0, t_end]; passing dt=None picks 90% of that bound.  Snapshots
     land exactly on the requested save times (the step is shortened per
-    interval as needed, never lengthened).  When f or h reads t, a substep
-    longer than the bound from its own coefficients is split into equal
-    substeps of at most 90% of it, and FPStabilityError is raised where
-    that bound is below the float resolution of t.
+    interval as needed, never lengthened).  FPStabilityError is raised
+    before the first substep when dt is below the float resolution of the
+    last save time.  When f or h reads t, a substep longer than the bound
+    from its own coefficients is split into equal substeps of at most 90%
+    of it, and FPStabilityError is raised where that bound is below the
+    float resolution of t.
     ``dx``, ``t_end`` and the save times must be finite, with dx > 0,
     t_end >= 0 and at least one save time; a given dt must be finite and
     positive.  f and h are
@@ -366,6 +368,11 @@ def fp_solve(
     if dt > limit * (1.0 + 1e-12):
         raise FPStabilityError(
             f"dt = {dt} violates the explicit stability bound; maximal admissible dt is {limit}"
+        )
+    if save_times[-1] + dt == save_times[-1]:
+        raise FPStabilityError(
+            f"dt = {dt} (stability bound {limit}) is below the float resolution of "
+            f"t = {save_times[-1]}"
         )
 
     state = np.zeros(cells)

@@ -13,7 +13,10 @@ Grid point j of path i has counter i*(n+1) + j, hashed by splitmix64 to a
 floor(u * |A|), capped at |A| - 1, computed in floats.  For the binary
 alphabet that is exactly the top bit z >> 63, which is how it is computed;
 for other sizes the float rule stays, because floor(u * 3) in floats can
-differ from integer arithmetic on z.
+differ from integer arithmetic on z.  Sampled counters are hashed in tiles
+of 2^15 that stay in cache; each value depends on its counter alone, so the
+tiling cannot change one.  ``batches()`` yields C-contiguous row-major
+blocks ``[rows, n+1]`` in both modes.
 
 A path functional maps a noise block [rows, n+1] to one float per row, e.g.
 ``v.mean(axis=1)``; it must read each row alone, or its values would depend
@@ -58,6 +61,7 @@ _ENDINGS_ROWS = 1 << 12  # at most this many rows in the cached table of path en
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_TILE = 1 << 15  # elements per cache tile: a buffer of 2^15 8-byte values fits a core's L2 cache
 
 PathFunctional = Callable[[np.ndarray], np.ndarray]  # noise block [rows, n+1] -> one value per row
 
@@ -69,24 +73,49 @@ def _mix_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _hash_block(seed: int, first: int, count: int) -> np.ndarray:
-    """splitmix64 hashes of the counters first..first+count-1 (uint64, fresh array).
+def _sampled_values(seed: int, first: int, scaled: np.ndarray, out: np.ndarray) -> None:
+    """Write the scaled symbols of counters first, first+1, ... into the flat ``out``.
 
-    Counter c hashes to mix(key(seed) + (c + 1) * golden) modulo 2^64, which is
-    ``_mix_int`` applied per element; the rounds run in place on one block
-    with one shift temporary.
+    Counter c hashes to mix(key(seed) + (c + 1) * golden) modulo 2^64, which
+    is ``_mix_int`` applied per element.  The counters run in tiles of
+    ``_TILE``: each tile is hashed in two reused buffers, mapped to symbols
+    and written to its slice of ``out``, so a tile's temporaries stay in
+    cache.  Every value is a function of its counter alone, so the tiling
+    cannot change one.
     """
-    z = np.arange(first + 1, first + count + 1, dtype=np.uint64)
-    z *= np.uint64(_GOLDEN)
-    z += np.uint64(_mix_int(seed ^ 0xD1B54A32D192ED03))
-    shifted = np.empty_like(z)
-    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        np.right_shift(z, np.uint64(shift), out=shifted)
-        z ^= shifted
-        z *= np.uint64(multiplier)
-    np.right_shift(z, np.uint64(31), out=shifted)
-    z ^= shifted
-    return z
+    size = len(scaled)
+    key = _mix_int(seed ^ 0xD1B54A32D192ED03)
+    ramp = np.arange(min(_TILE, out.size), dtype=np.uint64) * np.uint64(_GOLDEN)
+    z, shifted = np.empty_like(ramp), np.empty_like(ramp)
+    low, high = scaled.view(np.int64)[:2]
+    for lo in range(0, out.size, _TILE):
+        values = out[lo : lo + _TILE]
+        zt, st = z[: values.size], shifted[: values.size]
+        # (c + 1) * golden for the tile's counters: one offset plus i * golden
+        np.add(ramp[: values.size], np.uint64((key + (first + lo + 1) * _GOLDEN) & _MASK64), out=zt)
+        for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            np.right_shift(zt, np.uint64(shift), out=st)
+            zt ^= st
+            zt *= np.uint64(multiplier)
+        if size == 2:
+            # floor(u * 2) with u = (z >> 11) * 2^-53 is the top bit, which the
+            # last round z ^= z >> 31 leaves alone; an arithmetic shift spreads
+            # it over all 64 bits, selecting the bits of scaled[0] or scaled[1]
+            bits = values.view(np.int64)
+            np.right_shift(zt.view(np.int64), 63, out=bits)
+            bits &= low ^ high
+            bits ^= low
+            continue
+        np.right_shift(zt, np.uint64(31), out=st)
+        zt ^= st
+        np.right_shift(zt, np.uint64(11), out=zt)
+        values[...] = zt  # u * 2^53, exact in float64
+        values *= 2.0**-53
+        values *= size
+        digits = zt.view(np.int64)
+        digits[...] = values
+        np.minimum(digits, size - 1, out=digits)
+        np.take(scaled, digits, out=values, mode="clip")
 
 
 @dataclass(frozen=True)
@@ -203,23 +232,12 @@ class NoiseEnsemble:
         if self.mode == "exhaustive":
             return _lexicographic_block(scaled, start, stop, points)
         # rows start..stop-1 are the consecutive counters start*points .. stop*points-1
-        z = _hash_block(self.seed, start * points, (stop - start) * points)
-        size = self.alphabet.size
-        digits = z.view(np.int64)
-        if size == 2:
-            # floor(u * 2) with u = (z >> 11) * 2^-53 is exactly the top bit
-            np.right_shift(z, np.uint64(63), out=z)
-        else:
-            np.right_shift(z, np.uint64(11), out=z)
-            u = z.astype(np.float64)
-            u *= 2.0**-53
-            u *= size
-            digits[...] = u
-            np.minimum(digits, size - 1, out=digits)
-        return scaled[digits.reshape(stop - start, points)]
+        out = np.empty((stop - start, points))
+        _sampled_values(self.seed, start * points, scaled, out.reshape(-1))
+        return out
 
     def batches(self, batch_size: int = _DEFAULT_BATCH) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (first path index, value matrix [batch, n+1]) in index order."""
+        """Yield (first path index, C-contiguous value matrix [batch, n+1]) in index order."""
         for start in range(0, self.count, batch_size):
             stop = min(start + batch_size, self.count)
             yield start, self._values_for(start, stop)

@@ -15,17 +15,19 @@ at a time.
 One kernel steps every batch as a piece of the noise tree: x_k depends
 only on xi_0..xi_{k-1}, so it steps each distinct noise prefix once.  A
 sampled batch, like the single path of ``solve_grid_ode``, is a tree with
-one child per node and is stepped path by path.  An exhaustive batch is a
-whole subtree, so an exhaustive run costs about |A|^(n+1)/(|A|-1) steps in
-place of n * |A|^(n+1), plus one write of every path's states for the
-per-path view ``batches()``, and every state is bit-identical to the
-path-by-path state.  The step stream then carries each distinct state once
-per batch, weighted by the number of the batch's paths through it, so
-integer bin and event counts are bit-identical to path-by-path counts for
-any batch size.  Float sums such as the weak-form pieces add
-``weight * sum`` over distinct states, so they agree with a path-by-path
-reduction only to rounding, as a sampled run's float sums agree across
-batch sizes only to rounding.
+one child per node and is stepped path by path, from a time-major copy of
+its noise block, so each step reads one contiguous row.  An exhaustive
+batch, which reads one row per child, steps from a transposed view of its
+block.  It is a whole subtree, so an exhaustive run costs about
+|A|^(n+1)/(|A|-1) steps in place of n * |A|^(n+1), plus one write of every
+path's states for the per-path view ``batches()``, and every state is
+bit-identical to the path-by-path state.  The step stream then carries
+each distinct state once per batch, weighted by the number of the batch's
+paths through it, so integer bin and event counts are bit-identical to
+path-by-path counts for any batch size.  Float sums such as the weak-form
+pieces add ``weight * sum`` over distinct states, so they agree with a
+path-by-path reduction only to rounding, as a sampled run's float sums
+agree across batch sizes only to rounding.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from .expr import Expr, as_expr
 from .grids import GridError, GridLevel
-from .noise import _DEFAULT_BATCH, NoiseEnsemble, NoiseError, NoisePath
+from .noise import _DEFAULT_BATCH, _TILE, NoiseEnsemble, NoiseError, NoisePath
 
 __all__ = [
     "DivergenceError",
@@ -135,9 +137,18 @@ def _kahan_step(xk, comp, rate, n: int):
     return nxt, (nxt - xk) - inc, np.abs(nxt) <= DIVERGENCE_GUARD
 
 
+def _time_major(block: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of ``block.T``, built from row tiles that stay in cache."""
+    out = np.empty(block.shape[::-1])
+    rows = max(1, _TILE // block.shape[1])
+    for lo in range(0, block.shape[0], rows):
+        out[:, lo : lo + rows] = block[lo : lo + rows].T
+    return out
+
+
 def _step_block(
     problem: CauchyProblem,
-    noise_block: np.ndarray,
+    noise: np.ndarray,
     start_index: int | None,
     widths: Sequence[int],
     drift_fn,
@@ -145,18 +156,20 @@ def _step_block(
 ) -> np.ndarray:
     """The states of a batch of noise paths, one row per path.
 
-    The rows sharing xi_0..xi_{k-1}, and so x_k, are runs of ``widths[k]``
-    rows: a node of the noise tree at depth k.  Each node is stepped once,
-    its children being its runs of ``widths[k+1]`` rows, each read at its
-    first row's noise value.  Widths of 1 step every path on its own; a
-    whole subtree in lexicographic order shares its prefixes.  States are
-    stored time-major, ``[n+1, rows]``, and returned transposed.  A
-    divergence names the first diverging step and the smallest path index
-    through the first bad node there, or no path if ``start_index`` is None.
+    The noise and the states are time-major, ``[n+1, rows]``; the noise is
+    a copy or a transposed view of the batch's block, and the states are
+    returned transposed.  The rows sharing xi_0..xi_{k-1}, and so x_k, are
+    runs of ``widths[k]`` rows: a node of the noise tree at depth k.  Each
+    node is stepped once, its children being its runs of ``widths[k+1]``
+    rows, each read at its first row's noise value.  Widths of 1 step every
+    path on its own; a whole subtree in lexicographic order shares its
+    prefixes.  A divergence names the first diverging step and the smallest
+    path index through the first bad node there, or no path if
+    ``start_index`` is None.
     """
     n = problem.level.n
     m0 = problem.t0_index
-    out = np.empty((n + 1, noise_block.shape[0]))
+    out = np.empty((n + 1, noise.shape[1]))
     out[: m0 + 1] = problem.x0
     # states never read the noise before t0, so every node at t0 is at x0
     x = out[m0, :: widths[m0]]
@@ -165,7 +178,7 @@ def _step_block(
         for k in range(m0, n):
             tk = k / n
             # row i: the children of node i
-            xi = noise_block[:: widths[k + 1], k].reshape(x.shape[0], -1)
+            xi = noise[k, :: widths[k + 1]].reshape(x.shape[0], -1)
             fv = np.broadcast_to(drift_fn(tk, x), x.shape)[:, None]
             hv = np.broadcast_to(diffusion_fn(tk, x), x.shape)[:, None]
             x, comp, ok = _kahan_step(x[:, None], comp[:, None], fv + hv * xi, n)
@@ -184,12 +197,12 @@ def solve_grid_ode(problem: CauchyProblem, noise: NoisePath | None = None) -> Tr
     """Solve the grid equation along one noise path (zero noise by default)."""
     n = problem.level.n
     if noise is None:
-        block = np.zeros((1, n + 1))
+        block = np.zeros((n + 1, 1))
         index = None
     else:
         if noise.level.n != n:
             raise GridError("noise path level does not match the problem level")
-        block = noise.values[None, :]
+        block = noise.values[:, None]
         index = noise.path_index
     values = _step_block(
         problem,
@@ -243,6 +256,9 @@ class TrajectorySet:
     def batches(self, with_noise: bool = False) -> Iterator[tuple]:
         """Yield (start, values) or (start, noise, values) in path order.
 
+        ``noise`` and ``values`` are ``[batch, n+1]``; their memory layout
+        is unspecified.  A sampled batch is stepped from a time-major copy
+        of its noise, and ``noise`` is then a transposed view of that copy.
         The batch boundaries are fixed by batch_size alone (for exhaustive
         ensembles, by the largest power of |A| not above it), so any
         reduction that combines batch results in yield order is
@@ -255,13 +271,19 @@ class TrajectorySet:
                 f"exhaustive ensemble of {self.count} paths: path indices would pass "
                 "the int64 limit 2**63 - 1"
             )
-        for start, noise_block in self.ensemble.batches(self.batch_size):
+        # every row of a tree with one child per node is read at every step, so
+        # a contiguous time-major copy pays for itself; an exhaustive batch
+        # reads only every widths[k+1]-th row, and steps from a transposed view
+        one_child = all(w == 1 for w in self._widths)
+        for start, noise in self.ensemble.batches(self.batch_size):
+            # rebinding drops the row-major block before the states are allocated
+            noise = _time_major(noise) if one_child else noise.T
             values = _step_block(
-                self.problem, noise_block, start, self._widths, self._drift_fn, self._diffusion_fn
+                self.problem, noise, start, self._widths, self._drift_fn, self._diffusion_fn
             )
-            out = (start, noise_block, values) if with_noise else (start, values)
+            out = (start, noise.T, values) if with_noise else (start, values)
             # hold no batch while the next is built: one batch is alive at a time
-            del noise_block, values
+            del noise, values
             yield out
             del out
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gridsde import fokker_planck
 from gridsde.expr import Const, TestFunction, as_expr
 from gridsde.fokker_planck import (
     FPStabilityError,
@@ -248,6 +249,16 @@ class TestFPSolve:
     def test_pulse_beyond_the_float_resolution_of_t_raises(self):
         with pytest.raises(FPStabilityError, match="below the float resolution of t"):
             fp_solve("1e300*bump((t-0.015)/0.01)", "1", 0.0, (-3.0, 3.0), 1 / 16)
+
+    def test_bound_beyond_the_float_resolution_of_the_last_save_time_raises(self, monkeypatch):
+        # f does not read t, so no substep checks a bound of its own; about
+        # 5e301 substeps of dt ~ 2e-302 would follow, so none may be taken
+        def no_substep(*args):
+            raise AssertionError("a substep ran")
+
+        monkeypatch.setattr(fokker_planck, "_check_density", no_substep)
+        with pytest.raises(FPStabilityError, match="below the float resolution of t = 1.0"):
+            fp_solve("1e300*x", "1", 0.0, (-3.0, 3.0), 1 / 16)
 
     def test_guard_stops_a_negative_density_at_its_substep(self):
         # every substep ends in this guard; each substep meets the bound of

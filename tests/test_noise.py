@@ -16,9 +16,13 @@ from gridsde.noise import (
     expectation,
     expectation_detail,
     sample_paths,
+    _TILE,
     _mix_int,
     _path_values,
+    _sampled_values,
 )
+
+TERNARY = NoiseAlphabet.from_symbols((-3, 1, 2))
 
 
 def all_rows(ens):
@@ -169,21 +173,61 @@ class TestSampling:
         block = ens._values_for(start, start + rows)
         assert block.tobytes() == reference_sampled_block(ens, start, start + rows).tobytes()
 
+    @pytest.mark.parametrize("alphabet", [NoiseAlphabet.white(), TERNARY], ids=["binary", "ternary"])
+    @pytest.mark.parametrize("first", [0, _TILE - 1, 3 * _TILE + 12345])
+    @pytest.mark.parametrize("count", [1, _TILE - 1, _TILE + 1])
+    def test_tiles_match_per_element_hash(self, alphabet, first, count):
+        level = GridLevel(8)
+        scaled = alphabet.scaled(level)
+        out = np.empty(count)
+        _sampled_values(11, first, scaled, out)
+        want = scaled[reference_digits(11, alphabet.size, first, first + count)]
+        assert out.tobytes() == want.tobytes()
 
-def reference_sampled_block(ens, start, stop):
-    """Sampled values hashed one element at a time with the integer mixer.
+    @pytest.mark.parametrize("alphabet", [NoiseAlphabet.white(), TERNARY], ids=["binary", "ternary"])
+    @pytest.mark.parametrize(
+        "n, start, rows",
+        [(6, 4681, 4681), (6, 4680, 2 * 4681 + 1), (2, 10923, 10923), (2, 5, 2 * 10923)],
+    )
+    def test_blocks_straddling_tiles_match_per_element_hash(self, alphabet, n, start, rows):
+        # 4681 * 7 = 2^15 - 1 and 10923 * 3 = 2^15 + 1: no start is a tile boundary
+        ens = sample_paths(GridLevel(n), start + rows, seed=2**40 + 3, alphabet=alphabet)
+        assert (start * (n + 1)) % _TILE != 0
+        block = ens._values_for(start, start + rows)
+        assert block.tobytes() == reference_sampled_block(ens, start, start + rows).tobytes()
 
-    Point j of path i has counter c = i*(n+1) + j and hash
-    z = mix(key + (c + 1) * golden); its symbol index is floor(u * |A|) for
-    u = (z >> 11) * 2^-53, capped at |A| - 1.
+    def test_batches_are_c_contiguous_row_major(self):
+        level = GridLevel(6)
+        for ens in (
+            sample_paths(level, 1000, seed=1),
+            sample_paths(level, 1000, seed=1, alphabet=TERNARY),
+            enumerate_paths(level),
+            conditional(enumerate_paths(level), (math.sqrt(6),)),
+        ):
+            for _, block in ens.batches(300):
+                assert block.shape[1] == level.n + 1
+                assert block.flags.c_contiguous
+
+
+def reference_digits(seed, size, first, stop):
+    """Symbol indices of the counters first..stop-1, one element at a time.
+
+    Counter c has hash z = mix(key + (c + 1) * golden); its symbol index is
+    floor(u * |A|) for u = (z >> 11) * 2^-53, capped at |A| - 1.
     """
-    points, size = ens.level.n + 1, ens.alphabet.size
-    key = _mix_int(ens.seed ^ 0xD1B54A32D192ED03)
+    key = _mix_int(seed ^ 0xD1B54A32D192ED03)
     digits = []
-    for counter in range(start * points, stop * points):
+    for counter in range(first, stop):
         u = (_mix_int(key + (counter + 1) * 0x9E3779B97F4A7C15) >> 11) * 2.0**-53
         digits.append(min(int(u * size), size - 1))
-    return ens.alphabet.scaled(ens.level)[np.reshape(digits, (stop - start, points))]
+    return np.asarray(digits, dtype=np.int64)
+
+
+def reference_sampled_block(ens, start, stop):
+    """Sampled values hashed one element at a time: point j of path i has counter i*(n+1) + j."""
+    points = ens.level.n + 1
+    digits = reference_digits(ens.seed, ens.alphabet.size, start * points, stop * points)
+    return ens.alphabet.scaled(ens.level)[digits.reshape(stop - start, points)]
 
 
 class TestConditional:

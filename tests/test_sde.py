@@ -164,6 +164,14 @@ class TestBatchAndThreadIndependence:
             yielded += 1  # xk and xik stay bound while the next batch is built
         assert yielded == len(built) == 2 * (ens.count // 16)
 
+    @pytest.mark.parametrize("shape", [(1, 9), (7, 3), (3641, 9), (2 * 4096 + 1, 8), (2, 40000)])
+    def test_time_major_copy_is_the_transpose(self, shape):
+        # row tiles of 2^15 // points rows: 3641 and 8193 rows span tile boundaries
+        block = np.random.default_rng(3).standard_normal(shape)
+        copy = sde._time_major(block)
+        assert copy.flags.c_contiguous
+        assert copy.tobytes() == np.ascontiguousarray(block.T).tobytes()
+
 
 class TestBinCounts:
     N, K = 16, 8
@@ -432,7 +440,7 @@ class TestPrefixTree:
                 if with_noise:
                     assert np.concatenate(values[k]).tobytes() == noise[:, k].tobytes()
 
-    @pytest.mark.parametrize("batch_size", [7, 1 << 15])
+    @pytest.mark.parametrize("batch_size", [7, 777, 1 << 15])
     @pytest.mark.parametrize("kind", ["exhaustive", "conditional", "sampled"])
     @pytest.mark.parametrize("t0_index", [0, 2])
     @pytest.mark.parametrize(
@@ -445,13 +453,22 @@ class TestPrefixTree:
         if kind == "conditional":
             ensemble = conditional(ensemble, tuple(alphabet.scaled(level)[[1, 0]]))
         elif kind == "sampled":
-            ensemble = sample_paths(level, 300, seed=5, alphabet=alphabet)
+            ensemble = sample_paths(level, 800, seed=5, alphabet=alphabet)
         noise = np.concatenate([b for _, b in ensemble.batches()])
         want = _per_row_states(problem, noise)
         for stepped in (ensemble, _PerPath(ensemble)):
             trajectories = simulate_ensemble(problem, stepped, batch_size=batch_size)
             got = np.concatenate([v for _, v in trajectories.batches()])
             assert got.tobytes() == want.tobytes()
+            # each yielded (x_k, xi_k) stands for the next `weight` rows of its batch
+            states = {k: [] for k in range(n + 1)}
+            values = {k: [] for k in range(n + 1)}
+            for k, xk, xik, weight in trajectories.steps(range(n + 1), with_noise=True):
+                states[k].append(np.repeat(xk, weight))
+                values[k].append(np.repeat(xik, weight))
+            for k in range(n + 1):
+                assert np.concatenate(states[k]).tobytes() == want[:, k].tobytes()
+                assert np.concatenate(values[k]).tobytes() == noise[:, k].tobytes()
         for row in (0, ensemble.count - 1):
             got = solve_grid_ode(problem, NoisePath(level, noise[row])).values
             assert got.tobytes() == want[row].tobytes()
