@@ -175,9 +175,16 @@ def weak_form_residual(
     fdrift = problem.drift.vectorized()
     fdiff = problem.diffusion.vectorized()
     trajset = simulate_ensemble(problem, ensemble)
+    t_lo, t_hi = phi.t_support
     with np.errstate(all="ignore"):
         for k, xk, xik, weight in trajset.steps(range(n), with_noise=True):
+            bin_counts(xk, n, k_window, counts[k], weight)
             tk = k / n
+            if not t_lo < tk < t_hi:
+                # phi and its derivatives are exactly 0 off its time support, so
+                # each piece adds exactly 0 where f and h are finite, which the
+                # divergence guard makes them at every stepped state
+                continue
             fv = _arr(fdrift(tk, xk), xk)
             hv = _arr(fdiff(tk, xk), xk)
             pt = _arr(phi.dt_fn(tk, xk), xk)
@@ -189,7 +196,6 @@ def weak_form_residual(
             corr_sum += weight * float((0.5 * eps * pxx * fv * fv).sum())
             quad_sum += weight * float((0.5 * eps * pxx * hv * hv * xik * xik).sum())
             taylor_sum += weight * float((pt + px * q + 0.5 * eps * pxx * q * q).sum())
-            bin_counts(xk, n, k_window, counts[k], weight)
 
     total = trajset.count
     drift_term = eps * drift_sum / total

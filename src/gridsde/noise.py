@@ -16,7 +16,8 @@ for other sizes the float rule stays, because floor(u * 3) in floats can
 differ from integer arithmetic on z.  Sampled counters are hashed in tiles
 of 2^15 that stay in cache; each value depends on its counter alone, so the
 tiling cannot change one.  ``batches()`` yields C-contiguous row-major
-blocks ``[rows, n+1]`` in both modes.
+blocks ``[rows, n+1]`` in both modes, fresh per batch or, given a buffer
+``out``, written into its front, which the next batch overwrites.
 
 A path functional maps a noise block [rows, n+1] to one float per row, e.g.
 ``v.mean(axis=1)``; it must read each row alone, or its values would depend
@@ -226,27 +227,60 @@ class NoiseEnsemble:
             "seed": self.seed,
         }
 
-    def _values_for(self, start: int, stop: int) -> np.ndarray:
+    def _values_for(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
         points = self.level.n + 1
         scaled = self.alphabet.scaled(self.level)
         if self.mode == "exhaustive":
-            return _lexicographic_block(scaled, start, stop, points)
+            return _lexicographic_block(scaled, start, stop, points, out)
         # rows start..stop-1 are the consecutive counters start*points .. stop*points-1
-        out = np.empty((stop - start, points))
-        _sampled_values(self.seed, start * points, scaled, out.reshape(-1))
-        return out
+        block = _block(out, stop - start, points)
+        _sampled_values(self.seed, start * points, scaled, block.reshape(-1))
+        return block
 
-    def batches(self, batch_size: int = _DEFAULT_BATCH) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (first path index, C-contiguous value matrix [batch, n+1]) in index order."""
+    def batches(
+        self, batch_size: int = _DEFAULT_BATCH, out: np.ndarray | None = None
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (first path index, C-contiguous value matrix [batch, n+1]) in index order.
+
+        Without ``out`` every matrix is a fresh array.  ``out`` is a flat
+        contiguous float64 buffer of at least min(batch_size, count) * (n+1)
+        values; each matrix is then a view of its front, which the next
+        batch overwrites, so a caller copies what it keeps past its
+        iteration.
+        """
+        _check_batch_size(batch_size)
+        rows = min(batch_size, self.count)
+        if out is not None and (
+            out.ndim != 1
+            or out.dtype != np.float64
+            or not out.flags.c_contiguous
+            or out.size < rows * (self.level.n + 1)
+        ):
+            raise NoiseError(
+                f"batch buffer must be a flat contiguous float64 array of at least {rows} * "
+                f"{self.level.n + 1} values, got {out.dtype} {out.shape}"
+            )
         for start in range(0, self.count, batch_size):
             stop = min(start + batch_size, self.count)
-            yield start, self._values_for(start, stop)
+            yield start, self._values_for(start, stop, out)
 
     def path(self, index: int) -> NoisePath:
         if not 0 <= index < self.count:
             raise NoiseError(f"path index {index} out of range")
         values = self._values_for(index, index + 1)[0]
         return NoisePath(self.level, values, path_index=index)
+
+
+def _check_batch_size(batch_size) -> None:
+    if isinstance(batch_size, bool) or not isinstance(batch_size, numbers.Integral) or batch_size < 1:
+        raise NoiseError(f"batch size must be a positive integer, got {batch_size!r}")
+
+
+def _block(out: np.ndarray | None, rows: int, cols: int) -> np.ndarray:
+    """A C-contiguous [rows, cols] matrix: fresh, or the front of the flat buffer ``out``."""
+    if out is None:
+        return np.empty((rows, cols))
+    return out[: rows * cols].reshape(rows, cols)
 
 
 def _digit_matrix(indices: np.ndarray, base: int, places: int) -> np.ndarray:
@@ -264,8 +298,12 @@ def _low_places(symbols: tuple[float, ...], places: int) -> np.ndarray:
     return out
 
 
-def _lexicographic_block(symbols: np.ndarray, start: int, stop: int, points: int) -> np.ndarray:
+def _lexicographic_block(
+    symbols: np.ndarray, start: int, stop: int, points: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Paths start..stop-1 of the lexicographic order, as a [rows, points] matrix.
+
+    The matrix is fresh, or the front of the flat buffer ``out``.
 
     With |A|^p <= rows, the last p points of consecutive paths cycle through
     one table of all |A|^p endings, and the first points change only when
@@ -278,13 +316,13 @@ def _lexicographic_block(symbols: np.ndarray, start: int, stop: int, points: int
         places, period = places + 1, period * size
     low = _low_places(tuple(symbols.tolist()), places)
     high = points - places
-    out = np.empty((stop - start, points))
+    block = _block(out, stop - start, points)
     for first in range(start - start % period, stop, period):
         lo, hi = max(first, start), min(first + period, stop)
-        rows = out[lo - start : hi - start]
+        rows = block[lo - start : hi - start]
         rows[:, :high] = symbols[_digit_matrix(np.array([first // period]), size, high)[0]]
         rows[:, high:] = low[lo - first : hi - first]
-    return out
+    return block
 
 
 def enumerate_paths(
@@ -365,8 +403,8 @@ class ConditionalEnsemble:
         prefix = self._values_for(0, 1)[0, : len(self.prefix)].tolist()
         return {**self.base.descriptor(), "count": self.count, "prefix": prefix}
 
-    def _values_for(self, start: int, stop: int) -> np.ndarray:
-        return self.base._values_for(self._offset + start, self._offset + stop)
+    def _values_for(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        return self.base._values_for(self._offset + start, self._offset + stop, out)
 
     batches = NoiseEnsemble.batches
     path = NoiseEnsemble.path

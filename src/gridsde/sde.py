@@ -9,8 +9,9 @@ and deterministic.
 Densities, event probabilities, the weak form and the increment report all
 read one step stream, ``TrajectorySet.steps``: per batch of paths, the
 states x_k, the noise values xi_k and a path multiplicity.  Batches
-(a million paths never live in memory at once) arrive in path order, one
-at a time.
+arrive in path order, one at a time, so a million paths never live in
+memory at once; an exhaustive walk allocates two flat buffers of
+batch_size * (n+1) floats and reuses them for every batch.
 
 One kernel steps every batch as a piece of the noise tree: x_k depends
 only on xi_0..xi_{k-1}, so it steps each distinct noise prefix once.  A
@@ -41,7 +42,15 @@ import numpy as np
 
 from .expr import Expr, as_expr
 from .grids import GridError, GridLevel
-from .noise import _DEFAULT_BATCH, _TILE, NoiseEnsemble, NoiseError, NoisePath
+from .noise import (
+    _DEFAULT_BATCH,
+    _TILE,
+    NoiseEnsemble,
+    NoiseError,
+    NoisePath,
+    _block,
+    _check_batch_size,
+)
 
 __all__ = [
     "DivergenceError",
@@ -153,26 +162,27 @@ def _step_block(
     widths: Sequence[int],
     drift_fn,
     diffusion_fn,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The states of a batch of noise paths, one row per path.
 
     The noise and the states are time-major, ``[n+1, rows]``; the noise is
-    a copy or a transposed view of the batch's block, and the states are
-    returned transposed.  The rows sharing xi_0..xi_{k-1}, and so x_k, are
-    runs of ``widths[k]`` rows: a node of the noise tree at depth k.  Each
-    node is stepped once, its children being its runs of ``widths[k+1]``
-    rows, each read at its first row's noise value.  Widths of 1 step every
-    path on its own; a whole subtree in lexicographic order shares its
-    prefixes.  A divergence names the first diverging step and the smallest
-    path index through the first bad node there, or no path if
-    ``start_index`` is None.
+    a copy or a transposed view of the batch's block, and the states, fresh
+    or the front of the flat buffer ``out``, are returned transposed.  The
+    rows sharing xi_0..xi_{k-1}, and so x_k, are runs of ``widths[k]``
+    rows: a node of the noise tree at depth k.  Each node is stepped once,
+    its children being its runs of ``widths[k+1]`` rows, each read at its
+    first row's noise value.  Widths of 1 step every path on its own; a
+    whole subtree in lexicographic order shares its prefixes.  A divergence
+    names the first diverging step and the smallest path index through the
+    first bad node there, or no path if ``start_index`` is None.
     """
     n = problem.level.n
     m0 = problem.t0_index
-    out = np.empty((n + 1, noise.shape[1]))
-    out[: m0 + 1] = problem.x0
+    states = _block(out, n + 1, noise.shape[1])
+    states[: m0 + 1] = problem.x0
     # states never read the noise before t0, so every node at t0 is at x0
-    x = out[m0, :: widths[m0]]
+    x = states[m0, :: widths[m0]]
     comp = np.zeros(x.shape[0])
     with np.errstate(all="ignore"):
         for k in range(m0, n):
@@ -189,8 +199,8 @@ def _step_block(
                     step=k + 1,
                     path_index=None if start_index is None else start_index + row,
                 )
-            out[k + 1].reshape(x.shape[0], -1)[...] = x[:, None]
-    return out.T
+            states[k + 1].reshape(x.shape[0], -1)[...] = x[:, None]
+    return states.T
 
 
 def solve_grid_ode(problem: CauchyProblem, noise: NoisePath | None = None) -> Trajectory:
@@ -232,9 +242,10 @@ class TrajectorySet:
     ):
         if ensemble.level.n != problem.level.n:
             raise GridError("ensemble level does not match the problem level")
+        _check_batch_size(batch_size)
         self.problem = problem
         self.ensemble = ensemble
-        self.batch_size = int(batch_size)
+        self.batch_size = batch_size
         self._drift_fn = problem.drift.vectorized()
         self._diffusion_fn = problem.diffusion.vectorized()
         n = problem.level.n
@@ -257,8 +268,12 @@ class TrajectorySet:
         """Yield (start, values) or (start, noise, values) in path order.
 
         ``noise`` and ``values`` are ``[batch, n+1]``; their memory layout
-        is unspecified.  A sampled batch is stepped from a time-major copy
-        of its noise, and ``noise`` is then a transposed view of that copy.
+        is unspecified, and the next batch may overwrite them, so a caller
+        copies what it keeps past its iteration.  An exhaustive walk owns
+        two flat buffers of batch_size * (n+1) floats: each batch writes
+        its noise block to one and its states to the other, and yields
+        views of them.  A sampled batch is stepped from a fresh time-major
+        copy of its noise, and ``noise`` is a transposed view of that copy.
         The batch boundaries are fixed by batch_size alone (for exhaustive
         ensembles, by the largest power of |A| not above it), so any
         reduction that combines batch results in yield order is
@@ -275,11 +290,22 @@ class TrajectorySet:
         # a contiguous time-major copy pays for itself; an exhaustive batch
         # reads only every widths[k+1]-th row, and steps from a transposed view
         one_child = all(w == 1 for w in self._widths)
-        for start, noise in self.ensemble.batches(self.batch_size):
-            # rebinding drops the row-major block before the states are allocated
+        # A subtree batch writes its noise and its states into the walk's two
+        # buffers; fresh arrays of that size were returned to the system and
+        # faulted back in for every batch.  A one-child batch keeps fresh arrays:
+        # the row-major block it frees before stepping is recycled for the next
+        # one, and with no large block freed the step kernel's per-step arrays
+        # were faulted back in at every step instead (a first sampled n=64
+        # density took 143k page faults, against 12k with fresh arrays).
+        block = states = None
+        if not one_child:
+            size = self.batch_size * (self.problem.level.n + 1)  # batch_size <= count
+            block, states = np.empty(size), np.empty(size)
+        for start, noise in self.ensemble.batches(self.batch_size, out=block):
+            # rebinding drops a fresh row-major block before the states are allocated
             noise = _time_major(noise) if one_child else noise.T
             values = _step_block(
-                self.problem, noise, start, self._widths, self._drift_fn, self._diffusion_fn
+                self.problem, noise, start, self._widths, self._drift_fn, self._diffusion_fn, states
             )
             out = (start, noise.T, values) if with_noise else (start, values)
             # hold no batch while the next is built: one batch is alive at a time

@@ -101,7 +101,7 @@ def test_criterion_05_brownian_closed_form():
     ens = g.enumerate_paths(level)
 
     final = np.concatenate(
-        [block[:, -1] for _, block in g.simulate_ensemble(problem, ens).batches()]
+        [block[:, -1].copy() for _, block in g.simulate_ensemble(problem, ens).batches()]
     )
     mean = math.fsum(final) / len(final)
     second = math.fsum(v * v for v in final) / len(final)

@@ -177,6 +177,59 @@ class TestWeakForm:
         assert means[1] / means[2] >= 1.2
 
 
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            STANDARD_PHI,
+            # support (0.25, 0.75): its ends are grid times at n = 64, where phi is exactly 0
+            TestFunction.from_bumps(x_center=0.0, x_width=2.0, t_center=0.5, t_width=0.25),
+        ],
+        ids=["standard", "narrow"],
+    )
+    @pytest.mark.parametrize(
+        "f, h", [("0", "1"), ("-x", "1"), ("sin(t)-x", "1+0.5*sin(x)"), ("0.3", "1")]
+    )
+    @pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
+    def test_pieces_skip_steps_off_the_time_support_bit_for_bit(self, mode, f, h, phi):
+        n = 64 if mode == "sampled" else 14
+        level = GridLevel(n)
+        ens = sample_paths(level, 20_000, seed=3) if mode == "sampled" else enumerate_paths(level)
+        problem = CauchyProblem(f, h, 0.0, level)
+        report = weak_form_residual(problem, ens, phi)
+        got = (
+            report.drift_term,
+            report.noise_term,
+            report.correction_term,
+            report.quadratic_term,
+            report.taylor_total,
+        )
+        assert [v.hex() for v in got] == [v.hex() for v in _unskipped_pieces(problem, ens, phi)]
+
+
+def _unskipped_pieces(problem, ensemble, phi):
+    """The five weak-form pieces, with every step evaluated and summed."""
+    n = problem.level.n
+    eps = 1.0 / n
+    fdrift, fdiff = problem.drift.vectorized(), problem.diffusion.vectorized()
+    drift_sum = noise_sum = corr_sum = quad_sum = taylor_sum = 0.0
+    trajset = simulate_ensemble(problem, ensemble)
+    arr = fokker_planck._arr
+    with np.errstate(all="ignore"):
+        for k, xk, xik, weight in trajset.steps(range(n), with_noise=True):
+            tk = k / n
+            fv, hv = arr(fdrift(tk, xk), xk), arr(fdiff(tk, xk), xk)
+            pt, px = arr(phi.dt_fn(tk, xk), xk), arr(phi.dx_fn(tk, xk), xk)
+            pxx = arr(phi.dxx_fn(tk, xk), xk)
+            q = fv + hv * xik
+            drift_sum += weight * float((pt + fv * px).sum())
+            noise_sum += weight * float(((px * hv + eps * pxx * fv * hv) * xik).sum())
+            corr_sum += weight * float((0.5 * eps * pxx * fv * fv).sum())
+            quad_sum += weight * float((0.5 * eps * pxx * hv * hv * xik * xik).sum())
+            taylor_sum += weight * float((pt + px * q + 0.5 * eps * pxx * q * q).sum())
+    total = trajset.count
+    return tuple(eps * s / total for s in (drift_sum, noise_sum, corr_sum, quad_sum, taylor_sum))
+
+
 class TestFPSolve:
     def test_heat_kernel_variance(self):
         fp = fp_solve("0", "1", 0.0, (-3.0, 3.0), 1 / 64, t_end=0.5, save_times=(0.5,))

@@ -117,6 +117,40 @@ class TestEnumeration:
         assert len({tuple(row) for row in all_rows(ens)}) == 27
 
 
+class TestBatchBuffer:
+    @pytest.mark.parametrize(
+        "ens, batch_size",
+        [
+            (enumerate_paths(GridLevel(8)), 7),
+            (conditional(enumerate_paths(GridLevel(8)), (math.sqrt(8),)), 7),
+            (sample_paths(GridLevel(8), 50, seed=3, alphabet=TERNARY), 7),
+            (sample_paths(GridLevel(8), 5, seed=3), 7),  # one short batch fills the buffer
+        ],
+        ids=["exhaustive", "conditional", "sampled", "sampled-short"],
+    )
+    def test_blocks_in_the_buffer_equal_fresh_blocks(self, ens, batch_size):
+        buffer = np.empty(min(batch_size, ens.count) * (ens.level.n + 1))
+        pairs = zip(ens.batches(batch_size), ens.batches(batch_size, out=buffer), strict=True)
+        for (start, fresh), (got_start, got) in pairs:
+            assert got_start == start and got.flags.c_contiguous
+            assert np.shares_memory(got, buffer)
+            assert got.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize(
+        "buffer",
+        [
+            np.empty(7 * 9 - 1),
+            np.empty((7, 9)),
+            np.empty(7 * 9, dtype=np.float32),
+            np.empty(2 * 7 * 9)[::2],
+        ],
+        ids=["short", "2d", "float32", "strided"],
+    )
+    def test_buffer_must_be_flat_contiguous_float64_and_hold_a_batch(self, buffer):
+        with pytest.raises(NoiseError, match="batch buffer"):
+            next(enumerate_paths(GridLevel(8)).batches(7, out=buffer))
+
+
 class TestSampling:
     def test_same_seed_same_path(self):
         level = GridLevel(16)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -91,7 +92,7 @@ class TestSolveGridOde:
 class TestSimulateEnsemble:
     def test_brownian_moments_exact_n8(self):
         ts = simulate_ensemble(brownian_problem(8), enumerate_paths(GridLevel(8)))
-        final = np.concatenate([block[:, -1] for _, block in ts.batches()])
+        final = np.concatenate([block[:, -1].copy() for _, block in ts.batches()])
         assert math.fsum(final) == 0.0
         assert math.fsum(final**2) / len(final) == pytest.approx(1.0, rel=1e-12)
 
@@ -109,7 +110,7 @@ class TestSimulateEnsemble:
         problem = CauchyProblem("-x", "1", 0.0, level)
         ens = sample_paths(level, m, seed=17)
         final = np.concatenate(
-            [block[:, -1] for _, block in simulate_ensemble(problem, ens).batches()]
+            [block[:, -1].copy() for _, block in simulate_ensemble(problem, ens).batches()]
         )
         target = (1.0 - math.exp(-2.0)) / 2.0
         stderr = float(np.std(final**2)) / math.sqrt(m)
@@ -125,7 +126,7 @@ class TestSimulateEnsemble:
 
 
 class TestBatchAndThreadIndependence:
-    def test_counts_and_weak_form_ignore_batching_and_workers(self):
+    def test_counts_and_event_probability_ignore_batching(self):
         cases = (
             (sample_paths(GridLevel(16), 40000, seed=4), (777, 32768)),
             (enumerate_paths(GridLevel(12)), (5, 777, 32768)),
@@ -171,6 +172,73 @@ class TestBatchAndThreadIndependence:
         copy = sde._time_major(block)
         assert copy.flags.c_contiguous
         assert copy.tobytes() == np.ascontiguousarray(block.T).tobytes()
+
+
+class TestBatchBuffers:
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, 4.0, True, "8"])
+    @pytest.mark.parametrize(
+        "ens", [sample_paths(GridLevel(4), 10, seed=1), enumerate_paths(GridLevel(4))],
+        ids=["sampled", "exhaustive"],
+    )
+    def test_batch_size_must_be_a_positive_integer(self, ens, bad):
+        message = "batch size must be a positive integer"
+        with pytest.raises(NoiseError, match=message):
+            list(ens.batches(bad))
+        with pytest.raises(NoiseError, match=message):
+            simulate_ensemble(brownian_problem(4), ens, batch_size=bad)
+
+    @pytest.mark.parametrize(
+        "ens", [sample_paths(GridLevel(4), 10, seed=1), enumerate_paths(GridLevel(4))],
+        ids=["sampled", "exhaustive"],
+    )
+    def test_batch_sizes_one_and_seven_count_every_path(self, ens):
+        want = density(simulate_ensemble(brownian_problem(4), ens))
+        for batch_size in (1, 7):
+            got = density(simulate_ensemble(brownian_problem(4), ens, batch_size=batch_size))
+            assert got.normalization_exact()
+            assert np.array_equal(got.counts, want.counts)
+            assert np.array_equal(got.overflow, want.overflow)
+
+    @pytest.mark.parametrize("kind", ["exhaustive", "conditional", "sampled"])
+    def test_exhaustive_walks_reuse_two_buffers_and_every_batch_is_exact(self, kind):
+        level = GridLevel(8)
+        problem = CauchyProblem("sin(t)-x", "1+0.5*sin(x)", 0.1, level)
+        ensemble, batch_size = enumerate_paths(level), 64
+        if kind == "conditional":
+            ensemble, batch_size = conditional(ensemble, (math.sqrt(8), -math.sqrt(8))), 16
+        elif kind == "sampled":
+            # 777 + 23 paths: a short last batch
+            ensemble, batch_size = sample_paths(level, 800, seed=5), 777
+        noise = np.concatenate([b for _, b in ensemble.batches()])
+        views, kept = [], []
+        for _, xi, values in simulate_ensemble(problem, ensemble, batch_size).batches(with_noise=True):
+            views.append((xi, values))
+            kept.append((xi.copy(), values.copy()))
+        assert len(views) == -(-ensemble.count // batch_size) > 1
+        reused = kind != "sampled"
+        for xi, values in views[1:]:
+            assert np.shares_memory(xi, views[0][0]) is reused
+            assert np.shares_memory(values, views[0][1]) is reused
+            assert not np.shares_memory(xi, values)
+        assert np.concatenate([xi for xi, _ in kept]).tobytes() == noise.tobytes()
+        want = _per_row_states(problem, noise)
+        assert np.concatenate([values for _, values in kept]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "ens", [sample_paths(GridLevel(64), 100_000, seed=1), enumerate_paths(GridLevel(18))],
+        ids=["sampled", "exhaustive"],
+    )
+    def test_density_holds_at_most_two_batch_blocks(self, ens):
+        trajectories = simulate_ensemble(CauchyProblem("-x", "1", 0.0, ens.level), ens)
+        block_bytes = trajectories.batch_size * (ens.level.n + 1) * 8
+        tracemalloc.start()
+        try:
+            density(trajectories)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the noise block and the states, plus the step kernel's per-step arrays
+        assert peak < 2.5 * block_bytes
 
 
 class TestBinCounts:
@@ -245,7 +313,7 @@ class TestDensity:
         phi = TestFunction.from_bumps(x_center=0.0, x_width=2.0)
         ts = simulate_ensemble(brownian_problem(n), enumerate_paths(GridLevel(n)))
         k = n // 2
-        values = np.concatenate([b[:, k] for _, b in ts.batches()])
+        values = np.concatenate([b[:, k].copy() for _, b in ts.batches()])
         exact = float(np.mean([phi(k / n, v) for v in values]))
         dens = density(simulate_ensemble(brownian_problem(n), enumerate_paths(GridLevel(n))), time_indices=[k])
         edges = dens.bin_left_edges()
@@ -423,8 +491,8 @@ class TestPrefixTree:
         assert tree.batch_size == rows
         reference = simulate_ensemble(problem, _PerPath(ensemble), batch_size=batch_size)
         noise = np.concatenate([b for _, b in ensemble.batches()])
-        want = np.concatenate([v for _, v in reference.batches()])
-        got = np.concatenate([v for _, v in tree.batches()])
+        want = np.concatenate([v.copy() for _, v in reference.batches()])
+        got = np.concatenate([v.copy() for _, v in tree.batches()])
         assert got.tobytes() == want.tobytes()
         for with_noise in (False, True):
             states = {k: [] for k in range(n + 1)}
@@ -458,7 +526,7 @@ class TestPrefixTree:
         want = _per_row_states(problem, noise)
         for stepped in (ensemble, _PerPath(ensemble)):
             trajectories = simulate_ensemble(problem, stepped, batch_size=batch_size)
-            got = np.concatenate([v for _, v in trajectories.batches()])
+            got = np.concatenate([v.copy() for _, v in trajectories.batches()])
             assert got.tobytes() == want.tobytes()
             # each yielded (x_k, xi_k) stands for the next `weight` rows of its batch
             states = {k: [] for k in range(n + 1)}
