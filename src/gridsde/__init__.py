@@ -26,7 +26,6 @@ from .expr import (
     ExprSyntaxError,
     TestFunction,
     as_expr,
-    derivative,
     parse,
 )
 from .distrib import (
@@ -50,7 +49,6 @@ from .noise import (
     NoisePath,
     conditional,
     enumerate_paths,
-    expectation,
     expectation_detail,
     sample_paths,
 )
@@ -64,7 +62,6 @@ from .sde import (
     continuous_dependence_check,
     density,
     event_probability,
-    simulate_ensemble,
     solve_grid_ode,
 )
 from .identities import (

@@ -5,11 +5,11 @@ Each command reads only its own settings, listed with their defaults in
 `_COMMANDS`; each `verify` suite is a subcommand and takes its flags after
 the suite name.  A setting takes the command's default, then the value in
 a flat JSON config file (--config), then the flag, each through the one
-converter that `_SETTINGS` gives it; `cap` and `tol_<name>` can only be
-set in the config file.  A flag or config key that the command does not
-read is a usage or config error.  Every output file embeds the command's
-resolved settings as `config`, and passing that object back with --config
-reruns the command, so a run can be reproduced from its artifacts alone.
+converter that `_SETTINGS` gives it; `tol_<name>` can only be set in the
+config file.  A flag or config key that the command does not read is a
+usage or config error.  Every output file embeds the command's resolved
+settings as `config`, and passing that object back with --config reruns
+the command, so a run can be reproduced from its artifacts alone.
 Exit codes: 0 pass, 1 tolerance failure, 2 usage or config error,
 3 runtime divergence.
 """
@@ -55,8 +55,8 @@ from .noise import (
 from .sde import (
     CauchyProblem,
     DivergenceError,
+    TrajectorySet,
     density,
-    simulate_ensemble,
     solve_grid_ode,
 )
 
@@ -69,6 +69,8 @@ class ConfigError(ValueError):
 
 STANDARD_PHI = "bump((t-0.5)/0.45)*bump(x/2)"
 SPATIAL_PHI = "bump(x/2)"
+# convergence walks a level exhaustively when its 2^(n+1) paths are at most this many
+CONVERGENCE_EXHAUSTIVE_PATHS = 1 << 17
 # the path functionals of the tower check in `verify lemmas`, on noise blocks [rows, n+1]
 LEMMA_FUNCTIONALS = (
     ("mean increment", lambda v: v.mean(axis=1)),
@@ -132,7 +134,6 @@ _SETTINGS = {
     "mode": (_mode, "ensemble mode: exhaustive | sampled"),
     "samples": (_integer, "sample count M for sampled mode"),
     "seed": (_integer, "seed for sampled mode"),
-    "cap": (_integer, None),
     "f": (str, "drift expression f(t, x); write --f=-x for a leading minus"),
     "h": (str, "diffusion expression h(t, x)"),
     "phi": (str, "test function expression (product of bumps)"),
@@ -199,11 +200,11 @@ def _level(cfg) -> GridLevel:
 
 
 def _ensemble(cfg, level: GridLevel):
-    """The ensemble of cfg.mode; without one, exhaustive when its 2^(n+1) paths fit under cfg.cap."""
+    """The ensemble of cfg.mode; without one, exhaustive when its 2^(n+1) paths fit under the cap."""
     if cfg.mode is None:
-        cfg.mode = "exhaustive" if 2 ** (level.n + 1) <= cfg.cap else "sampled"
+        cfg.mode = "exhaustive" if 2 ** (level.n + 1) <= DEFAULT_ENUMERATION_CAP else "sampled"
     if cfg.mode == "exhaustive":
-        return enumerate_paths(level, cap=cfg.cap)
+        return enumerate_paths(level)
     return sample_paths(level, cfg.samples, cfg.seed)
 
 
@@ -253,7 +254,7 @@ def cmd_simulate(cfg) -> int:
     except GridError as exc:
         raise ConfigError(f"slice times must be grid points: {exc}") from exc
 
-    trajset = simulate_ensemble(problem, ensemble)
+    trajset = TrajectorySet(problem, ensemble)
     dens = density(trajset, time_indices=indices)
     csv_path = _out_path(cfg, "density.csv")
     dens.to_csv(csv_path)
@@ -288,7 +289,7 @@ def cmd_fp_solve(cfg) -> int:
 
 def _verify_lemmas(cfg) -> tuple[dict, dict, str | None]:
     level = _level(cfg)
-    ensemble = enumerate_paths(level, cap=cfg.cap)
+    ensemble = enumerate_paths(level)
     problem = _problem(cfg, level)
     tol = cfg.tol_lemmas
 
@@ -435,7 +436,7 @@ def cmd_convergence(cfg) -> int:
     for n in levels:
         level = GridLevel(n)
         problem = _problem(cfg, level)
-        if 2 ** (n + 1) <= min(cfg.cap, 1 << 17):
+        if 2 ** (n + 1) <= CONVERGENCE_EXHAUSTIVE_PATHS:
             ensemble = enumerate_paths(level)
         else:
             ensemble = sample_paths(level, cfg.samples, cfg.seed)
@@ -522,7 +523,7 @@ def _command(runner, help: str, **settings) -> _Command:
     return _Command(runner, help, {**settings, "out": "out"})
 
 
-_SAMPLING = {"samples": 100000, "seed": 1, "cap": DEFAULT_ENUMERATION_CAP}
+_SAMPLING = {"samples": 100000, "seed": 1}
 
 # The frozen tolerances.  The weak-form bound scale comes from a pilot fit of
 # the residual on the standard test function at n in {8, 16} (exhaustive,
@@ -536,7 +537,7 @@ _COMMANDS = {
     ),
     "verify lemmas": _command(
         partial(cmd_verify, "lemmas", _verify_lemmas), "exact identities on the exhaustive ensemble",
-        n=8, cap=DEFAULT_ENUMERATION_CAP, f="0", h="1", x0=0.0, window=None, tol_lemmas=1e-10,
+        n=8, f="0", h="1", x0=0.0, window=None, tol_lemmas=1e-10,
     ),
     "verify weakform": _command(
         partial(cmd_verify, "weakform", _verify_weakform), "weak-form residual against its bound",

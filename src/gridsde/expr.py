@@ -55,7 +55,6 @@ __all__ = [
     "Bump",
     "parse",
     "as_expr",
-    "derivative",
     "TestFunction",
 ]
 
@@ -465,11 +464,6 @@ def _pow(base: Expr, exponent: int) -> Expr:
     return Pow(base, exponent)
 
 
-def derivative(e: Expr, var: str) -> Expr:
-    """Symbolic partial derivative of e with respect to 't' or 'x'."""
-    return e.diff(var)
-
-
 # ----------------------------------------------------------------------
 # parser
 
@@ -705,15 +699,6 @@ class TestFunction:
 
     def __call__(self, t: float, x: float) -> float:
         return self.expr(t, x)
-
-    def dt(self, t: float, x: float) -> float:
-        return self.d_t(t, x)
-
-    def dx(self, t: float, x: float) -> float:
-        return self.d_x(t, x)
-
-    def dxx(self, t: float, x: float) -> float:
-        return self.d_xx(t, x)
 
     @cached_property
     def value_fn(self) -> _VectorFn:

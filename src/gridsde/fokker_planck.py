@@ -34,15 +34,16 @@ from .noise import NoiseEnsemble
 from .sde import (
     CauchyProblem,
     Trajectory,
+    TrajectorySet,
     bin_counts,
     density,
-    simulate_ensemble,
     write_density_csv,
 )
 
 __all__ = [
     "VerificationError",
     "FPStabilityError",
+    "MAX_SUBSTEPS",
     "ItoReport",
     "WeakFormReport",
     "FPSolution",
@@ -60,6 +61,11 @@ class VerificationError(ValueError):
 
 class FPStabilityError(VerificationError):
     """The explicit stability bound rules out the requested time step, or every step at some t."""
+
+
+# The most substeps one fp_solve takes, planned and split alike: 3.5 times the
+# 36835 of fp-solve --f=-x --h 1 --dx 0.0078125, a few seconds of stepping.
+MAX_SUBSTEPS = 1 << 17
 
 
 def _arr(value, like: np.ndarray) -> np.ndarray:
@@ -174,7 +180,7 @@ def weak_form_residual(
 
     fdrift = problem.drift.vectorized()
     fdiff = problem.diffusion.vectorized()
-    trajset = simulate_ensemble(problem, ensemble)
+    trajset = TrajectorySet(problem, ensemble)
     t_lo, t_hi = phi.t_support
     with np.errstate(all="ignore"):
         for k, xk, xik, weight in trajset.steps(range(n), with_noise=True):
@@ -320,10 +326,12 @@ def fp_solve(
     land exactly on the requested save times (the step is shortened per
     interval as needed, never lengthened).  FPStabilityError is raised
     before the first substep when dt is below the float resolution of the
-    last save time.  When f or h reads t, a substep longer than the bound
+    last save time, or when the save times need more than ``MAX_SUBSTEPS``
+    substeps of dt.  When f or h reads t, a substep longer than the bound
     from its own coefficients is split into equal substeps of at most 90%
-    of it, and FPStabilityError is raised where that bound is below the
-    float resolution of t.
+    of it, and FPStabilityError is raised, before the split, where that
+    bound is below the float resolution of t or the split takes the solve
+    past ``MAX_SUBSTEPS`` substeps.
     ``dx``, ``t_end`` and the save times must be finite, with dx > 0,
     t_end >= 0 and at least one save time; a given dt must be finite and
     positive.  f and h are
@@ -381,6 +389,21 @@ def fp_solve(
             f"t = {save_times[-1]}"
         )
 
+    # (start, substeps, substep length) of each save interval
+    plan = []
+    now = 0.0
+    for target in save_times:
+        span = target - now
+        substeps = max(1, math.ceil(span / dt - 1e-9)) if span > 1e-15 else 0
+        plan.append((now, substeps, span / substeps if substeps else 0.0))
+        now = target
+    total = sum(substeps for _, substeps, _ in plan)
+    if total > MAX_SUBSTEPS:
+        raise FPStabilityError(
+            f"{total} substeps of dt = {dt} (stability bound {limit}) are needed to reach "
+            f"t = {save_times[-1]}; a solve takes at most {MAX_SUBSTEPS}"
+        )
+
     state = np.zeros(cells)
     i0 = min(int(math.floor((x0 - lo) / dx + 1e-12)), cells - 1)
     state[i0] = 1.0 / dx
@@ -425,6 +448,13 @@ def fp_solve(
                     raise FPStabilityError(
                         f"stability bound {bound} at t = {t} is below the float resolution of t"
                     )
+                nonlocal total
+                total += pieces - 1
+                if total > MAX_SUBSTEPS:
+                    raise FPStabilityError(
+                        f"stability bound {bound} at t = {t} needs {total} substeps in all; "
+                        f"a solve takes at most {MAX_SUBSTEPS}"
+                    )
                 for j in range(pieces):
                     advance(t + j * piece, piece)
                 return
@@ -443,18 +473,12 @@ def fp_solve(
 
     snapshots = []
     masses = []
-    now = 0.0
     with np.errstate(all="ignore"):
-        for target in save_times:
-            span = target - now
-            if span > 1e-15:
-                substeps = max(1, math.ceil(span / dt - 1e-9))
-                dt_local = span / substeps
-                for step in range(substeps):
-                    advance(now + step * dt_local, dt_local)
-            now = target
+        for target, (start, substeps, length) in zip(save_times, plan):
+            for step in range(substeps):
+                advance(start + step * length, length)
             snapshots.append(state.copy())
-            masses.append(_check_density(state, dx, now))
+            masses.append(_check_density(state, dx, target))
 
     return FPSolution(
         lo=lo,
@@ -521,7 +545,7 @@ def cross_validate(
     if lo_idx < -k_window or hi_idx > k_window:
         raise VerificationError("solver window must fit inside the density window")
 
-    trajset = simulate_ensemble(problem, ensemble)
+    trajset = TrajectorySet(problem, ensemble)
     dens = density(trajset, time_indices=slice_indices)
     fp = fp_solve(
         problem.drift,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .expr import as_expr
 from .noise import NoiseEnsemble, PathFunctional, _check_prefix, _path_values
-from .sde import CauchyProblem, simulate_ensemble
+from .sde import CauchyProblem, TrajectorySet
 
 __all__ = [
     "MomentReport",
@@ -161,7 +161,7 @@ def increment_report(
     if time_indices is None:
         time_indices = (0, n // 2, n - 1)
     exprs = [(str(as_expr(src)), as_expr(src).vectorized()) for src in state_functions]
-    trajset = simulate_ensemble(problem, ensemble)
+    trajset = TrajectorySet(problem, ensemble)
 
     sums_f = np.zeros((len(exprs), len(time_indices)))
     sums_fxi = np.zeros_like(sums_f)

@@ -46,7 +46,6 @@ __all__ = [
     "enumerate_paths",
     "sample_paths",
     "conditional",
-    "expectation",
     "expectation_detail",
     "DEFAULT_ENUMERATION_CAP",
 ]
@@ -325,17 +324,17 @@ def _lexicographic_block(
     return block
 
 
-def enumerate_paths(
-    level: GridLevel,
-    alphabet: NoiseAlphabet | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> NoiseEnsemble:
-    """All |alphabet|^(n+1) noise paths at this level, exactly once each."""
+def enumerate_paths(level: GridLevel, alphabet: NoiseAlphabet | None = None) -> NoiseEnsemble:
+    """All |alphabet|^(n+1) noise paths at this level, exactly once each.
+
+    NoiseError if they are more than ``DEFAULT_ENUMERATION_CAP``.
+    """
     alphabet = alphabet or NoiseAlphabet.white()
     count = alphabet.size ** (level.n + 1)
-    if count > cap:
+    if count > DEFAULT_ENUMERATION_CAP:
         raise NoiseError(
-            f"exhaustive enumeration of {count} paths exceeds the cap {cap}; use sampled mode"
+            f"exhaustive enumeration of {count} paths exceeds the cap "
+            f"{DEFAULT_ENUMERATION_CAP}; use sampled mode"
         )
     return NoiseEnsemble("exhaustive", level, alphabet, count)
 
@@ -458,8 +457,3 @@ def expectation_detail(ensemble, phi: PathFunctional) -> ExpectationResult:
     else:
         stderr = 0.0
     return ExpectationResult(mean=mean, stderr=stderr, count=count)
-
-
-def expectation(ensemble, phi: PathFunctional) -> float:
-    """Uniform average of a path functional (block -> one value per row) over the ensemble."""
-    return expectation_detail(ensemble, phi).mean

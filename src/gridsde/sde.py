@@ -60,7 +60,6 @@ __all__ = [
     "DensityField",
     "DependenceReport",
     "solve_grid_ode",
-    "simulate_ensemble",
     "bin_counts",
     "density",
     "event_probability",
@@ -264,8 +263,8 @@ class TrajectorySet:
     def count(self) -> int:
         return self.ensemble.count
 
-    def batches(self, with_noise: bool = False) -> Iterator[tuple]:
-        """Yield (start, values) or (start, noise, values) in path order.
+    def batches(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """Yield (start, noise, values) in path order.
 
         ``noise`` and ``values`` are ``[batch, n+1]``; their memory layout
         is unspecified, and the next batch may overwrite them, so a caller
@@ -307,7 +306,7 @@ class TrajectorySet:
             values = _step_block(
                 self.problem, noise, start, self._widths, self._drift_fn, self._diffusion_fn, states
             )
-            out = (start, noise.T, values) if with_noise else (start, values)
+            out = (start, noise.T, values)
             # hold no batch while the next is built: one batch is alive at a time
             del noise, values
             yield out
@@ -325,20 +324,11 @@ class TrajectorySet:
         loop variables do not keep a finished batch alive.
         """
         shift = 1 if with_noise else 0
-        for _, noise, values in self.batches(with_noise=True):
+        for _, noise, values in self.batches():
             for i, k in enumerate(time_indices):
                 w = self._widths[k + shift]
                 yield i, values[::w, k].copy(), noise[::w, k].copy() if with_noise else None, w
             del noise, values
-
-
-def simulate_ensemble(
-    problem: CauchyProblem,
-    ensemble: NoiseEnsemble,
-    batch_size: int = _DEFAULT_BATCH,
-) -> TrajectorySet:
-    """One trajectory per noise path, as a streaming set."""
-    return TrajectorySet(problem, ensemble, batch_size=batch_size)
 
 
 @dataclass(frozen=True)

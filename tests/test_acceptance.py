@@ -101,14 +101,14 @@ def test_criterion_05_brownian_closed_form():
     ens = g.enumerate_paths(level)
 
     final = np.concatenate(
-        [block[:, -1].copy() for _, block in g.simulate_ensemble(problem, ens).batches()]
+        [block[:, -1].copy() for _, _, block in g.TrajectorySet(problem, ens).batches()]
     )
     mean = math.fsum(final) / len(final)
     second = math.fsum(v * v for v in final) / len(final)
     assert abs(mean) <= 1e-10
     assert abs(second - 1.0) <= 1e-10
 
-    dens = g.density(g.simulate_ensemble(problem, ens), time_indices=[n])
+    dens = g.density(g.TrajectorySet(problem, ens), time_indices=[n])
     rho = dens.rho()[0]
     shift = dens.window_steps
     # independent oracle: exact binomial counting, sites located by the

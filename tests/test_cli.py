@@ -1,10 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridsde.cli import main
+from gridsde.cli import _COMMANDS, main
+from gridsde.fokker_planck import MAX_SUBSTEPS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(*args):
@@ -108,7 +112,6 @@ class TestConfigFile:
         (("simulate", "--f", "0", "--h", "1"), {"n": 8.5}),
         (("simulate", "--f", "0", "--h", "1", "--n", "8"), {"seed": 1.9}),
         (("simulate", "--f", "0", "--h", "1"), {"samples": True}),
-        (("verify", "lemmas", "--n", "4"), {"cap": 1e9 + 0.5}),
         (("simulate", "--n", "8", "--f", "0", "--h", "1", "--window", "nan"), None),
         (("verify", "lemmas", "--n", "4", "--window", "inf"), None),
         (("simulate", "--n", "8", "--f", "0", "--h", "1", "--x0", "nan"), None),
@@ -133,7 +136,7 @@ class TestConfigFile:
     ],
     ids=[
         "levels", "slices-flag", "slices-config", "window-config", "tol-value", "tol-name",
-        "n-fraction", "seed-fraction", "samples-bool", "cap-fraction", "window-nan", "window-inf", "x0-nan", "x0-inf",
+        "n-fraction", "seed-fraction", "samples-bool", "window-nan", "window-inf", "x0-nan", "x0-inf",
         "x0-config", "tol-nan", "equivalent-tol-nan", "x0-true", "tol-true",
         "window-negative", "window-zero", "fp-solve-window-negative", "n-flag-fraction",
         "mode-bogus", "levels-missing", "simulate-slices-empty", "fp-solve-slices-empty",
@@ -265,6 +268,15 @@ class TestFpSolve:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "fp.csv").exists()
 
+    def test_more_substeps_than_the_limit_is_one_error_line(self, tmp_path, capsys):
+        rc = run("fp-solve", "--f", "1e8*x", "--h", "1", "--dx", "0.0625", "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: 5222222792 substeps of dt = ")
+        assert err.rstrip().endswith(f"a solve takes at most {MAX_SUBSTEPS}")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "fp.csv").exists()
+
 
 class TestPairAndEquivalent:
     def test_pair_dirac_exact(self, tmp_path, capsys):
@@ -363,9 +375,10 @@ class TestUsage:
             (("pair",), "f", "0"),
             (("verify", "lemmas", "--n", "8"), "tolerances", {"lemmas": 1e-10}),
             (("simulate", "--f", "0", "--h", "1", "--n", "8"), "threads", 1e400),
+            (("verify", "lemmas", "--n", "4"), "cap", 1e9 + 0.5),
         ],
         ids=["lemmas-mode", "fp-solve-n", "convergence-mode", "ito-window", "simulate-phi",
-             "pair-f", "lemmas-tolerances", "threads-inf"],
+             "pair-f", "lemmas-tolerances", "threads-inf", "cap-fraction"],
     )
     def test_config_key_the_command_does_not_read_exits_two(
         self, tmp_path, capsys, argv, key, value
@@ -395,16 +408,37 @@ def key_paths(value, prefix=""):
 
 # The settings each command reads (the README table), echoed resolved under `config`.
 SETTINGS = {
-    "simulate": "n mode samples seed cap f h x0 window slices",
-    "verify lemmas": "n cap f h x0 window tol_lemmas",
-    "verify weakform": "n mode samples seed cap f h phi x0 window tol_weakform_scale",
-    "verify crossval": "n mode samples seed cap f h x0 window slices tol_crossval_l1",
+    "simulate": "n mode samples seed f h x0 window slices",
+    "verify lemmas": "n f h x0 window tol_lemmas",
+    "verify weakform": "n mode samples seed f h phi x0 window tol_weakform_scale",
+    "verify crossval": "n mode samples seed f h x0 window slices tol_crossval_l1",
     "verify ito": "n seed f h phi x0 tol_ito_ratio_det tol_ito_ratio_noise",
-    "convergence": "levels samples seed cap f h phi x0 slices",
+    "convergence": "levels samples seed f h phi x0 slices",
     "fp-solve": "f h x0 window slices dx dt t_end",
     "pair": "n window phi dist center fixed_t",
     "equivalent": "n window dist center dist2 center2 tol",
 }
+
+
+def readme_settings_table():
+    """The README's per-command table: command -> its settings, in table order."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| command | settings read |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        command, settings = (cell.strip() for cell in line.strip("|").split("|"))
+        table[command] = settings.split()
+    return table
+
+
+def test_readme_settings_table_is_what_each_command_reads():
+    reads = {name: [k for k in c.settings if k != "out"] for name, c in _COMMANDS.items()}
+    assert readme_settings_table() == reads
+    assert {name: settings.split() for name, settings in SETTINGS.items()} == reads
+
+
 ENVELOPE_KEYS = {
     command: ["command", *(f"config.{k}" for k in [*settings.split(), "out"])]
     for command, settings in SETTINGS.items()

@@ -279,9 +279,9 @@ class TestTestFunction:
         outside = [(0.5, 1.0), (0.5, -3.0), (0.75, 0.0), (0.1, 0.5), (0.5, 1.0000001)]
         for t, x in outside:
             assert phi(t, x) == 0.0
-            assert phi.dt(t, x) == 0.0
-            assert phi.dx(t, x) == 0.0
-            assert phi.dxx(t, x) == 0.0
+            assert phi.d_t(t, x) == 0.0
+            assert phi.d_x(t, x) == 0.0
+            assert phi.d_xx(t, x) == 0.0
 
     def test_nonzero_inside(self):
         phi = TestFunction.from_bumps(x_center=0.0, x_width=2.0)
@@ -351,6 +351,6 @@ class TestTestFunction:
             fd_t = (phi(t + h, x) - phi(t - h, x)) / (2 * h)
             fd_x = (phi(t, x + h) - phi(t, x - h)) / (2 * h)
             fd_xx = (phi(t, x + h) - 2 * phi(t, x) + phi(t, x - h)) / h**2
-            assert abs(phi.dt(t, x) - fd_t) <= 1e-5 * (1 + abs(fd_t))
-            assert abs(phi.dx(t, x) - fd_x) <= 1e-5 * (1 + abs(fd_x))
-            assert abs(phi.dxx(t, x) - fd_xx) <= 1e-4 * (1 + abs(fd_xx))
+            assert abs(phi.d_t(t, x) - fd_t) <= 1e-5 * (1 + abs(fd_t))
+            assert abs(phi.d_x(t, x) - fd_x) <= 1e-5 * (1 + abs(fd_x))
+            assert abs(phi.d_xx(t, x) - fd_xx) <= 1e-4 * (1 + abs(fd_xx))

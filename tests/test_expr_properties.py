@@ -110,5 +110,5 @@ def test_support_of_affine_bump_argument(shape, var, c, magnitude, sign):
 
     margin = 1e-9 * (1.0 + scale)
     for v in (support[0] - margin, support[1] + margin):
-        assert [fn(*at(v)) for fn in (phi, phi.dt, phi.dx, phi.dxx)] == [0.0] * 4
+        assert [fn(*at(v)) for fn in (phi, phi.d_t, phi.d_x, phi.d_xx)] == [0.0] * 4
     assert phi(*at((support[0] + support[1]) / 2)) > 0.0

@@ -17,7 +17,20 @@ from gridsde.fokker_planck import (
 from gridsde.grids import GridLevel
 from gridsde.identities import increment_report, moment_report, tower_property_report
 from gridsde.noise import NoiseError, enumerate_paths, sample_paths
-from gridsde.sde import CauchyProblem, simulate_ensemble, solve_grid_ode
+from gridsde.sde import CauchyProblem, TrajectorySet, solve_grid_ode
+
+def record_mass_checks(monkeypatch):
+    """The t of every later fp_solve mass check: one per substep and one per save time."""
+    checked = []
+    check = fokker_planck._check_density
+
+    def recording(state, dx, t):
+        checked.append(t)
+        return check(state, dx, t)
+
+    monkeypatch.setattr(fokker_planck, "_check_density", recording)
+    return checked
+
 
 STANDARD_PHI = TestFunction.from_bumps(
     x_center=0.0, x_width=2.0, t_center=0.5, t_width=0.45, label="standard"
@@ -212,7 +225,7 @@ def _unskipped_pieces(problem, ensemble, phi):
     eps = 1.0 / n
     fdrift, fdiff = problem.drift.vectorized(), problem.diffusion.vectorized()
     drift_sum = noise_sum = corr_sum = quad_sum = taylor_sum = 0.0
-    trajset = simulate_ensemble(problem, ensemble)
+    trajset = TrajectorySet(problem, ensemble)
     arr = fokker_planck._arr
     with np.errstate(all="ignore"):
         for k, xk, xik, weight in trajset.steps(range(n), with_noise=True):
@@ -302,6 +315,46 @@ class TestFPSolve:
     def test_pulse_beyond_the_float_resolution_of_t_raises(self):
         with pytest.raises(FPStabilityError, match="below the float resolution of t"):
             fp_solve("1e300*bump((t-0.015)/0.01)", "1", 0.0, (-3.0, 3.0), 1 / 16)
+
+    def test_more_planned_substeps_than_the_limit_raise_before_stepping(self, monkeypatch):
+        # dt ~ 1.9e-10 plans about 5.2e9 substeps; none may be taken
+        def no_substep(*args):
+            raise AssertionError("a substep ran")
+
+        monkeypatch.setattr(fokker_planck, "_check_density", no_substep)
+        message = (
+            r"^5222222792 substeps of dt = \S+ \(stability bound \S+\) are needed to reach "
+            rf"t = 1\.0; a solve takes at most {fokker_planck.MAX_SUBSTEPS}$"
+        )
+        with pytest.raises(FPStabilityError, match=message):
+            fp_solve("1e8*x", "1", 0.0, (-3.0, 3.0), 1 / 16)
+
+    def test_split_past_the_limit_raises_before_stepping_it(self, monkeypatch):
+        # a pulse between the 33 sampled times whose bound stays above the float
+        # resolution of t: unlimited, its splits took about 3e8 substeps
+        checked = record_mass_checks(monkeypatch)
+        message = (
+            r"^stability bound \S+ at t = 0\.00615\d* needs 156227 substeps in all; "
+            rf"a solve takes at most {fokker_planck.MAX_SUBSTEPS}$"
+        )
+        with pytest.raises(FPStabilityError, match=message):
+            fp_solve("1e9*bump((t-0.015)/0.01)", "1", 0.0, (-3.0, 3.0), 1 / 16)
+        assert len(checked) == 4 and max(checked) < 0.00616
+
+    @pytest.mark.parametrize(
+        "drift, dx",
+        [("-x", 1 / 32), ("2000*bump((t-0.015)/0.01)", 1 / 64)],
+        ids=["planned", "split"],
+    )
+    def test_limit_counts_every_substep_taken(self, monkeypatch, drift, dx):
+        checked = record_mass_checks(monkeypatch)
+        fp = fp_solve(drift, "1", 0.0, (-3.0, 3.0), dx, save_times=(0.5, 1.0))
+        taken = len(checked) - 2  # one mass check per substep and per save time
+        monkeypatch.setattr(fokker_planck, "MAX_SUBSTEPS", taken)
+        assert fp_solve(drift, "1", 0.0, (-3.0, 3.0), dx, save_times=(0.5, 1.0)).masses == fp.masses
+        monkeypatch.setattr(fokker_planck, "MAX_SUBSTEPS", taken - 1)
+        with pytest.raises(FPStabilityError, match=f"{taken} substeps"):
+            fp_solve(drift, "1", 0.0, (-3.0, 3.0), dx, save_times=(0.5, 1.0))
 
     def test_bound_beyond_the_float_resolution_of_the_last_save_time_raises(self, monkeypatch):
         # f does not read t, so no substep checks a bound of its own; about

@@ -13,7 +13,6 @@ from gridsde.noise import (
     NoisePath,
     conditional,
     enumerate_paths,
-    expectation,
     expectation_detail,
     sample_paths,
     _TILE,
@@ -293,8 +292,8 @@ class TestConditional:
         n = 4
         ens = enumerate_paths(GridLevel(n))
         cond = conditional(ens, (math.sqrt(n), math.sqrt(n)))
-        mean = expectation(cond, lambda v: v[:, 2])
-        second = expectation(cond, lambda v: v[:, 2] ** 2)
+        mean = expectation_detail(cond, lambda v: v[:, 2]).mean
+        second = expectation_detail(cond, lambda v: v[:, 2] ** 2).mean
         assert mean == 0.0
         assert second == pytest.approx(n, rel=1e-14)
 
@@ -350,11 +349,11 @@ class TestConditional:
 class TestExpectation:
     def test_constant_functional(self):
         ens = enumerate_paths(GridLevel(3))
-        assert expectation(ens, lambda v: np.full(len(v), 2.5)) == 2.5
+        assert expectation_detail(ens, lambda v: np.full(len(v), 2.5)).mean == 2.5
 
     def test_single_point_mean_zero_exact(self):
         ens = enumerate_paths(GridLevel(6))
-        assert expectation(ens, lambda v: v[:, 4]) == 0.0
+        assert expectation_detail(ens, lambda v: v[:, 4]).mean == 0.0
 
     def test_tower_property_exact_for_arbitrary_functionals(self):
         n = 4
@@ -366,18 +365,18 @@ class TestExpectation:
         ]
         s = math.sqrt(n)
         for phi in functionals:
-            full = expectation(ens, phi)
+            full = expectation_detail(ens, phi).mean
             partials = []
             for bits in range(4):
                 prefix = (s if bits & 2 else -s, s if bits & 1 else -s)
-                partials.append(expectation(conditional(ens, prefix), phi))
+                partials.append(expectation_detail(conditional(ens, prefix), phi).mean)
             assert full == pytest.approx(math.fsum(partials) / 4, rel=1e-12, abs=1e-12)
 
     def test_non_finite_value_names_path(self):
         ens = enumerate_paths(GridLevel(2))
         bad = row_marker(ens, {5: np.inf})
         with pytest.raises(NoiseError, match="path 5$"):
-            expectation(ens, bad)
+            expectation_detail(ens, bad)
 
     def test_sampled_standard_error_reported(self):
         ens = sample_paths(GridLevel(4), 400, seed=9)
@@ -441,7 +440,7 @@ class TestBlockFunctionals:
     def test_return_not_one_value_per_row_rejected(self, phi):
         ens = enumerate_paths(GridLevel(4))
         with pytest.raises(NoiseError, match=r"shape \((|32, 2)\), not \(32,\)"):
-            expectation(ens, phi)
+            expectation_detail(ens, phi)
         with pytest.raises(NoiseError, match="shape"):
             tower_property_report(ens, [("bad", phi)], 2)
 
@@ -450,7 +449,7 @@ class TestBlockFunctionals:
         first = 32768 + 5
         bad = row_marker(ens, {first: np.inf, first + 1000: np.nan, 3: 1.0})
         with pytest.raises(NoiseError, match=f"path {first}$"):
-            expectation(ens, bad)
+            expectation_detail(ens, bad)
 
 
 class TestNoisePath:

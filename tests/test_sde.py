@@ -13,6 +13,7 @@ from gridsde.grids import GridError, GridLevel
 from gridsde.identities import increment_report
 from gridsde.noise import (
     NoiseAlphabet,
+    NoiseEnsemble,
     NoiseError,
     NoisePath,
     conditional,
@@ -22,11 +23,11 @@ from gridsde.noise import (
 from gridsde.sde import (
     CauchyProblem,
     DivergenceError,
+    TrajectorySet,
     bin_counts,
     continuous_dependence_check,
     density,
     event_probability,
-    simulate_ensemble,
     solve_grid_ode,
 )
 
@@ -91,8 +92,8 @@ class TestSolveGridOde:
 
 class TestSimulateEnsemble:
     def test_brownian_moments_exact_n8(self):
-        ts = simulate_ensemble(brownian_problem(8), enumerate_paths(GridLevel(8)))
-        final = np.concatenate([block[:, -1].copy() for _, block in ts.batches()])
+        ts = TrajectorySet(brownian_problem(8), enumerate_paths(GridLevel(8)))
+        final = np.concatenate([block[:, -1].copy() for _, _, block in ts.batches()])
         assert math.fsum(final) == 0.0
         assert math.fsum(final**2) / len(final) == pytest.approx(1.0, rel=1e-12)
 
@@ -100,8 +101,8 @@ class TestSimulateEnsemble:
         level = GridLevel(8)
         problem = CauchyProblem("-x", "0", 0.7, level)
         single = solve_grid_ode(problem)
-        ts = simulate_ensemble(problem, enumerate_paths(level))
-        for _, block in ts.batches():
+        ts = TrajectorySet(problem, enumerate_paths(level))
+        for _, _, block in ts.batches():
             assert np.array_equal(block, np.tile(single.values, (block.shape[0], 1)))
 
     def test_ou_second_moment_closed_form(self):
@@ -110,7 +111,7 @@ class TestSimulateEnsemble:
         problem = CauchyProblem("-x", "1", 0.0, level)
         ens = sample_paths(level, m, seed=17)
         final = np.concatenate(
-            [block[:, -1].copy() for _, block in simulate_ensemble(problem, ens).batches()]
+            [block[:, -1].copy() for _, _, block in TrajectorySet(problem, ens).batches()]
         )
         target = (1.0 - math.exp(-2.0)) / 2.0
         stderr = float(np.std(final**2)) / math.sqrt(m)
@@ -120,12 +121,12 @@ class TestSimulateEnsemble:
         level = GridLevel(8)
         problem = CauchyProblem("x^2", "0", 9.0, level)
         with pytest.raises(DivergenceError) as info:
-            for _ in simulate_ensemble(problem, enumerate_paths(level)).batches():
+            for _ in TrajectorySet(problem, enumerate_paths(level)).batches():
                 pass
         assert info.value.path_index is not None
 
 
-class TestBatchAndThreadIndependence:
+class TestBatchIndependence:
     def test_counts_and_event_probability_ignore_batching(self):
         cases = (
             (sample_paths(GridLevel(16), 40000, seed=4), (777, 32768)),
@@ -138,7 +139,7 @@ class TestBatchAndThreadIndependence:
             )
             results = []
             for batch_size in batch_sizes:
-                ts = simulate_ensemble(narrow, ens, batch_size=batch_size)
+                ts = TrajectorySet(narrow, ens, batch_size=batch_size)
                 dens = density(ts)
                 prob = event_probability(ts, 0.5, -0.25, 0.5)
                 results.append((dens.counts.tolist(), dens.overflow.tolist(), prob))
@@ -150,7 +151,7 @@ class TestBatchAndThreadIndependence:
         ids=["sampled", "exhaustive"],
     )
     def test_one_batch_alive_while_the_next_is_built(self, monkeypatch, ens):
-        ts = simulate_ensemble(CauchyProblem("-x", "1", 0.0, ens.level), ens, batch_size=16)
+        ts = TrajectorySet(CauchyProblem("-x", "1", 0.0, ens.level), ens, batch_size=16)
         step_block, built = sde._step_block, []
 
         def recording_step_block(problem, block, *args):
@@ -185,16 +186,16 @@ class TestBatchBuffers:
         with pytest.raises(NoiseError, match=message):
             list(ens.batches(bad))
         with pytest.raises(NoiseError, match=message):
-            simulate_ensemble(brownian_problem(4), ens, batch_size=bad)
+            TrajectorySet(brownian_problem(4), ens, batch_size=bad)
 
     @pytest.mark.parametrize(
         "ens", [sample_paths(GridLevel(4), 10, seed=1), enumerate_paths(GridLevel(4))],
         ids=["sampled", "exhaustive"],
     )
     def test_batch_sizes_one_and_seven_count_every_path(self, ens):
-        want = density(simulate_ensemble(brownian_problem(4), ens))
+        want = density(TrajectorySet(brownian_problem(4), ens))
         for batch_size in (1, 7):
-            got = density(simulate_ensemble(brownian_problem(4), ens, batch_size=batch_size))
+            got = density(TrajectorySet(brownian_problem(4), ens, batch_size=batch_size))
             assert got.normalization_exact()
             assert np.array_equal(got.counts, want.counts)
             assert np.array_equal(got.overflow, want.overflow)
@@ -211,7 +212,7 @@ class TestBatchBuffers:
             ensemble, batch_size = sample_paths(level, 800, seed=5), 777
         noise = np.concatenate([b for _, b in ensemble.batches()])
         views, kept = [], []
-        for _, xi, values in simulate_ensemble(problem, ensemble, batch_size).batches(with_noise=True):
+        for _, xi, values in TrajectorySet(problem, ensemble, batch_size).batches():
             views.append((xi, values))
             kept.append((xi.copy(), values.copy()))
         assert len(views) == -(-ensemble.count // batch_size) > 1
@@ -229,7 +230,7 @@ class TestBatchBuffers:
         ids=["sampled", "exhaustive"],
     )
     def test_density_holds_at_most_two_batch_blocks(self, ens):
-        trajectories = simulate_ensemble(CauchyProblem("-x", "1", 0.0, ens.level), ens)
+        trajectories = TrajectorySet(CauchyProblem("-x", "1", 0.0, ens.level), ens)
         block_bytes = trajectories.batch_size * (ens.level.n + 1) * 8
         tracemalloc.start()
         try:
@@ -263,7 +264,7 @@ class TestBinCounts:
 class TestDensity:
     def test_initial_slice_is_point_mass(self):
         n = 8
-        ts = simulate_ensemble(brownian_problem(n), enumerate_paths(GridLevel(n)))
+        ts = TrajectorySet(brownian_problem(n), enumerate_paths(GridLevel(n)))
         dens = density(ts, time_indices=[0])
         rho = dens.rho()[0]
         center = dens.window_steps  # bin [0, 1/n)
@@ -272,7 +273,7 @@ class TestDensity:
 
     def test_binomial_profile_at_t1(self):
         n = 8
-        ts = simulate_ensemble(brownian_problem(n), enumerate_paths(GridLevel(n)))
+        ts = TrajectorySet(brownian_problem(n), enumerate_paths(GridLevel(n)))
         dens = density(ts, time_indices=[n])
         counts = dens.counts[0]
         sites = {}
@@ -284,14 +285,14 @@ class TestDensity:
 
     def test_normalization_exact_every_slice(self):
         n = 8
-        ts = simulate_ensemble(brownian_problem(n), enumerate_paths(GridLevel(n)))
+        ts = TrajectorySet(brownian_problem(n), enumerate_paths(GridLevel(n)))
         dens = density(ts)
         assert dens.normalization_exact()
 
     def test_overflow_counted_with_small_window(self):
         n = 8
         problem = CauchyProblem("0", "1", 0.0, GridLevel(n, Fraction(1)))
-        ts = simulate_ensemble(problem, enumerate_paths(GridLevel(n)))
+        ts = TrajectorySet(problem, enumerate_paths(GridLevel(n)))
         dens = density(ts, time_indices=[n])
         assert dens.overflow[0] > 0
         assert dens.normalization_exact()
@@ -299,7 +300,7 @@ class TestDensity:
     def test_sampled_mode_normalization(self):
         n = 16
         level = GridLevel(n)
-        ts = simulate_ensemble(
+        ts = TrajectorySet(
             CauchyProblem("-x", "1", 0.0, level), sample_paths(level, 5000, seed=2)
         )
         dens = density(ts, time_indices=[0, 8, 16])
@@ -311,26 +312,26 @@ class TestDensity:
         n = 16
         level = GridLevel(n)
         phi = TestFunction.from_bumps(x_center=0.0, x_width=2.0)
-        ts = simulate_ensemble(brownian_problem(n), enumerate_paths(GridLevel(n)))
+        ts = TrajectorySet(brownian_problem(n), enumerate_paths(GridLevel(n)))
         k = n // 2
-        values = np.concatenate([b[:, k].copy() for _, b in ts.batches()])
+        values = np.concatenate([b[:, k].copy() for _, _, b in ts.batches()])
         exact = float(np.mean([phi(k / n, v) for v in values]))
-        dens = density(simulate_ensemble(brownian_problem(n), enumerate_paths(GridLevel(n))), time_indices=[k])
+        dens = density(TrajectorySet(brownian_problem(n), enumerate_paths(GridLevel(n))), time_indices=[k])
         edges = dens.bin_left_edges()
         binned = float(np.sum([phi(k / n, e) for e in edges] * dens.rho()[0]) / n)
         fine = np.linspace(-2, 2, 10 * n + 1)
-        max_slope = max(abs(phi.dx(k / n, float(v))) for v in fine)
+        max_slope = max(abs(phi.d_x(k / n, float(v))) for v in fine)
         assert abs(exact - binned) <= max_slope / n
 
 
 class TestEventProbability:
     def test_whole_space(self):
-        ts = simulate_ensemble(brownian_problem(4), enumerate_paths(GridLevel(4)))
+        ts = TrajectorySet(brownian_problem(4), enumerate_paths(GridLevel(4)))
         assert event_probability(ts, 1.0, -math.inf, math.inf) == 1
 
     def test_binomial_count_with_ties(self):
         n = 8
-        ts = simulate_ensemble(brownian_problem(n), enumerate_paths(GridLevel(n)))
+        ts = TrajectorySet(brownian_problem(n), enumerate_paths(GridLevel(n)))
         p = event_probability(ts, 1.0, 0.0, math.inf)
         assert p == Fraction(163, 256)
 
@@ -338,15 +339,15 @@ class TestEventProbability:
         n = 8
         level = GridLevel(n)
         a, b = 0.0, 0.5  # bin-aligned: 4 bins of width 1/8
-        ts = simulate_ensemble(brownian_problem(n), enumerate_paths(level))
+        ts = TrajectorySet(brownian_problem(n), enumerate_paths(level))
         p = event_probability(ts, 1.0, a, b)
-        dens = density(simulate_ensemble(brownian_problem(n), enumerate_paths(level)), time_indices=[n])
+        dens = density(TrajectorySet(brownian_problem(n), enumerate_paths(level)), time_indices=[n])
         k = dens.window_steps
         mass = Fraction(int(dens.counts[0][k : k + 4].sum()), dens.ensemble_size)
         assert p == mass
 
     def test_off_grid_time_rejected(self):
-        ts = simulate_ensemble(brownian_problem(4), enumerate_paths(GridLevel(4)))
+        ts = TrajectorySet(brownian_problem(4), enumerate_paths(GridLevel(4)))
         with pytest.raises(GridError):
             event_probability(ts, 0.3, 0.0, 1.0)
 
@@ -431,8 +432,8 @@ def _close(a, b, scale=1.0):
 
 def assert_tree_matches_per_path(problem, ensemble, batch_size=1 << 15):
     n = problem.level.n
-    tree = simulate_ensemble(problem, ensemble, batch_size=batch_size)
-    reference = simulate_ensemble(problem, _PerPath(ensemble))
+    tree = TrajectorySet(problem, ensemble, batch_size=batch_size)
+    reference = TrajectorySet(problem, _PerPath(ensemble))
 
     for k in range(n + 1):
         for with_noise in (False, True):
@@ -485,14 +486,14 @@ class TestPrefixTree:
         level = GridLevel(n)
         problem = CauchyProblem("sin(t)-x", "1+0.5*sin(x)", 0.0, level, t0=t0_index / n)
         ensemble = enumerate_paths(level)
-        tree = simulate_ensemble(problem, ensemble, batch_size=batch_size)
+        tree = TrajectorySet(problem, ensemble, batch_size=batch_size)
         rows = min(batch_size, ensemble.count)
         rows = 1 << (rows.bit_length() - 1)  # a batch is a whole subtree
         assert tree.batch_size == rows
-        reference = simulate_ensemble(problem, _PerPath(ensemble), batch_size=batch_size)
+        reference = TrajectorySet(problem, _PerPath(ensemble), batch_size=batch_size)
         noise = np.concatenate([b for _, b in ensemble.batches()])
-        want = np.concatenate([v.copy() for _, v in reference.batches()])
-        got = np.concatenate([v.copy() for _, v in tree.batches()])
+        want = np.concatenate([v.copy() for _, _, v in reference.batches()])
+        got = np.concatenate([v.copy() for _, _, v in tree.batches()])
         assert got.tobytes() == want.tobytes()
         for with_noise in (False, True):
             states = {k: [] for k in range(n + 1)}
@@ -525,8 +526,8 @@ class TestPrefixTree:
         noise = np.concatenate([b for _, b in ensemble.batches()])
         want = _per_row_states(problem, noise)
         for stepped in (ensemble, _PerPath(ensemble)):
-            trajectories = simulate_ensemble(problem, stepped, batch_size=batch_size)
-            got = np.concatenate([v.copy() for _, v in trajectories.batches()])
+            trajectories = TrajectorySet(problem, stepped, batch_size=batch_size)
+            got = np.concatenate([v.copy() for _, _, v in trajectories.batches()])
             assert got.tobytes() == want.tobytes()
             # each yielded (x_k, xi_k) stands for the next `weight` rows of its batch
             states = {k: [] for k in range(n + 1)}
@@ -547,7 +548,7 @@ class TestPrefixTree:
         problem = CauchyProblem("exp(2*x)", "3", 0.0, level)
         ensemble = sample_paths(level, 300, seed=11)
         with pytest.raises(DivergenceError) as info:
-            density(simulate_ensemble(problem, ensemble, batch_size=batch_size))
+            density(TrajectorySet(problem, ensemble, batch_size=batch_size))
         step, index = info.value.step, info.value.path_index
         assert index > 0
         with pytest.raises(DivergenceError) as single:
@@ -563,8 +564,8 @@ class TestPrefixTree:
     def test_int64_guard_trips_before_traversal(self):
         level = GridLevel(40)
         ternary = NoiseAlphabet.from_symbols((-1.0, 0.0, 1.0))
-        ensemble = enumerate_paths(level, ternary, cap=3**41)
-        trajectories = simulate_ensemble(CauchyProblem("0", "1", 0.0, level), ensemble)
+        ensemble = NoiseEnsemble("exhaustive", level, ternary, 3**41)
+        trajectories = TrajectorySet(CauchyProblem("0", "1", 0.0, level), ensemble)
         with pytest.raises(NoiseError, match=r"int64 limit 2\*\*63"):
             density(trajectories)
 
@@ -575,7 +576,7 @@ class TestPrefixTree:
         problem = CauchyProblem("exp(2*x)", "3", 0.0, level)
         ensemble = enumerate_paths(level)
         with pytest.raises(DivergenceError) as info:
-            density(simulate_ensemble(problem, ensemble, batch_size=batch_size))
+            density(TrajectorySet(problem, ensemble, batch_size=batch_size))
         step, index = info.value.step, info.value.path_index
         assert index % 2 ** (n + 1 - step) == 0  # all later digits are the first symbol
         with pytest.raises(DivergenceError) as single:
