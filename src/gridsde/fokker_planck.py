@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import TestFunction, as_expr
+from .grids import GridError
 from .noise import NoiseEnsemble
 from .sde import (
     CauchyProblem,
@@ -44,6 +45,7 @@ __all__ = [
     "VerificationError",
     "FPStabilityError",
     "MAX_SUBSTEPS",
+    "MAX_CELLS",
     "ItoReport",
     "WeakFormReport",
     "FPSolution",
@@ -66,6 +68,9 @@ class FPStabilityError(VerificationError):
 # The most substeps one fp_solve takes, planned and split alike: 3.5 times the
 # 36835 of fp-solve --f=-x --h 1 --dx 0.0078125, a few seconds of stepping.
 MAX_SUBSTEPS = 1 << 17
+
+# The most cells one fp_solve steps, far above the 768 of bench pde's fp-solve.
+MAX_CELLS = 1 << 20
 
 
 def _arr(value, like: np.ndarray) -> np.ndarray:
@@ -287,17 +292,6 @@ class FPSolution:
         }
 
 
-def _max_over_window(fn, t_samples: np.ndarray, xs: np.ndarray) -> float:
-    worst = 0.0
-    with np.errstate(all="ignore"):
-        for t in t_samples:
-            vals = np.broadcast_to(np.asarray(fn(float(t), xs), dtype=np.float64), xs.shape)
-            if not np.all(np.isfinite(vals)):
-                raise VerificationError("coefficient is not finite on the solver window")
-            worst = max(worst, float(np.max(np.abs(vals))))
-    return worst
-
-
 def _check_density(state: np.ndarray, dx: float, t: float) -> float:
     """Mass of ``state``; VerificationError unless it is 1 and no cell is negative."""
     mass = float(np.add.reduce(state) * dx)
@@ -328,14 +322,14 @@ def fp_solve(
     before the first substep when dt is below the float resolution of the
     last save time, or when the save times need more than ``MAX_SUBSTEPS``
     substeps of dt.  When f or h reads t, a substep longer than the bound
-    from its own coefficients is split into equal substeps of at most 90%
-    of it, and FPStabilityError is raised, before the split, where that
-    bound is below the float resolution of t or the split takes the solve
-    past ``MAX_SUBSTEPS`` substeps.
-    ``dx``, ``t_end`` and the save times must be finite, with dx > 0,
-    t_end >= 0 and at least one save time; a given dt must be finite and
-    positive.  f and h are
-    evaluated, and mass and sign checked, on every substep.
+    from its own coefficients is split into equal substeps of at most 90% of
+    it, and FPStabilityError is raised, before the split, where that bound
+    is below the float resolution of t or the split takes the solve past
+    ``MAX_SUBSTEPS`` substeps.  ``dx``, ``t_end``, the save times, a given
+    dt and 2 max h^2 + dx max |f| wherever it is taken must be finite, with
+    dx > 0, dt > 0, t_end >= 0, at least one save time and at most
+    ``MAX_CELLS`` cells.  f and h are evaluated at the 33 sampled times and
+    once per substep, split ones included, and mass and sign checked after it.
     """
     drift = as_expr(drift)
     diffusion = as_expr(diffusion)
@@ -351,8 +345,8 @@ def fp_solve(
         raise VerificationError("window must contain x0")
     cells_f = (hi - lo) / dx
     cells = round(cells_f) if math.isfinite(cells_f) else 0
-    if cells < 3 or abs(cells_f - cells) > 1e-9:
-        raise VerificationError("window width must be an integer number (>= 3) of dx cells")
+    if not 3 <= cells <= MAX_CELLS or abs(cells_f - cells) > 1e-9:
+        raise VerificationError(f"window width must be an integer number (3 to {MAX_CELLS}) of dx cells")
     if save_times is None:
         save_times = (t_end,)
     save_times = tuple(float(t) for t in save_times)
@@ -370,46 +364,8 @@ def fp_solve(
     drift_fn = drift.vectorized()
     diffusion_fn = diffusion.vectorized()
 
-    t_samples = np.linspace(0.0, t_end, 33)
-    max_h2 = _max_over_window(diffusion_fn, t_samples, centers) ** 2
-    max_f = _max_over_window(drift_fn, t_samples, faces)
-    denom = 2.0 * max_h2 + dx * max_f
-    limit = dx * dx / denom if denom > 0 else math.inf
-    if dt is None:
-        dt = 0.9 * limit if math.isfinite(limit) else max(t_end, 1e-9)
-    if not (math.isfinite(dt) and dt > 0):
-        raise VerificationError(f"dt must be finite and positive, got {dt}")
-    if dt > limit * (1.0 + 1e-12):
-        raise FPStabilityError(
-            f"dt = {dt} violates the explicit stability bound; maximal admissible dt is {limit}"
-        )
-    if save_times[-1] + dt == save_times[-1]:
-        raise FPStabilityError(
-            f"dt = {dt} (stability bound {limit}) is below the float resolution of "
-            f"t = {save_times[-1]}"
-        )
-
-    # (start, substeps, substep length) of each save interval
-    plan = []
-    now = 0.0
-    for target in save_times:
-        span = target - now
-        substeps = max(1, math.ceil(span / dt - 1e-9)) if span > 1e-15 else 0
-        plan.append((now, substeps, span / substeps if substeps else 0.0))
-        now = target
-    total = sum(substeps for _, substeps, _ in plan)
-    if total > MAX_SUBSTEPS:
-        raise FPStabilityError(
-            f"{total} substeps of dt = {dt} (stability bound {limit}) are needed to reach "
-            f"t = {save_times[-1]}; a solve takes at most {MAX_SUBSTEPS}"
-        )
-
-    state = np.zeros(cells)
-    i0 = min(int(math.floor((x0 - lo) / dx + 1e-12)), cells - 1)
-    state[i0] = 1.0 / dx
-
-    # Coefficients and work buffers, written in place by every substep.
-    # full[0] and full[-1] stay 0 (zero-flux boundaries); flux is its interior.
+    # Coefficients and work buffers, written in place by every evaluation and
+    # substep.  full[0] and full[-1] stay 0 (zero-flux boundaries); flux is its interior.
     v_face = np.empty(cells - 1)
     d_cell = np.empty(cells)
     upwind_row = np.empty(cells - 1, dtype=np.intp)
@@ -428,36 +384,80 @@ def fp_solve(
         # upwind cell of each face: its left cell where v >= 0, else its right
         np.add(left_cell, np.logical_not(v_face >= 0.0), out=upwind_row)
 
-    # Without t the one bound above holds at every face and centre at every
-    # time; with t it holds only at the sampled times, so each substep is
-    # checked against the coefficients it steps with.
+    def peaks(t: float) -> tuple[float, float]:
+        """Evaluate f and h at t; (max h^2, max |f|) over the window."""
+        coefficients(t)
+        h2, f = float(np.max(d_cell)), float(np.max(np.abs(v_face)))
+        if not math.isfinite(2.0 * h2 + dx * f):
+            raise VerificationError(f"2 max h^2 + dx max |f| is not finite on the solver window at t = {t}")
+        return h2, f
+
+    def bound(h2: float, f: float) -> float:
+        """The longest stable substep, dx^2 / (2 h2 + dx f), for peaks h2 and f."""
+        denom = 2.0 * h2 + dx * f
+        return dx * dx / denom if denom > 0 else math.inf
+
+    with np.errstate(all="ignore"):
+        sampled = [peaks(float(t)) for t in np.linspace(0.0, t_end, 33)]
+    limit = bound(max(h2 for h2, _ in sampled), max(f for _, f in sampled))
+    if dt is None:
+        dt = 0.9 * limit if math.isfinite(limit) else max(t_end, 1e-9)
+    if not (math.isfinite(dt) and dt > 0):
+        raise VerificationError(f"dt must be finite and positive, got {dt}")
+    if dt > limit * (1.0 + 1e-12):
+        raise FPStabilityError(
+            f"dt = {dt} violates the explicit stability bound; maximal admissible dt is {limit}"
+        )
+    if save_times[-1] + dt == save_times[-1]:
+        raise FPStabilityError(
+            f"dt = {dt} (stability bound {limit}) is below the float resolution of "
+            f"t = {save_times[-1]}"
+        )
+
+    # (start, substeps, substep length) of each save interval
+    plan = []
+    for start, target in zip((0.0,) + save_times[:-1], save_times):
+        span = target - start
+        substeps = max(1, math.ceil(span / dt - 1e-9)) if span > 1e-15 else 0
+        plan.append((start, substeps, span / substeps if substeps else 0.0))
+    total = sum(substeps for _, substeps, _ in plan)
+    if total > MAX_SUBSTEPS:
+        raise FPStabilityError(
+            f"{total} substeps of dt = {dt} (stability bound {limit}) are needed to reach "
+            f"t = {save_times[-1]}; a solve takes at most {MAX_SUBSTEPS}"
+        )
+
+    state = np.zeros(cells)
+    i0 = min(int(math.floor((x0 - lo) / dx + 1e-12)), cells - 1)
+    state[i0] = 1.0 / dx
+
+    # Without t the sampled bound holds everywhere at every time; with t each
+    # substep is checked against the coefficients it steps with.
     reads_t = "t" in drift.variables() | diffusion.variables()
 
     def advance(t: float, length: float) -> None:
         """Step the state from t to t + length, in equal shorter substeps if unstable."""
-        coefficients(t)
-        if reads_t:
-            denom = 2.0 * float(np.max(d_cell)) + dx * float(np.max(np.abs(v_face)))
-            if not math.isfinite(denom):
-                raise VerificationError(f"coefficient is not finite on the solver window at t = {t}")
-            bound = dx * dx / denom if denom > 0 else math.inf
-            if length > bound * (1.0 + 1e-12):
-                pieces = math.ceil(length / (0.9 * bound))
-                piece = length / pieces
-                if t + piece == t:
+        later = ()
+        if not reads_t:
+            coefficients(t)
+        else:
+            local = bound(*peaks(t))
+            if length > local * (1.0 + 1e-12):
+                pieces = math.ceil(length / (0.9 * local))
+                length /= pieces
+                if t + length == t:
                     raise FPStabilityError(
-                        f"stability bound {bound} at t = {t} is below the float resolution of t"
+                        f"stability bound {local} at t = {t} is below the float resolution of t"
                     )
                 nonlocal total
                 total += pieces - 1
                 if total > MAX_SUBSTEPS:
                     raise FPStabilityError(
-                        f"stability bound {bound} at t = {t} needs {total} substeps in all; "
+                        f"stability bound {local} at t = {t} needs {total} substeps in all; "
                         f"a solve takes at most {MAX_SUBSTEPS}"
                     )
-                for j in range(pieces):
-                    advance(t + j * piece, piece)
-                return
+                # the first substep steps with the coefficients at t, each later one at its own
+                later = range(1, pieces)
         # flux = v * upwind - (d[1:] s[1:] - d[:-1] s[:-1]) / (2 dx)
         state.take(upwind_row, out=flux)
         np.multiply(v_face, flux, out=flux)
@@ -470,6 +470,8 @@ def fp_solve(
         np.multiply(length / dx, cell_diff, out=cell_diff)
         np.subtract(state, cell_diff, out=state)
         _check_density(state, dx, t + length)
+        for j in later:
+            advance(t + j * length, length)
 
     snapshots = []
     masses = []
@@ -537,13 +539,10 @@ def cross_validate(
     if ratio < 1 or abs(ratio_f - ratio) > 1e-9:
         raise VerificationError("incompatible bin alignment: dx must be a whole number of 1/n steps")
     lo, hi = float(window[0]), float(window[1])
-    lo_idx, hi_idx = lo * n, hi * n
-    if abs(lo_idx - round(lo_idx)) > 1e-9 or abs(hi_idx - round(hi_idx)) > 1e-9:
-        raise VerificationError("incompatible bin alignment: window edges must sit on the 1/n lattice")
-    lo_idx, hi_idx = round(lo_idx), round(hi_idx)
-    k_window = level.window_steps
-    if lo_idx < -k_window or hi_idx > k_window:
-        raise VerificationError("solver window must fit inside the density window")
+    try:
+        lo_pos, hi_pos = (level.spatial_grid().index_of(x) for x in (lo, hi))
+    except GridError as exc:
+        raise VerificationError(f"solver window must lie on the density window's lattice: {exc}") from exc
 
     trajset = TrajectorySet(problem, ensemble)
     dens = density(trajset, time_indices=slice_indices)
@@ -557,14 +556,14 @@ def cross_validate(
         save_times=slice_times,
     )
     cells = fp.cells
-    assert cells * ratio == hi_idx - lo_idx
+    assert cells * ratio == hi_pos - lo_pos
 
     total = dens.ensemble_size
     l1_list = []
     outside_list = []
     for pos in range(len(slice_times)):
         fine = dens.counts[pos]
-        segment = fine[lo_idx + k_window : hi_idx + k_window].reshape(cells, ratio).sum(axis=1)
+        segment = fine[lo_pos:hi_pos].reshape(cells, ratio).sum(axis=1)
         cell_mass = segment / total
         emp = cell_mass / dx
         l1_list.append(float(np.sum(np.abs(emp - fp.values[pos])) * dx))

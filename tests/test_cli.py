@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gridsde.cli import _COMMANDS, main
-from gridsde.fokker_planck import MAX_SUBSTEPS
+from gridsde.fokker_planck import MAX_CELLS, MAX_SUBSTEPS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -274,6 +274,26 @@ class TestFpSolve:
         assert rc == 2
         assert err.startswith("error: 5222222792 substeps of dt = ")
         assert err.rstrip().endswith(f"a solve takes at most {MAX_SUBSTEPS}")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "fp.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ("--h", "1e200", "--dx", "0.0625"),
+                "2 max h^2 + dx max |f| is not finite on the solver window at t = 0.0",
+            ),
+            (("--h", "1", "--dx", "1e-300"), f"integer number (3 to {MAX_CELLS}) of dx cells"),
+            (("--h", "1", "--window", "1e300"), f"integer number (3 to {MAX_CELLS}) of dx cells"),
+        ],
+        ids=["h-squared-overflows", "dx-tiny", "window-huge"],
+    )
+    def test_unusable_coefficient_or_grid_is_one_error_line(self, tmp_path, capsys, flags, message):
+        rc = run("fp-solve", "--f=-x", *flags, "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and message in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "fp.csv").exists()
 

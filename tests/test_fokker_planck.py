@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridsde import fokker_planck
-from gridsde.expr import Const, TestFunction, as_expr
+from gridsde.expr import Const, Expr, TestFunction, as_expr
 from gridsde.fokker_planck import (
     FPStabilityError,
     VerificationError,
@@ -356,6 +356,41 @@ class TestFPSolve:
         with pytest.raises(FPStabilityError, match=f"{taken} substeps"):
             fp_solve(drift, "1", 0.0, (-3.0, 3.0), dx, save_times=(0.5, 1.0))
 
+    @pytest.mark.parametrize(
+        "drift, dx",
+        [("-x", 1 / 32), ("2000*bump((t-0.015)/0.01)", 1 / 64)],
+        ids=["planned", "split"],
+    )
+    def test_f_and_h_are_evaluated_once_per_substep_taken(self, monkeypatch, drift, dx):
+        # 33 sampled times, then once per substep; the first piece of a split
+        # steps with the coefficients already evaluated at its start
+        evaluations = []
+        vectorized = Expr.vectorized
+
+        def counting(self):
+            fn = vectorized(self)
+
+            def evaluate(t, x):
+                evaluations.append(t)
+                return fn(t, x)
+
+            return evaluate
+
+        monkeypatch.setattr(Expr, "vectorized", counting)
+        checked = record_mass_checks(monkeypatch)
+        fp_solve(drift, "1", 0.0, (-3.0, 3.0), dx, save_times=(0.5, 1.0))
+        taken = len(checked) - 2  # one mass check per substep and per save time
+        assert len(evaluations) == 66 + 2 * taken
+
+    def test_cell_limit_is_inclusive(self, monkeypatch):
+        # (-2, 2) at dx = 1/16 is 64 cells
+        fp = fp_solve("-x", "1", 0.0, (-2.0, 2.0), 1 / 16)
+        monkeypatch.setattr(fokker_planck, "MAX_CELLS", 64)
+        assert fp_solve("-x", "1", 0.0, (-2.0, 2.0), 1 / 16).values.tobytes() == fp.values.tobytes()
+        monkeypatch.setattr(fokker_planck, "MAX_CELLS", 63)
+        with pytest.raises(VerificationError, match=r"integer number \(3 to 63\) of dx cells"):
+            fp_solve("-x", "1", 0.0, (-2.0, 2.0), 1 / 16)
+
     def test_bound_beyond_the_float_resolution_of_the_last_save_time_raises(self, monkeypatch):
         # f does not read t, so no substep checks a bound of its own; about
         # 5e301 substeps of dt ~ 2e-302 would follow, so none may be taken
@@ -475,6 +510,23 @@ class TestCrossValidate:
         ens = sample_paths(level, 10, seed=1)
         with pytest.raises(VerificationError, match="density window"):
             cross_validate(problem, ens, window=(-16.0, 16.0), dx=1 / 4)
+
+    def test_window_off_the_lattice_rejected(self):
+        level = GridLevel(64)
+        problem = CauchyProblem("0", "1", 0.0, level)
+        ens = sample_paths(level, 10, seed=1)
+        with pytest.raises(VerificationError, match=r"lattice: -1\.9921875 is not on the 1/64 grid"):
+            cross_validate(problem, ens, window=(-2.0 + 1 / 128, 2.0 + 1 / 128), dx=1 / 32)
+
+    def test_window_edge_inside_or_past_the_density_window(self):
+        # the default density window at n = 64 is [-8, 8]: an edge on it fits
+        level = GridLevel(64)
+        problem = CauchyProblem("0", "0", 0.0, level)
+        ens = sample_paths(level, 10, seed=1)
+        report = cross_validate(problem, ens, window=(-8.0, 8.0), dx=1 / 4, slice_times=(1.0,))
+        assert report.max_l1 == 0.0
+        with pytest.raises(VerificationError, match="8.25 lies outside the grid window"):
+            cross_validate(problem, ens, window=(-8.0, 8.25), dx=1 / 4)
 
     def test_no_slice_times_rejected(self):
         level = GridLevel(64)
