@@ -443,7 +443,8 @@ def fp_solve(
         else:
             local = bound(*peaks(t))
             if length > local * (1.0 + 1e-12):
-                pieces = math.ceil(length / (0.9 * local))
+                split = length / (0.9 * local) if local > 0 else math.inf  # 0 where dx^2 underflows
+                pieces = math.ceil(split) if split < math.inf else split
                 length /= pieces
                 if t + length == t:
                     raise FPStabilityError(

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import as_expr
-from .noise import NoiseEnsemble, PathFunctional, _check_prefix, _path_values
+from .noise import NoiseEnsemble, PathFunctional, _path_values
 from .sde import CauchyProblem, TrajectorySet
 
 __all__ = [
@@ -99,22 +99,21 @@ def tower_property_report(
     functionals: Sequence[tuple[str, PathFunctional]],
     split_index: int,
 ) -> TowerReport:
-    """Compare E[Phi] with the mean over prefixes of conditional means.
+    """Compare E[Phi] with the mean over prefix classes of conditional means.
 
-    Exhaustive only; the prefixes run over every assignment of the first
-    ``split_index`` grid points.  Each functional maps a noise block to one
-    value per row, reading each row alone.  In path order the paths sharing
-    a prefix are one contiguous block of |alphabet|^(n+1-split_index)
-    values, whose exactly rounded (fsum) mean is the conditional mean.
+    Exhaustive only; the classes are the runs of ``prefix_rows(split_index)``
+    paths that agree on the first ``split_index`` grid points, and the fsum
+    mean of a run is its conditional mean.  Each functional maps a noise
+    block to one value per row, reading each row alone.  Each holds one float
+    per path, so the enumeration cap is a memory bound: 8 * count bytes each.
     """
-    _check_prefix(ensemble, split_index)
-    prefix_count = ensemble.alphabet.size**split_index
+    rows = ensemble.prefix_rows(split_index)
     values = _path_values(ensemble, [phi for _, phi in functionals])
     entries = []
     for (label, _), column in zip(functionals, values):
         full = math.fsum(column) / len(column)
-        blocks = column.reshape(prefix_count, -1)
-        decomposed = math.fsum(math.fsum(b) / len(b) for b in blocks) / prefix_count
+        blocks = column.reshape(-1, rows)
+        decomposed = math.fsum(math.fsum(b) / rows for b in blocks) / len(blocks)
         entries.append(TowerEntry(label, full, decomposed, abs(full - decomposed)))
     return TowerReport(
         n=ensemble.level.n,

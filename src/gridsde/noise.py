@@ -133,6 +133,8 @@ class NoiseAlphabet:
     def __post_init__(self):
         if len(self.symbols) < 2:
             raise NoiseError("alphabet needs at least 2 symbols")
+        if not all(map(math.isfinite, self.symbols)):
+            raise NoiseError(f"alphabet symbols must be finite, got {self.symbols}")
         total = math.fsum(self.symbols)
         scale = max(abs(s) for s in self.symbols)
         if scale == 0.0 or abs(total) > 1e-12 * max(1.0, scale):
@@ -151,8 +153,8 @@ class NoiseAlphabet:
         if len(raw) < 2:
             raise NoiseError("alphabet needs at least 2 symbols")
         ms = math.fsum(v * v for v in raw) / len(raw)
-        if ms == 0.0:
-            raise NoiseError("alphabet symbols cannot all be zero")
+        if not 0.0 < ms < math.inf:
+            raise NoiseError(f"alphabet symbols need a finite, nonzero mean square, got {raw}")
         scale = math.sqrt(ms)
         return cls(tuple(v / scale for v in raw))
 
@@ -185,22 +187,19 @@ class NoisePath:
         return len(self.values)
 
 
-def _symbol_digits(alphabet: NoiseAlphabet, level: GridLevel, values: np.ndarray) -> np.ndarray:
-    """Index of each value's scaled symbol; NoiseError if a value matches none."""
-    scaled = alphabet.scaled(level)
-    dist = np.abs(np.asarray(values, dtype=np.float64)[:, None] - scaled[None, :])
-    if np.any(np.min(dist, axis=1) > 1e-9 * max(1.0, float(np.max(np.abs(scaled))))):
-        raise NoiseError("path values must come from the scaled alphabet")
-    return np.argmin(dist, axis=1)
+def _class_size(alphabet: NoiseAlphabet, level: GridLevel, length: int) -> int:
+    """|A|^(n+1-length): the paths of the enumeration that agree on grid points 0..length-1."""
+    return alphabet.size ** (level.n + 1 - length)
 
 
 @dataclass(frozen=True)
 class NoiseEnsemble:
     """Descriptor of an exhaustive or sampled set of noise paths.
 
-    Exhaustive mode iterates every path exactly once in lexicographic order
-    (earliest grid point most significant, symbols ascending); sampled mode
-    reproduces path i from (seed, i) alone.
+    Exhaustive mode iterates paths first..first+count-1 of the enumeration,
+    each once, in lexicographic order (earliest grid point most significant,
+    symbols ascending), and cuts no prefix class (``prefix_rows``).  Sampled
+    mode reproduces path i from (seed, i) alone.
     """
 
     mode: str
@@ -209,6 +208,9 @@ class NoiseEnsemble:
     count: int
     seed: int | None = None
 
+    first = 0  # exhaustive path 0 is path ``first`` of the enumeration
+    prefix = ()  # the values every path holds at grid points 0..len(prefix)-1
+
     def __post_init__(self):
         if self.mode not in ("exhaustive", "sampled"):
             raise NoiseError(f"unknown ensemble mode {self.mode!r}")
@@ -216,6 +218,29 @@ class NoiseEnsemble:
             raise NoiseError("ensemble must contain at least one path")
         if self.mode == "sampled" and self.seed is None:
             raise NoiseError("sampled ensembles need a seed")
+        if self.mode == "exhaustive":
+            stop = self.first + self.count
+            sizes = [_class_size(self.alphabet, self.level, k) for k in range(self.level.n + 2)]
+            # at every prefix length the slice holds whole classes or lies within one
+            if self.first < 0 or stop > sizes[0] or any(
+                (self.first % size or stop % size) and self.first // size != (stop - 1) // size
+                for size in sizes
+            ):
+                raise NoiseError(
+                    f"paths {self.first}..{stop - 1} leave the {sizes[0]} paths or cut a prefix class"
+                )
+
+    def prefix_rows(self, length: int) -> int:
+        """min(count, |A|^(n+1-length)): the run of paths that agree on grid points 0..length-1.
+
+        NoiseError unless the ensemble is exhaustive and ``length`` an integer in 0..n+1.
+        """
+        if self.mode != "exhaustive":
+            raise NoiseError("prefix classes need an exhaustive ensemble")
+        points = self.level.n + 1
+        if not (isinstance(length, numbers.Integral) and 0 <= length <= points):
+            raise NoiseError(f"prefix length {length!r} is not an integer in 0..{points}")
+        return min(self.count, _class_size(self.alphabet, self.level, length))
 
     def descriptor(self) -> dict:
         return {
@@ -230,7 +255,7 @@ class NoiseEnsemble:
         points = self.level.n + 1
         scaled = self.alphabet.scaled(self.level)
         if self.mode == "exhaustive":
-            return _lexicographic_block(scaled, start, stop, points, out)
+            return _lexicographic_block(scaled, self.first + start, self.first + stop, points, out)
         # rows start..stop-1 are the consecutive counters start*points .. stop*points-1
         block = _block(out, stop - start, points)
         _sampled_values(self.seed, start * points, scaled, block.reshape(-1))
@@ -327,10 +352,11 @@ def _lexicographic_block(
 def enumerate_paths(level: GridLevel, alphabet: NoiseAlphabet | None = None) -> NoiseEnsemble:
     """All |alphabet|^(n+1) noise paths at this level, exactly once each.
 
-    NoiseError if they are more than ``DEFAULT_ENUMERATION_CAP``.
+    NoiseError if they are more than ``DEFAULT_ENUMERATION_CAP``.  Path functionals
+    hold one float per path each, so for them the cap is a memory bound (128 MiB each).
     """
     alphabet = alphabet or NoiseAlphabet.white()
-    count = alphabet.size ** (level.n + 1)
+    count = _class_size(alphabet, level, 0)
     if count > DEFAULT_ENUMERATION_CAP:
         raise NoiseError(
             f"exhaustive enumeration of {count} paths exceeds the cap "
@@ -346,75 +372,49 @@ def sample_paths(
     alphabet: NoiseAlphabet | None = None,
 ) -> NoiseEnsemble:
     """A reproducible sample of noise paths, uniform over the alphabet per point."""
-    if count < 1:
-        raise NoiseError("sample count must be at least 1")
     alphabet = alphabet or NoiseAlphabet.white()
     return NoiseEnsemble("sampled", level, alphabet, count, seed=int(seed))
 
 
-def _check_prefix(ensemble, length: int) -> None:
-    """NoiseError unless a prefix of ``length`` grid points picks a block of ``ensemble``."""
-    if ensemble.mode != "exhaustive":
-        raise NoiseError("conditioning on a prefix requires an exhaustive ensemble")
-    points = ensemble.level.n + 1
-    if not (isinstance(length, numbers.Integral) and 0 <= length <= points):
-        raise NoiseError(f"prefix length {length!r} is not an integer in 0..{points}")
+@dataclass(frozen=True, kw_only=True)
+class ConditionalEnsemble(NoiseEnsemble):
+    """Paths first..first+count-1 of the exhaustive enumeration, all holding ``prefix``."""
 
-
-@dataclass(frozen=True)
-class ConditionalEnsemble:
-    """All exhaustive paths agreeing with a fixed prefix on its grid points.
-
-    In the base ensemble's lexicographic order these paths are one
-    contiguous block of |alphabet|^(n+1-p) indices, so path i here is base
-    path offset + i.  The block size does not depend on which prefix was
-    fixed; that independence is what makes conditional averages exact.
-    Prefix values are taken as the scaled symbols they match.
-    """
-
-    base: NoiseEnsemble
+    mode: str = field(default="exhaustive", init=False)
+    first: int
     prefix: tuple[float, ...]
-    _offset: int = field(init=False, repr=False, compare=False)
 
-    mode = "exhaustive"
-
-    def __post_init__(self):
-        _check_prefix(self.base, len(self.prefix))
-        block = 0
-        for digit in _symbol_digits(self.base.alphabet, self.base.level, np.asarray(self.prefix)):
-            block = block * self.base.alphabet.size + int(digit)
-        object.__setattr__(self, "_offset", block * self.count)
-
-    @property
-    def level(self) -> GridLevel:
-        return self.base.level
-
-    @property
-    def alphabet(self) -> NoiseAlphabet:
-        return self.base.alphabet
-
-    @property
-    def count(self) -> int:
-        free = self.base.level.n + 1 - len(self.prefix)
-        return self.base.alphabet.size**free
+    # its own attribute, so that a tracer patching each class's batches finds it
+    batches = NoiseEnsemble.batches
 
     def descriptor(self) -> dict:
-        prefix = self._values_for(0, 1)[0, : len(self.prefix)].tolist()
-        return {**self.base.descriptor(), "count": self.count, "prefix": prefix}
-
-    def _values_for(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
-        return self.base._values_for(self._offset + start, self._offset + stop, out)
-
-    batches = NoiseEnsemble.batches
-    path = NoiseEnsemble.path
+        return {**super().descriptor(), "prefix": list(self.prefix)}
 
 
 def conditional(ensemble: NoiseEnsemble, prefix: Sequence[float]) -> ConditionalEnsemble:
-    """Restrict an exhaustive ensemble to paths matching a prefix on [0, s).
+    """The paths of an exhaustive ensemble that hold ``prefix`` at grid points 0..p-1.
 
-    ``prefix`` holds the fixed values at grid points 0..p-1.
+    Those paths of the enumeration are one run of |A|^(n+1-p) indices,
+    whichever prefix was fixed, which is what makes conditional averages
+    exact; the result is that run intersected with ``ensemble``.  Prefix
+    values are taken as the scaled symbols they match.  Nested conditioning
+    keeps the longer prefix; NoiseError if no path holds both.
     """
-    return ConditionalEnsemble(ensemble, tuple(float(v) for v in prefix))
+    ensemble.prefix_rows(len(prefix))  # NoiseError unless exhaustive, with p in 0..n+1
+    level, alphabet = ensemble.level, ensemble.alphabet
+    scaled = alphabet.scaled(level)
+    dist = np.abs(np.asarray(prefix, dtype=np.float64)[:, None] - scaled[None, :])
+    if np.any(np.min(dist, axis=1) > 1e-9 * max(1.0, float(np.max(np.abs(scaled))))):
+        raise NoiseError("path values must come from the scaled alphabet")
+    digits = np.argmin(dist, axis=1)
+    size = _class_size(alphabet, level, len(prefix))
+    block = functools.reduce(lambda b, d: b * alphabet.size + int(d), digits, 0) * size
+    start = max(block, ensemble.first)
+    stop = min(block + size, ensemble.first + ensemble.count)
+    if start >= stop:
+        raise NoiseError(f"no path of the ensemble holds the prefix {list(prefix)}")
+    prefix = max(ensemble.prefix, tuple(scaled[digits].tolist()), key=len)
+    return ConditionalEnsemble(level, alphabet, stop - start, first=start, prefix=prefix)
 
 
 @dataclass(frozen=True)
@@ -447,6 +447,8 @@ def expectation_detail(ensemble, phi: PathFunctional) -> ExpectationResult:
     ``phi`` maps each noise block to one value per row, reading each row
     alone.  Exhaustive ensembles give the exact counting mean; the summation
     is exactly rounded (fsum), so the result does not depend on batching.
+    It holds one float per path, so the enumeration cap is a memory bound
+    here: 8 * count bytes.
     """
     values = _path_values(ensemble, [phi])[0]
     count = len(values)

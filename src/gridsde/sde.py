@@ -251,13 +251,10 @@ class TrajectorySet:
         # widths[k]: rows of a batch that share xi_0..xi_{k-1}, hence x_k
         self._widths = [1] * (n + 2)
         if ensemble.mode == "exhaustive":
-            # a batch is a whole subtree: the largest power of |A| that fits
-            size = ensemble.alphabet.size
-            rows = 1
-            while rows * size <= min(self.batch_size, ensemble.count):
-                rows *= size
-            self.batch_size = rows
-            self._widths = [min(rows, size ** (n + 1 - k)) for k in range(n + 2)]
+            # a batch is a whole subtree: the largest prefix class that fits
+            classes = [ensemble.prefix_rows(k) for k in range(n + 2)]
+            self.batch_size = next(rows for rows in classes if rows <= batch_size)
+            self._widths = [min(self.batch_size, rows) for rows in classes]
 
     @property
     def count(self) -> int:
@@ -274,7 +271,7 @@ class TrajectorySet:
         views of them.  A sampled batch is stepped from a fresh time-major
         copy of its noise, and ``noise`` is a transposed view of that copy.
         The batch boundaries are fixed by batch_size alone (for exhaustive
-        ensembles, by the largest power of |A| not above it), so any
+        ensembles, by the largest prefix class not above it), so any
         reduction that combines batch results in yield order is
         reproducible.  Exhaustive path indices and weights are int64, so an
         exhaustive ensemble of 2^63 paths or more raises NoiseError before

@@ -277,6 +277,18 @@ class TestFpSolve:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "fp.csv").exists()
 
+    @pytest.mark.parametrize("window, dx", [("1.5e-170", "1e-170"), ("1.5e-160", "1e-160")])
+    def test_bound_below_the_float_range_is_one_error_line(self, tmp_path, capsys, window, dx):
+        # dx^2 underflows, so the split of the pulse's substep has no length to take
+        h = "bump((t-0.015)/0.01)"
+        argv = ("--f", "0", "--h", h, "--window", window, "--dx", dx, "--slices", "0.01,1")
+        rc = run("fp-solve", *argv, "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: stability bound ") and "below the float resolution of t" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "fp.csv").exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,14 @@ from gridsde.fokker_planck import (
 )
 from gridsde.grids import GridLevel
 from gridsde.identities import increment_report, moment_report, tower_property_report
-from gridsde.noise import NoiseError, enumerate_paths, sample_paths
+from gridsde.noise import (
+    NoiseAlphabet,
+    NoiseError,
+    conditional,
+    enumerate_paths,
+    expectation_detail,
+    sample_paths,
+)
 from gridsde.sde import CauchyProblem, TrajectorySet, solve_grid_ode
 
 def record_mass_checks(monkeypatch):
@@ -316,6 +324,14 @@ class TestFPSolve:
         with pytest.raises(FPStabilityError, match="below the float resolution of t"):
             fp_solve("1e300*bump((t-0.015)/0.01)", "1", 0.0, (-3.0, 3.0), 1 / 16)
 
+    @pytest.mark.parametrize("dx", [1e-170, 1e-160], ids=["bound-is-0", "split-overflows"])
+    def test_bound_below_the_float_range_raises(self, dx):
+        # dx^2 underflows: inside the pulse the bound is 0 at dx = 1e-170 and
+        # subnormal at 1e-160, where length / bound overflows to inf
+        message = "at t = 0.01 is below the float resolution of t"
+        with pytest.raises(FPStabilityError, match=message):
+            fp_solve("0", "bump((t-0.015)/0.01)", 0.0, (-1.5 * dx, 1.5 * dx), dx, save_times=(0.01, 1))
+
     def test_more_planned_substeps_than_the_limit_raise_before_stepping(self, monkeypatch):
         # dt ~ 1.9e-10 plans about 5.2e9 substeps; none may be taken
         def no_substep(*args):
@@ -576,6 +592,40 @@ class TestTowerProperty:
             assert len(blocks) == 2
             assert np.concatenate(blocks).tobytes() == rows.tobytes()
         assert report.max_relative_gap <= 1e-15
+
+    @pytest.mark.parametrize(
+        "alphabet, n",
+        [(NoiseAlphabet.white(), 4), (NoiseAlphabet.from_symbols((-1.0, 0.0, 1.0)), 3)],
+        ids=["binary", "ternary"],
+    )
+    def test_conditional_tower_holds_over_true_prefix_classes(self, alphabet, n):
+        # E[E[Phi | F_s] | F_r] = E[Phi | F_r], F_k fixing grid points 0..k-1
+        level = GridLevel(n)
+        ens = enumerate_paths(level, alphabet)
+        scaled = alphabet.scaled(level)
+        functionals = [
+            ("max partial sum", lambda v: np.cumsum(v, axis=1).max(axis=1)),
+            ("sin times square", lambda v: np.sin(v[:, 1]) * v[:, -1] ** 2),
+        ]
+        for r in (1, 2):
+            for head in itertools.product(scaled, repeat=r):
+                given = conditional(ens, head)
+                for s in range(r, n + 2):
+                    report = tower_property_report(given, functionals, s)
+                    for (_, phi), entry in zip(functionals, report.entries):
+                        inner = [
+                            expectation_detail(conditional(given, head + tail), phi).mean
+                            for tail in itertools.product(scaled, repeat=s - r)
+                        ]
+                        assert entry.full == expectation_detail(given, phi).mean
+                        assert entry.decomposed == math.fsum(inner) / len(inner)
+                        assert entry.decomposed == pytest.approx(entry.full, rel=1e-15, abs=1e-15)
+
+    def test_split_past_the_last_grid_point_of_a_conditional_ensemble(self):
+        # one class per path: 16 classes of 1, not 32 classes of half a path
+        cond = conditional(enumerate_paths(GridLevel(4)), (2.0,))
+        report = tower_property_report(cond, [("mean", lambda v: v.mean(axis=1))], 5)
+        assert report.entries[0].full == report.entries[0].decomposed == 0.4
 
     def test_sampled_ensemble_rejected(self):
         with pytest.raises(NoiseError, match="exhaustive"):

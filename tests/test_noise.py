@@ -8,7 +8,9 @@ from gridsde.cli import LEMMA_FUNCTIONALS
 from gridsde.grids import GridLevel
 from gridsde.identities import TowerEntry, tower_property_report
 from gridsde.noise import (
+    ConditionalEnsemble,
     NoiseAlphabet,
+    NoiseEnsemble,
     NoiseError,
     NoisePath,
     conditional,
@@ -60,6 +62,21 @@ class TestAlphabet:
         with pytest.raises(NoiseError):
             NoiseAlphabet((-0.5, 0.5))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: NoiseAlphabet((math.nan, math.nan)),
+            lambda: NoiseAlphabet((math.inf, -math.inf)),
+            lambda: NoiseAlphabet.from_symbols((math.inf, -math.inf)),
+            lambda: NoiseAlphabet.from_symbols((math.nan, 1.0)),
+            lambda: NoiseAlphabet.from_symbols((1e200, -1e200)),  # finite, but v * v overflows
+        ],
+        ids=["nan", "inf", "from-inf", "from-nan", "from-huge"],
+    )
+    def test_non_finite_symbols_rejected(self, build):
+        with pytest.raises(NoiseError, match="finite"):
+            build()
+
     def test_scaled_values(self):
         level = GridLevel(9)
         scaled = NoiseAlphabet.white().scaled(level)
@@ -95,6 +112,33 @@ class TestEnumeration:
             assert got.tobytes() == want.tobytes()
         for index in (0, 1, ens.count // 3, ens.count - 1):
             assert ens.path(index).values.tobytes() == want[index].tobytes()
+
+    @pytest.mark.parametrize(
+        "first, count",
+        [
+            (0, 40),  # 40 rows held the 16 paths and 24 repeats
+            (12, 8),
+            (0, 10),  # its classes of xi_0 were runs of 8 and 2
+            (2, 4),  # paths 2..5 cut the classes 0..3 and 4..7 of xi_0, xi_1
+        ],
+    )
+    def test_exhaustive_slice_cutting_the_enumeration_rejected(self, first, count):
+        level, white = GridLevel(3), NoiseAlphabet.white()
+        message = f"paths {first}..{first + count - 1} leave the 16 paths or cut a prefix class"
+        with pytest.raises(NoiseError, match=message):
+            ConditionalEnsemble(level, white, count, first=first, prefix=())
+        if first == 0:
+            with pytest.raises(NoiseError, match=message):
+                NoiseEnsemble("exhaustive", level, white, count)
+
+    def test_sibling_classes_are_an_exhaustive_ensemble(self):
+        # paths 9..26 of the ternary n = 2 enumeration: the classes whose xi_0
+        # is the middle and the top symbol
+        level, ternary = GridLevel(2), NoiseAlphabet.from_symbols((-1.0, 0.0, 1.0))
+        ens = ConditionalEnsemble(level, ternary, 18, first=9, prefix=())
+        full = all_rows(enumerate_paths(level, ternary))
+        assert all_rows(ens).tobytes() == full[9:27].tobytes()
+        assert [ens.prefix_rows(k) for k in range(4)] == [18, 9, 3, 1]
 
     def test_cap_exceeded_advises_sampling(self):
         with pytest.raises(NoiseError, match="sampled"):
@@ -263,7 +307,58 @@ def reference_sampled_block(ens, start, stop):
     return ens.alphabet.scaled(ens.level)[digits.reshape(stop - start, points)]
 
 
+def prefix_ensembles():
+    """Full, conditional and doubly conditional ensembles, binary and ternary."""
+    binary, ternary = enumerate_paths(GridLevel(4)), enumerate_paths(GridLevel(3), TERNARY)
+    s = ternary.alphabet.scaled(ternary.level)
+    return [
+        binary,
+        conditional(binary, (2.0,)),
+        conditional(conditional(binary, (-2.0,)), (-2.0, 2.0, 2.0)),
+        ternary,
+        conditional(ternary, (s[1], s[2])),
+        conditional(conditional(ternary, (s[2], s[0])), (s[2],)),
+    ]
+
+
 class TestConditional:
+    @pytest.mark.parametrize("ens", prefix_ensembles())
+    def test_prefix_rows_match_a_brute_force_count(self, ens):
+        rows = all_rows(ens)
+        for length in range(ens.level.n + 2):
+            keys = [tuple(row[:length]) for row in rows]
+            runs = [len(list(run)) for _, run in itertools.groupby(keys)]
+            # each class is one run of prefix_rows(length) paths
+            assert len(runs) == len(set(keys))
+            assert set(runs) == {ens.prefix_rows(length)}
+
+    @pytest.mark.parametrize("alphabet", [NoiseAlphabet.white(), TERNARY], ids=["binary", "ternary"])
+    def test_nested_conditional_is_the_slice_of_the_longer_prefix(self, alphabet):
+        level = GridLevel(4)
+        ens = enumerate_paths(level, alphabet)
+        full = all_rows(ens)
+        s, size = alphabet.scaled(level), alphabet.size
+        # (digits of the shorter prefix, digits of the longer one that extends it)
+        for short, long in [((size - 1,), (size - 1, 0)), ((0, size - 1), (0, size - 1, size - 1))]:
+            prefix = tuple(s[list(long)].tolist())
+            want = conditional(ens, prefix)
+            block = size ** (level.n + 1 - len(long))
+            first = int(np.ravel_multi_index(long, (size,) * len(long))) * block
+            assert (want.first, want.count, want.prefix) == (first, block, prefix)
+            assert all_rows(want).tobytes() == full[first : first + block].tobytes()
+            assert conditional(conditional(ens, s[list(short)]), prefix) == want
+            assert conditional(want, s[list(short)]) == want
+            assert conditional(want, prefix) == want
+
+    def test_conflicting_prefix_raises(self):
+        ens = enumerate_paths(GridLevel(4))
+        cond = conditional(ens, (2.0,))
+        for prefix in [(-2.0,), (-2.0, 2.0), (2.0,) * 6]:  # the last is longer than a path
+            with pytest.raises(NoiseError):
+                conditional(cond, prefix)
+        with pytest.raises(NoiseError, match="no path of the ensemble holds the prefix"):
+            conditional(conditional(cond, (2.0, 2.0)), (2.0, -2.0))
+
     def test_count_formula(self):
         # n=2, binary, prefix of length 1 -> 2^(3-1) = 4 members
         ens = enumerate_paths(GridLevel(2))
