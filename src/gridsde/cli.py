@@ -230,16 +230,6 @@ def _write_json(cfg, name: str, command: str, **payload) -> Path:
     return path
 
 
-def _auto_dx(n: int) -> float:
-    # widest cell not exceeding 1/64 that is a whole number of 1/n steps
-    return max(1, n // 64) / n
-
-
-def _fp_window(level: GridLevel) -> tuple[float, float]:
-    half = min(3.0, float(level.spatial_halfwidth))
-    return (-half, half)
-
-
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -336,13 +326,7 @@ def _verify_crossval(cfg) -> tuple[dict, dict, str | None]:
     level = _level(cfg)
     ensemble = _ensemble(cfg, level)
     problem = _problem(cfg, level)
-    report = cross_validate(
-        problem,
-        ensemble,
-        window=_fp_window(level),
-        dx=_auto_dx(cfg.n),
-        slice_times=cfg.slices,
-    )
+    report = cross_validate(problem, ensemble, slice_times=cfg.slices)
     tol = cfg.tol_crossval_l1
     failure = None if report.max_l1 <= tol else f"max L1 {report.max_l1:.3e} exceeds {tol}"
     return asdict(report), {"crossval_l1": tol}, failure
@@ -443,13 +427,7 @@ def cmd_convergence(cfg) -> int:
         weak = weak_form_residual(problem, ensemble, phi)
         ito_max = _ito_mean(phi, problem, cfg.seed, 3)
         mc = sample_paths(level, min(cfg.samples, 50000), cfg.seed)
-        cross = cross_validate(
-            problem,
-            mc,
-            window=_fp_window(level),
-            dx=_auto_dx(n),
-            slice_times=cfg.slices,
-        )
+        cross = cross_validate(problem, mc, slice_times=cfg.slices)
         rows.append((n, abs(weak.residual), ito_max, cross.max_l1))
 
     exponents = {

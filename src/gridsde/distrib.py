@@ -49,16 +49,15 @@ class GridDistribution:
     """A grid function on the spatial lattice of a level, used via pairings."""
 
     gf: GridFunction
-    level: GridLevel
     label: str = ""
 
-    def __post_init__(self):
-        if self.gf.grid.level.n != self.level.n:
-            raise DistributionError("grid function level does not match")
+    @property
+    def level(self) -> GridLevel:
+        return self.gf.grid.level
 
     @classmethod
     def from_values(cls, level: GridLevel, values, label: str = "") -> "GridDistribution":
-        return cls(GridFunction(level.spatial_grid(), np.asarray(values, dtype=np.float64)), level, label)
+        return cls(GridFunction(level.spatial_grid(), np.asarray(values, dtype=np.float64)), label)
 
 
 def _spike(level: GridLevel, at: float, offsets_heights: list[tuple[int, float]], label: str) -> GridDistribution:
@@ -70,7 +69,7 @@ def _spike(level: GridLevel, at: float, offsets_heights: list[tuple[int, float]]
         if not 0 <= target < grid.point_count:
             raise DistributionError(f"point {at!r} has no grid successor inside the window")
         values[target] = height
-    return GridDistribution(GridFunction(grid, values), level, label)
+    return GridDistribution(GridFunction(grid, values), label)
 
 
 def dirac(level: GridLevel, at: float = 0.0) -> GridDistribution:
@@ -96,7 +95,7 @@ def split_dirac(level: GridLevel, at: float = 0.0) -> GridDistribution:
 
 def sample_distribution(level: GridLevel, fn: Callable[[float], float], label: str = "") -> GridDistribution:
     """The grid function of an ordinary real function, sampled on the window."""
-    return GridDistribution(GridFunction.from_callable(level.spatial_grid(), fn), level, label)
+    return GridDistribution(GridFunction.from_callable(level.spatial_grid(), fn), label)
 
 
 def pair(dist: GridDistribution, phi: TestFunction, fixed_t: float = 0.0) -> float:

@@ -512,15 +512,18 @@ class CrossValReport:
 def cross_validate(
     problem: CauchyProblem,
     ensemble: NoiseEnsemble,
-    window: tuple[float, float] = (-3.0, 3.0),
-    dx: float = 1.0 / 64,
+    window: tuple[float, float] | None = None,
+    dx: float | None = None,
     slice_times: Sequence[float] = (0.5, 0.75, 1.0),
 ) -> CrossValReport:
     """Compare the empirical density with the finite-volume solution.
 
     The empirical bins (width 1/n) are regrouped onto the solver cells, so
     dx must be a whole number of grid steps and the solver window must sit
-    on the 1/n lattice inside the density window.
+    on the 1/n lattice inside the density window.  The default window is
+    (-h, h) with h = min(3, the level's spatial halfwidth); the default dx
+    is m/n for the largest whole m <= max(1, n // 64) that divides the
+    window's width in 1/n steps, so every level has a grid.
 
     Early slices are a poor comparison: a coin-flip walk initially lives on
     a parity lattice of spacing 2/sqrt(n) which fine cells resolve as a
@@ -535,15 +538,20 @@ def cross_validate(
         raise VerificationError("no slice times to compare")
     slice_indices = [grid.index_of(t) for t in slice_times]
 
-    ratio_f = dx * n
-    ratio = round(ratio_f)
-    if ratio < 1 or abs(ratio_f - ratio) > 1e-9:
-        raise VerificationError("incompatible bin alignment: dx must be a whole number of 1/n steps")
+    if window is None:
+        half = min(3.0, float(level.spatial_halfwidth))
+        window = (-half, half)
     lo, hi = float(window[0]), float(window[1])
     try:
         lo_pos, hi_pos = (level.spatial_grid().index_of(x) for x in (lo, hi))
     except GridError as exc:
         raise VerificationError(f"solver window must lie on the density window's lattice: {exc}") from exc
+    if dx is None:
+        dx = next(m for m in range(max(1, n // 64), 0, -1) if (hi_pos - lo_pos) % m == 0) / n
+    ratio_f = dx * n
+    ratio = round(ratio_f)
+    if ratio < 1 or abs(ratio_f - ratio) > 1e-9:
+        raise VerificationError("incompatible bin alignment: dx must be a whole number of 1/n steps")
 
     trajset = TrajectorySet(problem, ensemble)
     dens = density(trajset, time_indices=slice_indices)

@@ -157,7 +157,7 @@ class GridFunction:
         for pos, coord in enumerate(grid.points()):
             v = float(fn(float(coord)))
             if not math.isfinite(v):
-                raise GridError(f"function is not finite at grid point {coord!r}")
+                raise GridError(f"function is not finite at grid point {grid.point(pos)}")
             values[pos] = v
         return cls(grid, values)
 
@@ -256,17 +256,11 @@ def multilevel_integral(
 
     values = []
     for n in levels:
-        an = Fraction(a) * n
-        bn = Fraction(b) * n
-        k0 = math.ceil(an)
-        k1 = int(bn) if bn.denominator == 1 else math.ceil(bn)
-        samples = []
-        for k in range(k0, k1):
-            v = float(fn(float(Fraction(k, n))))
-            if not math.isfinite(v):
-                raise GridError(f"integrand is not finite at grid point {k}/{n}")
-            samples.append(v)
-        values.append(math.fsum(samples) / n)
+        k0, k1 = math.ceil(Fraction(a) * n), math.ceil(Fraction(b) * n)
+        if k1 <= k0:  # no lattice point in [a, b)
+            values.append(0.0)
+            continue
+        values.append(grid_integral(GridFunction.from_callable(UniformGrid(GridLevel(n), k0, k1), fn)))
 
     tail = values[-3:]
     spread = max(abs(u - v) for u in tail for v in tail)

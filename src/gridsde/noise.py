@@ -209,7 +209,6 @@ class NoiseEnsemble:
     seed: int | None = None
 
     first = 0  # exhaustive path 0 is path ``first`` of the enumeration
-    prefix = ()  # the values every path holds at grid points 0..len(prefix)-1
 
     def __post_init__(self):
         if self.mode not in ("exhaustive", "sampled"):
@@ -378,14 +377,27 @@ def sample_paths(
 
 @dataclass(frozen=True, kw_only=True)
 class ConditionalEnsemble(NoiseEnsemble):
-    """Paths first..first+count-1 of the exhaustive enumeration, all holding ``prefix``."""
+    """Paths first..first+count-1 of the exhaustive enumeration.
+
+    ``prefix`` is read from that range: the values that paths ``first`` and
+    ``first+count-1`` hold alike at grid points 0..p-1, for the largest such
+    p.  The range is one run of the lexicographic order, so every path in it
+    holds them, and one path set has one descriptor however it was built.
+    """
 
     mode: str = field(default="exhaustive", init=False)
     first: int
-    prefix: tuple[float, ...]
 
     # its own attribute, so that a tracer patching each class's batches finds it
     batches = NoiseEnsemble.batches
+
+    @property
+    def prefix(self) -> tuple[float, ...]:
+        size, last = self.alphabet.size, self.first + self.count - 1
+        # first and last agree on the leading digits down to some place, and below it on none
+        places = (size**e for e in range(self.level.n, -1, -1))
+        digits = [self.first // place % size for place in places if self.first // place == last // place]
+        return tuple(self.alphabet.scaled(self.level)[digits].tolist())
 
     def descriptor(self) -> dict:
         return {**super().descriptor(), "prefix": list(self.prefix)}
@@ -413,8 +425,7 @@ def conditional(ensemble: NoiseEnsemble, prefix: Sequence[float]) -> Conditional
     stop = min(block + size, ensemble.first + ensemble.count)
     if start >= stop:
         raise NoiseError(f"no path of the ensemble holds the prefix {list(prefix)}")
-    prefix = max(ensemble.prefix, tuple(scaled[digits].tolist()), key=len)
-    return ConditionalEnsemble(level, alphabet, stop - start, first=start, prefix=prefix)
+    return ConditionalEnsemble(level, alphabet, stop - start, first=start)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ agree across batch sizes only to rounding.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -318,8 +319,13 @@ class TrajectorySet:
         yield each distinct state of a batch once, weighted by the paths
         through it; with ``with_noise`` each distinct pair (x_k, xi_k).
         Without it xi_k is None.  x_k and xi_k are copies, so a caller's
-        loop variables do not keep a finished batch alive.
+        loop variables do not keep a finished batch alive.  GridError before
+        the first batch unless every k is an integer in 0..n (a bool is not).
         """
+        n = self.problem.level.n
+        for k in time_indices:
+            if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 <= k <= n:
+                raise GridError(f"time index {k!r} is not an integer in 0..{n}")
         shift = 1 if with_noise else 0
         for _, noise, values in self.batches():
             for i, k in enumerate(time_indices):
@@ -385,14 +391,10 @@ def density(
     trajectories: TrajectorySet,
     time_indices: Sequence[int] | None = None,
 ) -> DensityField:
-    """Accumulate the empirical density over the window of the problem's level."""
+    """Accumulate the empirical density over the window at ``time_indices`` (default 0..n)."""
     level = trajectories.problem.level
     n = level.n
-    if time_indices is None:
-        time_indices = range(n + 1)
-    time_indices = tuple(int(k) for k in time_indices)
-    if any(not 0 <= k <= n for k in time_indices):
-        raise GridError("time indices must lie in 0..n")
+    time_indices = tuple(range(n + 1) if time_indices is None else time_indices)
     k_window = level.window_steps
     counts = np.zeros((len(time_indices), 2 * k_window), dtype=np.int64)
     overflow = np.zeros(len(time_indices), dtype=np.int64)

@@ -199,6 +199,16 @@ class TestVerify:
         )
         assert rc == 0
 
+    def test_crossval_grid_fits_a_level_n_over_64_does_not_divide(self, tmp_path):
+        # n // 64 = 4 cells of 1/257 do not tile the window (-3, 3); cross_validate picks 3
+        rc = run(
+            "verify", "crossval", "--n", "257", "--slices", "1",
+            "--samples", "2000", "--out", str(tmp_path),
+        )
+        assert rc in (0, 1)
+        report = json.loads((tmp_path / "verify_crossval.json").read_text())
+        assert report["results"]["fp"]["dx"] == 3 / 257
+
     def test_ito_pass_with_unit_exponents(self, tmp_path):
         assert run("verify", "ito", "--n", "64", "--out", str(tmp_path)) == 0
         report = json.loads((tmp_path / "verify_ito.json").read_text())

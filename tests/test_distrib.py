@@ -15,7 +15,7 @@ from gridsde.distrib import (
     split_dirac,
 )
 from gridsde.expr import TestFunction
-from gridsde.grids import GridError, GridLevel, grid_integral
+from gridsde.grids import GridError, GridFunction, GridLevel, grid_integral
 
 
 PHI = TestFunction.from_bumps(x_center=0.0, x_width=2.0, label="bump(x/2)")
@@ -72,6 +72,16 @@ class TestDiracDerivative:
         edge = float(level.spatial_halfwidth)
         with pytest.raises(DistributionError, match="successor"):
             dirac_derivative(level, edge)
+
+
+class TestGridDistribution:
+    def test_level_is_the_grid_functions_level(self):
+        level = GridLevel(8, 1)
+        gf = GridFunction(level.spatial_grid(), np.zeros(17))
+        d = GridDistribution(gf, "zero")
+        assert (d.level, d.label) == (level, "zero")
+        assert GridDistribution.from_values(level, np.zeros(17)).level == level
+        assert dirac(level, 0.5).level is level
 
 
 class TestPair:

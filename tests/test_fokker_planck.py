@@ -552,6 +552,29 @@ class TestCrossValidate:
             cross_validate(problem, ens, window=(-2.0, 2.0), dx=1 / 32, slice_times=())
 
 
+    @pytest.mark.parametrize(
+        "n, slices, dx",
+        [(100, (0.5, 0.75, 1.0), 1 / 100), (128, (0.5, 0.75, 1.0), 2 / 128), (257, (1.0,), 3 / 257)],
+    )
+    def test_default_grid_fits_every_level(self, n, slices, dx):
+        # dx = m/n for the largest m <= max(1, n // 64) dividing the 6n steps of (-3, 3):
+        # at n = 257 that is 3, where the 4 of n // 64 leaves 1542 steps a part cell
+        level = GridLevel(n)
+        problem = CauchyProblem("-x", "1", 0.0, level)
+        ens = sample_paths(level, 2000, seed=1)
+        report = cross_validate(problem, ens, slice_times=slices)
+        assert report.fp == {"window": [-3.0, 3.0], "dx": dx, "times": list(slices)}
+        assert report == cross_validate(problem, ens, window=(-3.0, 3.0), dx=dx, slice_times=slices)
+        assert 0.0 < report.max_l1 < 2.0
+
+    def test_default_window_is_clamped_to_the_density_window(self):
+        level = GridLevel(64, 2)
+        problem = CauchyProblem("0", "0", 0.0, level)
+        report = cross_validate(problem, sample_paths(level, 10, seed=1))
+        assert report.fp["window"] == [-2.0, 2.0] and report.fp["dx"] == 1 / 64
+        assert report.max_l1 == 0.0
+
+
 class TestMomentIdentities:
     @pytest.mark.parametrize("n", [4, 8, 10])
     def test_exact_moments(self, n):

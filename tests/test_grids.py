@@ -97,6 +97,12 @@ class TestGridFunction:
         with pytest.raises(GridError, match="not finite"):
             GridFunction.from_callable(grid, lambda t: float("inf") if t == 0.5 else 0.0)
 
+    def test_from_callable_names_the_exact_point(self):
+        grid = UniformGrid(GridLevel(8), -8, 9)
+        for at, name in [(0.5, "1/2"), (-0.375, "-3/8"), (0.0, "0")]:
+            with pytest.raises(GridError, match=f"not finite at grid point {name}$"):
+                GridFunction.from_callable(grid, lambda t: math.nan if t == at else 0.0)
+
     def test_values_read_only(self):
         f = grid_fn(4, lambda t: t)
         with pytest.raises(ValueError):
@@ -265,6 +271,11 @@ class TestMultilevelIntegral:
             multilevel_integral(
                 lambda x: float("nan") if x == 0.5 else 1.0, (0.0, 1.0), [2, 4, 8], tol=1.0
             )
+
+    def test_interval_without_lattice_points_is_zero(self):
+        # [0.1, 0.2) holds no point k/4 but the point 1/8 and 2/16, 3/16
+        est = multilevel_integral(lambda x: 1.0, (0.1, 0.2), [4, 8, 16], tol=1.0)
+        assert est.values == (0.0, 1 / 8, 2 / 16)
 
     def test_level_validation(self):
         with pytest.raises(GridError):

@@ -126,7 +126,7 @@ class TestEnumeration:
         level, white = GridLevel(3), NoiseAlphabet.white()
         message = f"paths {first}..{first + count - 1} leave the 16 paths or cut a prefix class"
         with pytest.raises(NoiseError, match=message):
-            ConditionalEnsemble(level, white, count, first=first, prefix=())
+            ConditionalEnsemble(level, white, count, first=first)
         if first == 0:
             with pytest.raises(NoiseError, match=message):
                 NoiseEnsemble("exhaustive", level, white, count)
@@ -135,7 +135,7 @@ class TestEnumeration:
         # paths 9..26 of the ternary n = 2 enumeration: the classes whose xi_0
         # is the middle and the top symbol
         level, ternary = GridLevel(2), NoiseAlphabet.from_symbols((-1.0, 0.0, 1.0))
-        ens = ConditionalEnsemble(level, ternary, 18, first=9, prefix=())
+        ens = ConditionalEnsemble(level, ternary, 18, first=9)
         full = all_rows(enumerate_paths(level, ternary))
         assert all_rows(ens).tobytes() == full[9:27].tobytes()
         assert [ens.prefix_rows(k) for k in range(4)] == [18, 9, 3, 1]
@@ -358,6 +358,58 @@ class TestConditional:
                 conditional(cond, prefix)
         with pytest.raises(NoiseError, match="no path of the ensemble holds the prefix"):
             conditional(conditional(cond, (2.0, 2.0)), (2.0, -2.0))
+
+    @pytest.mark.parametrize(
+        "level, alphabet", [(GridLevel(3), NoiseAlphabet.white()), (GridLevel(2), TERNARY)],
+        ids=["binary", "ternary"],
+    )
+    def test_prefix_is_the_longest_run_every_path_holds(self, level, alphabet):
+        # every slice that cuts no prefix class, and each of those conditioned on
+        # every prefix it meets, against the longest run all its rows share
+        total, s = alphabet.size ** (level.n + 1), alphabet.scaled(level)
+        slices = []
+        for first, count in itertools.combinations_with_replacement(range(total + 1), 2):
+            try:
+                slices.append(ConditionalEnsemble(level, alphabet, count - first, first=first))
+            except NoiseError:
+                pass
+        prefixes = [
+            tuple(s[list(digits)].tolist())
+            for length in range(level.n + 2)
+            for digits in itertools.product(range(alphabet.size), repeat=length)
+        ]
+        found = list(slices)
+        for ens in slices:
+            for prefix in prefixes:
+                try:
+                    found.append(conditional(ens, prefix))
+                except NoiseError:
+                    pass
+        descriptors = {}
+        for ens in found:
+            rows = all_rows(ens)
+            shared = next(p for p in range(level.n + 1, -1, -1) if (rows[:, :p] == rows[0, :p]).all())
+            assert ens.prefix == tuple(rows[0, :shared].tolist())
+            # one path set, one descriptor, however the ensemble was built
+            key = (ens.first, ens.count)
+            assert descriptors.setdefault(key, ens.descriptor()) == ens.descriptor()
+        assert len(found) > len(slices) >= 2 * total - 1  # at least every node of the tree
+
+    def test_equal_path_sets_have_equal_descriptors(self):
+        white = NoiseAlphabet.white()
+        e8 = NoiseEnsemble("exhaustive", GridLevel(4), white, 8)  # paths 0..7 hold (-2, -2)
+        want = {**e8.descriptor(), "prefix": [-2.0, -2.0]}
+        assert conditional(e8, (-2.0,)).descriptor() == want
+        assert conditional(e8, (-2.0, -2.0)).descriptor() == want
+        assert ConditionalEnsemble(GridLevel(4), white, 8, first=0).descriptor() == want
+
+    def test_direct_construction_reads_its_prefix_from_the_range(self):
+        white = NoiseAlphabet.white()
+        assert ConditionalEnsemble(GridLevel(4), white, 16, first=0).prefix == (-2.0,)
+        assert ConditionalEnsemble(GridLevel(4), white, 32, first=0).prefix == ()
+        assert ConditionalEnsemble(GridLevel(4), white, 1, first=31).prefix == (2.0,) * 5
+        with pytest.raises(TypeError):
+            ConditionalEnsemble(GridLevel(4), white, 16, first=0, prefix=(2.0,))
 
     def test_count_formula(self):
         # n=2, binary, prefix of length 1 -> 2^(3-1) = 4 members

@@ -324,6 +324,34 @@ class TestDensity:
         assert abs(exact - binned) <= max_slope / n
 
 
+class TestTimeIndices:
+    """steps, and density and increment_report through it, take integers 0..n only."""
+
+    @pytest.mark.parametrize("k", [-1, 5, 2.5, True], ids=["negative", "past-n", "fractional", "bool"])
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_bad_index_raises_before_the_first_batch(self, k, mode):
+        n = 4
+        level = GridLevel(n)
+        ens = enumerate_paths(level) if mode == "exhaustive" else sample_paths(level, 10, seed=1)
+        ts = TrajectorySet(brownian_problem(n), ens)
+        ts.batches = lambda: pytest.fail("a batch was stepped")
+        message = f"time index {k!r} is not an integer in 0..4"
+        for with_noise in (False, True):
+            with pytest.raises(GridError, match=message):
+                next(ts.steps((0, k), with_noise=with_noise))
+        with pytest.raises(GridError, match=message):
+            density(ts, (k,))
+        with pytest.raises(GridError, match=message):
+            increment_report(brownian_problem(n), ens, ["x"], time_indices=(k,))
+
+    def test_numpy_integers_and_both_ends_are_indices(self):
+        n = 4
+        ts = TrajectorySet(brownian_problem(n), enumerate_paths(GridLevel(n)))
+        dens = density(ts, (np.int64(0), np.int64(n)))
+        assert dens.normalization_exact()
+        assert dens.times().tolist() == [0.0, 1.0]
+
+
 class TestEventProbability:
     def test_whole_space(self):
         ts = TrajectorySet(brownian_problem(4), enumerate_paths(GridLevel(4)))
