@@ -57,7 +57,6 @@ from .sde import (
     DensityField,
     DependenceReport,
     DivergenceError,
-    Trajectory,
     TrajectorySet,
     continuous_dependence_check,
     density,

@@ -57,6 +57,7 @@ from .sde import (
     DivergenceError,
     TrajectorySet,
     density,
+    slice_indices,
     solve_grid_ode,
 )
 
@@ -208,12 +209,17 @@ def _ensemble(cfg, level: GridLevel):
     return sample_paths(level, cfg.samples, cfg.seed)
 
 
-def _problem(cfg, level: GridLevel) -> CauchyProblem:
+def _coefficients(cfg) -> tuple[str, str]:
+    """The drift and diffusion expressions; ConfigError naming the first one missing."""
     if cfg.f is None:
         raise ConfigError("missing drift expression --f")
     if cfg.h is None:
         raise ConfigError("missing diffusion expression --h")
-    return CauchyProblem(cfg.f, cfg.h, cfg.x0, level)
+    return cfg.f, cfg.h
+
+
+def _problem(cfg, level: GridLevel) -> CauchyProblem:
+    return CauchyProblem(*_coefficients(cfg), cfg.x0, level)
 
 
 def _out_path(cfg, name: str) -> Path:
@@ -238,14 +244,8 @@ def cmd_simulate(cfg) -> int:
     level = _level(cfg)
     problem = _problem(cfg, level)
     ensemble = _ensemble(cfg, level)
-    grid = level.time_grid()
-    try:
-        indices = [grid.index_of(t) for t in cfg.slices]
-    except GridError as exc:
-        raise ConfigError(f"slice times must be grid points: {exc}") from exc
-
     trajset = TrajectorySet(problem, ensemble)
-    dens = density(trajset, time_indices=indices)
+    dens = density(trajset, time_indices=slice_indices(level, cfg.slices))
     csv_path = _out_path(cfg, "density.csv")
     dens.to_csv(csv_path)
     _write_json(
@@ -264,12 +264,9 @@ def cmd_simulate(cfg) -> int:
 
 
 def cmd_fp_solve(cfg) -> int:
-    if cfg.f is None or cfg.h is None:
-        raise ConfigError("fp-solve needs --f and --h")
     window = (-cfg.window, cfg.window)
-    solution = fp_solve(
-        cfg.f, cfg.h, cfg.x0, window, cfg.dx, dt=cfg.dt, t_end=cfg.t_end, save_times=cfg.slices
-    )
+    f, h = _coefficients(cfg)
+    solution = fp_solve(f, h, cfg.x0, window, cfg.dx, dt=cfg.dt, t_end=cfg.t_end, save_times=cfg.slices)
     csv_path = _out_path(cfg, "fp.csv")
     solution.to_csv(csv_path)
     _write_json(cfg, "fp.json", "fp-solve", solution=solution.to_dict(), csv=csv_path.name)
@@ -415,10 +412,13 @@ def cmd_convergence(cfg) -> int:
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigError("levels must be strictly increasing")
     phi = TestFunction.from_expression(cfg.phi)
+    grid_levels = [GridLevel(n) for n in levels]
+    for level in grid_levels:
+        slice_indices(level, cfg.slices)  # every level's slices, before the first level runs
 
     rows = []
-    for n in levels:
-        level = GridLevel(n)
+    for level in grid_levels:
+        n = level.n
         problem = _problem(cfg, level)
         if 2 ** (n + 1) <= CONVERGENCE_EXHAUSTIVE_PATHS:
             ensemble = enumerate_paths(level)

@@ -183,6 +183,6 @@ def equivalent(
     for phi in phis:
         p1 = pair(d1, phi, fixed_t)
         p2 = pair(d2, phi, fixed_t)
-        entries.append(EquivalenceEntry(phi.label or str(phi.expr), p1, p2, abs(p1 - p2)))
+        entries.append(EquivalenceEntry(phi.label, p1, p2, abs(p1 - p2)))
     ok = all(entry.gap <= tol for entry in entries)
     return EquivalenceReport(equivalent=ok, tolerance=tol, entries=tuple(entries))

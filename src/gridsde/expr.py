@@ -618,7 +618,8 @@ class TestFunction:
     Built as a product of bump factors with affine arguments (optionally
     times extra smooth factors), so the function and the stored partial
     derivatives all evaluate to exactly 0 outside the declared support
-    rectangle, including on its boundary.
+    rectangle, including on its boundary.  Without a label it is labelled
+    by its expression.
     """
 
     __test__ = False  # not a pytest class despite the name
@@ -630,6 +631,10 @@ class TestFunction:
     t_support: tuple[float, float]
     x_support: tuple[float, float]
     label: str = ""
+
+    def __post_init__(self):
+        if not self.label:
+            object.__setattr__(self, "label", str(self.expr))
 
     @classmethod
     def from_bumps(
@@ -695,7 +700,7 @@ class TestFunction:
             lo, hi = sorted(((-1.0 - b) / a, (1.0 - b) / a))
             supports[var] = max(supports[var][0], lo), min(supports[var][1], hi)
         d_x = e.diff("x")
-        return cls(e, e.diff("t"), d_x, d_x.diff("x"), supports["t"], supports["x"], label or str(e))
+        return cls(e, e.diff("t"), d_x, d_x.diff("x"), supports["t"], supports["x"], label)
 
     def __call__(self, t: float, x: float) -> float:
         return self.expr(t, x)

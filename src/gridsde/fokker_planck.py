@@ -30,14 +30,14 @@ from typing import Sequence
 import numpy as np
 
 from .expr import TestFunction, as_expr
-from .grids import GridError
+from .grids import GridError, GridFunction
 from .noise import NoiseEnsemble
 from .sde import (
     CauchyProblem,
-    Trajectory,
     TrajectorySet,
     bin_counts,
     density,
+    slice_indices,
     write_density_csv,
 )
 
@@ -99,9 +99,9 @@ class ItoReport:
     phi_label: str
 
 
-def ito_residual(phi: TestFunction, trajectory: Trajectory) -> ItoReport:
-    """Per-step residual of the second-order chain-rule estimate, k = 0..n-2."""
-    n = trajectory.level.n
+def ito_residual(phi: TestFunction, trajectory: GridFunction) -> ItoReport:
+    """Per-step residual of the second-order chain-rule estimate along x on the time grid, k = 0..n-2."""
+    n = trajectory.grid.level.n
     if n < 2:
         raise VerificationError("need at least 2 steps for a residual")
     xv = trajectory.values
@@ -128,7 +128,7 @@ def ito_residual(phi: TestFunction, trajectory: Trajectory) -> ItoReport:
         max_rate=max_rate,
         rate_bound=bound,
         hypothesis_ok=max_rate <= bound,
-        phi_label=phi.label or str(phi.expr),
+        phi_label=phi.label,
     )
 
 
@@ -244,7 +244,7 @@ def weak_form_residual(
         taylor_total=taylor_total,
         pieces_sum_error=pieces_error,
         ensemble=ensemble.descriptor(),
-        phi=phi.label or str(phi.expr),
+        phi=phi.label,
     )
 
 
@@ -532,11 +532,10 @@ def cross_validate(
     """
     level = problem.level
     n = level.n
-    grid = level.time_grid()
     slice_times = tuple(float(t) for t in slice_times)
     if not slice_times:
         raise VerificationError("no slice times to compare")
-    slice_indices = [grid.index_of(t) for t in slice_times]
+    time_indices = slice_indices(level, slice_times)
 
     if window is None:
         half = min(3.0, float(level.spatial_halfwidth))
@@ -554,7 +553,7 @@ def cross_validate(
         raise VerificationError("incompatible bin alignment: dx must be a whole number of 1/n steps")
 
     trajset = TrajectorySet(problem, ensemble)
-    dens = density(trajset, time_indices=slice_indices)
+    dens = density(trajset, time_indices=time_indices)
     fp = fp_solve(
         problem.drift,
         problem.diffusion,

@@ -6,6 +6,10 @@ coin-flip driving term; exhaustive mode enumerates all |A|^(n+1) paths
 exactly once so ensemble averages are exact counting sums, while sampled
 mode draws reproducible paths from a counter-based generator.
 
+Exhaustive path i holds at grid point j the symbol of digit j of i in n+1
+base-|A| digits.  ``_digits`` is that rule, in Python ints, so a slice is
+exact at any index; blocks and conditional prefixes both read it.
+
 The generator is a pure function of (seed, path index, grid point), so a
 path's value never depends on how work is batched.
 Grid point j of path i has counter i*(n+1) + j, hashed by splitmix64 to a
@@ -27,6 +31,7 @@ on the batch size.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -306,17 +311,15 @@ def _block(out: np.ndarray | None, rows: int, cols: int) -> np.ndarray:
     return out[: rows * cols].reshape(rows, cols)
 
 
-def _digit_matrix(indices: np.ndarray, base: int, places: int) -> np.ndarray:
-    powers = base ** np.arange(places - 1, -1, -1, dtype=np.int64)
-    return (indices[:, None] // powers[None, :]) % base
+def _digits(index: int, size: int, places: int) -> list[int]:
+    """Digit j of ``index`` in ``places`` base-``size`` digits, most significant first, in Python ints."""
+    return [index // size**j % size for j in range(places - 1, -1, -1)]
 
 
 @functools.lru_cache(maxsize=1)
 def _low_places(symbols: tuple[float, ...], places: int) -> np.ndarray:
     """Every path of ``places`` grid points in lexicographic order (read-only)."""
-    size = len(symbols)
-    digits = _digit_matrix(np.arange(size**places, dtype=np.int64), size, places)
-    out = np.asarray(symbols)[digits]
+    out = np.array(list(itertools.product(symbols, repeat=places)), dtype=np.float64)
     out.flags.writeable = False
     return out
 
@@ -343,7 +346,7 @@ def _lexicographic_block(
     for first in range(start - start % period, stop, period):
         lo, hi = max(first, start), min(first + period, stop)
         rows = block[lo - start : hi - start]
-        rows[:, :high] = symbols[_digit_matrix(np.array([first // period]), size, high)[0]]
+        rows[:, :high] = symbols[_digits(first // period, size, high)]
         rows[:, high:] = low[lo - first : hi - first]
     return block
 
@@ -393,10 +396,10 @@ class ConditionalEnsemble(NoiseEnsemble):
 
     @property
     def prefix(self) -> tuple[float, ...]:
-        size, last = self.alphabet.size, self.first + self.count - 1
-        # first and last agree on the leading digits down to some place, and below it on none
-        places = (size**e for e in range(self.level.n, -1, -1))
-        digits = [self.first // place % size for place in places if self.first // place == last // place]
+        size, points = self.alphabet.size, self.level.n + 1
+        first, last = (_digits(i, size, points) for i in (self.first, self.first + self.count - 1))
+        # every path between the first and the last holds their common leading digits
+        digits = [a for a, b in itertools.takewhile(lambda d: d[0] == d[1], zip(first, last))]
         return tuple(self.alphabet.scaled(self.level)[digits].tolist())
 
     def descriptor(self) -> dict:

@@ -4,7 +4,8 @@ The dynamics are the explicit one-step recursion
 ``x[k+1] = x[k] + (1/n) * (f(t_k, x[k]) + h(t_k, x[k]) * xi(t_k))``
 driven by a noise path (or by zero noise, giving the deterministic grid
 ODE).  Existence and uniqueness are by construction: the recursion is total
-and deterministic.
+and deterministic.  ``solve_grid_ode`` returns a ``GridFunction`` on the
+time grid, and slice times become time indices by one rule, ``slice_indices``.
 
 Densities, event probabilities, the weak form and the increment report all
 read one step stream, ``TrajectorySet.steps``: per batch of paths, the
@@ -42,7 +43,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .expr import Expr, as_expr
-from .grids import GridError, GridLevel
+from .grids import GridError, GridFunction, GridLevel
 from .noise import (
     _DEFAULT_BATCH,
     _TILE,
@@ -56,11 +57,11 @@ from .noise import (
 __all__ = [
     "DivergenceError",
     "CauchyProblem",
-    "Trajectory",
     "TrajectorySet",
     "DensityField",
     "DependenceReport",
     "solve_grid_ode",
+    "slice_indices",
     "bin_counts",
     "density",
     "event_probability",
@@ -112,26 +113,6 @@ class CauchyProblem:
         }
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """One solution of the grid equation: x(t_k) for k = 0..n."""
-
-    level: GridLevel
-    values: np.ndarray
-    path_index: int | None = None
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.shape[0] != self.level.n + 1:
-            raise GridError(f"trajectory needs {self.level.n + 1} values")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def _kahan_step(xk, comp, rate, n: int):
     """One compensated step x + rate/n: (next states, their compensation, in-range mask).
 
@@ -160,11 +141,9 @@ def _step_block(
     noise: np.ndarray,
     start_index: int | None,
     widths: Sequence[int],
-    drift_fn,
-    diffusion_fn,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The states of a batch of noise paths, one row per path.
+    """The states of a batch of noise paths under ``problem``, one row per path.
 
     The noise and the states are time-major, ``[n+1, rows]``; the noise is
     a copy or a transposed view of the batch's block, and the states, fresh
@@ -175,10 +154,13 @@ def _step_block(
     first row's noise value.  Widths of 1 step every path on its own; a
     whole subtree in lexicographic order shares its prefixes.  A divergence
     names the first diverging step and the smallest path index through the
-    first bad node there, or no path if ``start_index`` is None.
+    first bad node there, or no path if ``start_index`` is None.  f and h
+    are read from ``problem``: each expression compiles its closure once
+    and caches it, so every batch steps with the same two closures.
     """
     n = problem.level.n
     m0 = problem.t0_index
+    drift_fn, diffusion_fn = problem.drift.vectorized(), problem.diffusion.vectorized()
     states = _block(out, n + 1, noise.shape[1])
     states[: m0 + 1] = problem.x0
     # states never read the noise before t0, so every node at t0 is at x0
@@ -203,8 +185,11 @@ def _step_block(
     return states.T
 
 
-def solve_grid_ode(problem: CauchyProblem, noise: NoisePath | None = None) -> Trajectory:
-    """Solve the grid equation along one noise path (zero noise by default)."""
+def solve_grid_ode(problem: CauchyProblem, noise: NoisePath | None = None) -> GridFunction:
+    """Solve the grid equation along one noise path (zero noise by default).
+
+    The solution is x(t_k), k = 0..n, as a function on the level's time grid.
+    """
     n = problem.level.n
     if noise is None:
         block = np.zeros((n + 1, 1))
@@ -214,15 +199,17 @@ def solve_grid_ode(problem: CauchyProblem, noise: NoisePath | None = None) -> Tr
             raise GridError("noise path level does not match the problem level")
         block = noise.values[:, None]
         index = noise.path_index
-    values = _step_block(
-        problem,
-        block,
-        index,
-        [1] * (n + 2),
-        problem.drift.vectorized(),
-        problem.diffusion.vectorized(),
-    )[0]
-    return Trajectory(problem.level, values, path_index=index)
+    values = _step_block(problem, block, index, [1] * (n + 2))[0]
+    return GridFunction(problem.level.time_grid(), values)
+
+
+def slice_indices(level: GridLevel, times: Sequence[float]) -> list[int]:
+    """The time indices of slice times; GridError unless each is a time grid point."""
+    grid = level.time_grid()
+    try:
+        return [grid.index_of(t) for t in times]
+    except GridError as exc:
+        raise GridError(f"slice times must be grid points: {exc}") from exc
 
 
 class TrajectorySet:
@@ -246,8 +233,6 @@ class TrajectorySet:
         self.problem = problem
         self.ensemble = ensemble
         self.batch_size = batch_size
-        self._drift_fn = problem.drift.vectorized()
-        self._diffusion_fn = problem.diffusion.vectorized()
         n = problem.level.n
         # widths[k]: rows of a batch that share xi_0..xi_{k-1}, hence x_k
         self._widths = [1] * (n + 2)
@@ -274,13 +259,14 @@ class TrajectorySet:
         The batch boundaries are fixed by batch_size alone (for exhaustive
         ensembles, by the largest prefix class not above it), so any
         reduction that combines batch results in yield order is
-        reproducible.  Exhaustive path indices and weights are int64, so an
+        reproducible.  Path indices are Python ints, exact at any index, but
+        the bin and event counts that the weights add into are int64, so an
         exhaustive ensemble of 2^63 paths or more raises NoiseError before
         the first batch.
         """
         if self.ensemble.mode == "exhaustive" and self.count >= 1 << 63:
             raise NoiseError(
-                f"exhaustive ensemble of {self.count} paths: path indices would pass "
+                f"exhaustive ensemble of {self.count} paths: its bin counts would pass "
                 "the int64 limit 2**63 - 1"
             )
         # every row of a tree with one child per node is read at every step, so
@@ -301,9 +287,7 @@ class TrajectorySet:
         for start, noise in self.ensemble.batches(self.batch_size, out=block):
             # rebinding drops a fresh row-major block before the states are allocated
             noise = _time_major(noise) if one_child else noise.T
-            values = _step_block(
-                self.problem, noise, start, self._widths, self._drift_fn, self._diffusion_fn, states
-            )
+            values = _step_block(self.problem, noise, start, self._widths, states)
             out = (start, noise.T, values)
             # hold no batch while the next is built: one batch is alive at a time
             del noise, values
@@ -417,8 +401,7 @@ def event_probability(trajectories: TrajectorySet, t0: float, a: float, b: float
     With [a, b) aligned to bin edges this equals the binned density mass
     exactly, because both sides count the same paths.
     """
-    level = trajectories.problem.level
-    k0 = level.time_grid().index_of(t0)
+    (k0,) = slice_indices(trajectories.problem.level, (t0,))
     hits = 0
     for _, xk, _, weight in trajectories.steps((k0,)):
         hits += weight * int(np.count_nonzero((xk >= a) & (xk < b)))

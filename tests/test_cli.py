@@ -1,10 +1,12 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gridsde import cli
 from gridsde.cli import _COMMANDS, main
 from gridsde.fokker_planck import MAX_CELLS, MAX_SUBSTEPS
 
@@ -175,6 +177,34 @@ def test_non_finite_coordinate_is_one_error_line(tmp_path, capsys, argv):
     assert len(lines) == 1
     assert lines[0].startswith(("error:", "config error:"))
     assert "finite grid coordinate" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "crossval", "--n", "257", "--samples", "100"),
+        ("convergence", "--levels", "64,128,257", "--samples", "100"),
+        ("simulate", "--n", "257", "--f", "0", "--h", "1", "--samples", "10"),
+    ],
+    ids=["crossval", "convergence", "simulate"],
+)
+def test_off_grid_slice_is_one_error_line_before_any_level_runs(tmp_path, capsys, monkeypatch, argv):
+    def no_level_runs(*args, **kwargs):
+        raise AssertionError("a level ran before every level's slices were checked")
+
+    monkeypatch.setattr(cli, "weak_form_residual", no_level_runs)
+    assert run(*argv, "--out", str(tmp_path / "out")) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(r"error: slice times must be grid points: 0\.\d+ is not on the 1/257 grid", lines[0])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["fp-solve", "simulate"])
+def test_missing_coefficient_is_one_line_for_every_command(tmp_path, capsys, command):
+    assert run(command, "--f", "0", "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.splitlines() == ["config error: missing diffusion expression --h"]
     assert not (tmp_path / "out").exists()
 
 

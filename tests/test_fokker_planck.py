@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gridsde import fokker_planck
+from gridsde.distrib import dirac, equivalent, split_dirac
 from gridsde.expr import Const, Expr, TestFunction, as_expr
 from gridsde.fokker_planck import (
     FPStabilityError,
@@ -115,6 +116,19 @@ class TestItoResidual:
         path = sample_paths(level, 1, seed=3).path(0)
         report = ito_residual(STANDARD_PHI, solve_grid_ode(problem, path))
         assert len(report.residuals) == n - 1
+
+
+def test_unlabeled_test_function_is_labelled_by_its_expression():
+    e = as_expr("bump((t-0.5)/0.45)*bump(x/2)")
+    d_x = e.diff("x")
+    phi = TestFunction(e, e.diff("t"), d_x, d_x.diff("x"), (0.05, 0.95), (-2.0, 2.0))
+    assert phi.label == str(e)
+    level = GridLevel(8)
+    problem = CauchyProblem("0", "1", 0.0, level)
+    assert ito_residual(phi, solve_grid_ode(problem)).phi_label == str(e)
+    assert weak_form_residual(problem, enumerate_paths(level), phi).phi == str(e)
+    report = equivalent(dirac(level, 0.0), split_dirac(level, 0.0), phis=[phi])
+    assert [entry.phi for entry in report.entries] == [str(e)]
 
 
 class TestWeakForm:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gridsde.noise import (
     _path_values,
     _sampled_values,
 )
+from gridsde.sde import CauchyProblem, TrajectorySet, density
 
 TERNARY = NoiseAlphabet.from_symbols((-3, 1, 2))
 
@@ -491,6 +493,45 @@ class TestConditional:
         for bad in (-1, cond.count):
             with pytest.raises(NoiseError, match="out of range"):
                 cond.path(bad)
+
+
+def python_int_rows(ens):
+    """Paths first..first+count-1 of the enumeration, digit by digit in Python ints."""
+    size, points = ens.alphabet.size, ens.level.n + 1
+    rows = []
+    for index in range(ens.first, ens.first + ens.count):
+        digits = []
+        for _ in range(points):
+            index, digit = divmod(index, size)
+            digits.append(digit)
+        rows.append(digits[::-1])
+    return ens.alphabet.scaled(ens.level)[np.array(rows)]
+
+
+class TestSlicesPastTwoToThe63:
+    # at n = 70 the binary enumeration holds 2^71 paths; each prefix of 68 points is 8 of them
+    S = math.sqrt(70)
+
+    @pytest.mark.parametrize(
+        "prefix, first",
+        [([-S] * 68, 0), ([-S] * 5 + [S] + [-S] * 62, 2**65), ([S] * 68, 2**71 - 8)],
+        ids=["first", "digit-5", "last"],
+    )
+    def test_slice_is_its_python_int_digit_expansion(self, prefix, first):
+        level = GridLevel(70)
+        full = NoiseEnsemble("exhaustive", level, NoiseAlphabet.white(), 2**71)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ens = conditional(full, prefix)
+            assert (ens.first, ens.count) == (first, 8)
+            want = python_int_rows(ens)
+            assert all_rows(ens).tobytes() == want.tobytes()
+            assert ens.prefix == tuple(prefix)
+            trajectories = TrajectorySet(CauchyProblem("-x", "1", 0.0, level), ens)
+            noise = np.concatenate([block for _, block, _ in trajectories.batches()])
+            assert noise.tobytes() == want.tobytes()
+            dens = density(trajectories)
+        assert (dens.counts.sum(axis=1) + dens.overflow).tolist() == [8] * 71
 
 
 class TestExpectation:
