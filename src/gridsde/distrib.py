@@ -108,16 +108,13 @@ def pair(dist: GridDistribution, phi: TestFunction, fixed_t: float = 0.0) -> flo
     if not math.isfinite(fixed_t):
         raise DistributionError(f"fixed_t must be finite, got {fixed_t}")
     grid = dist.gf.grid
-    halfwidth = float(dist.level.spatial_halfwidth)
-    lo, hi = phi.x_support
-    if lo < -halfwidth - 1e-12 or hi > halfwidth + 1e-12:
-        raise DistributionError(
-            f"window too small: support [{lo}, {hi}] exceeds [-{halfwidth}, {halfwidth}]"
-        )
+    if not dist.level.window_holds(*phi.x_support):
+        (lo, hi), hw = phi.x_support, float(dist.level.spatial_halfwidth)
+        raise DistributionError(f"window too small: support [{lo}, {hi}] exceeds [-{hw}, {hw}]")
     values = dist.gf.values
     terms = []
     for pos in np.nonzero(values)[0]:
-        point = float(grid.point(int(pos)))
+        point = float(grid.point(pos))
         terms.append(values[pos] * phi(fixed_t, point))
     return math.fsum(terms) / dist.level.n
 

@@ -38,6 +38,8 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
+from .grids import integer_in
+
 __all__ = [
     "ExprError",
     "ExprSyntaxError",
@@ -269,8 +271,8 @@ class Pow(Expr):
     exponent: int
 
     def __post_init__(self):
-        if not isinstance(self.exponent, int) or self.exponent < 0:
-            raise ExprError("exponent must be a non-negative integer")
+        message = "exponent must be a non-negative integer"
+        object.__setattr__(self, "exponent", integer_in(self.exponent, 0, None, ExprError, message))
 
     def _diff(self, var):
         if self.exponent == 0:
@@ -371,8 +373,8 @@ class Bump(Expr):
     arg: Expr
 
     def __post_init__(self):
-        if not isinstance(self.order, int) or self.order < 0:
-            raise ExprError("bump derivative order must be a non-negative integer")
+        message = "bump derivative order must be a non-negative integer"
+        object.__setattr__(self, "order", integer_in(self.order, 0, None, ExprError, message))
 
     def _diff(self, var):
         return _mul(Bump(self.order + 1, self.arg), self.arg._diff(var))

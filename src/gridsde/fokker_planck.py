@@ -174,8 +174,7 @@ def weak_form_residual(
         raise VerificationError(
             "test function must vanish at t = 1 (its time support must end before 1)"
         )
-    halfwidth = float(level.spatial_halfwidth)
-    if phi.x_support[0] < -halfwidth - 1e-12 or phi.x_support[1] > halfwidth + 1e-12:
+    if not level.window_holds(*phi.x_support):
         raise VerificationError("window too small for the test function's spatial support")
 
     k_window = level.window_steps

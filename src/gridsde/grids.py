@@ -10,6 +10,7 @@ checked against rounding error alone, never against grid drift.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -34,6 +35,14 @@ class GridError(ValueError):
     """Invalid grid construction or grid operation."""
 
 
+def integer_in(value, lo: int | None, hi: int | None, error: type[Exception], message: str) -> int:
+    """int(value) if it is an integer in lo..hi (None: open), not a bool; else error(message)."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        if (lo is None or lo <= value) and (hi is None or value <= hi):
+            return int(value)
+    raise error(message)
+
+
 _DEFAULT_WINDOW = 8
 
 
@@ -45,26 +54,25 @@ class GridLevel:
     of the origin, so ``spatial_halfwidth`` may never exceed n/2 and must be
     an integer multiple of the step.  The default window is 8, clamped to
     n/2 for small n (at n = 1 the full lattice is the single point {0} and
-    the window degenerates to it).
+    the window degenerates to it).  n is a non-bool integer >= 1, stored as int.
     """
 
     n: int
     spatial_halfwidth: Fraction | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise GridError("level n must be a positive integer")
+        message = "level n must be a positive integer"
+        object.__setattr__(self, "n", integer_in(self.n, 1, None, GridError, message))
         if self.spatial_halfwidth is None:
             hw = Fraction(min(_DEFAULT_WINDOW * self.n, self.n * self.n // 2), self.n)
-            object.__setattr__(self, "spatial_halfwidth", hw)
         else:
             try:
                 hw = Fraction(self.spatial_halfwidth)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise GridError(f"invalid spatial halfwidth: {self.spatial_halfwidth!r}") from exc
-            object.__setattr__(self, "spatial_halfwidth", hw)
             if hw <= 0:
                 raise GridError("spatial halfwidth must be positive")
+        object.__setattr__(self, "spatial_halfwidth", hw)
         if (hw * self.n).denominator != 1:
             raise GridError(f"spatial halfwidth {hw} is not a multiple of the step 1/{self.n}")
         if hw > Fraction(self.n, 2):
@@ -79,6 +87,11 @@ class GridLevel:
     def window_steps(self) -> int:
         """Number of steps K from the origin to the spatial window edge."""
         return int(self.spatial_halfwidth * self.n)
+
+    def window_holds(self, lo: float, hi: float) -> bool:
+        """Whether [lo, hi] lies in the spatial window, with a slack of 1e-12."""
+        halfwidth = float(self.spatial_halfwidth) + 1e-12
+        return -halfwidth <= lo and hi <= halfwidth
 
     def time_grid(self) -> "UniformGrid":
         """The n+1 time points k/n, k = 0..n, spanning [0, 1]."""
@@ -99,8 +112,10 @@ class UniformGrid:
     i_stop: int
 
     def __post_init__(self) -> None:
-        if self.i_stop <= self.i_start:
-            raise GridError("grid index range is empty")
+        message = f"grid index range [{self.i_start!r}, {self.i_stop!r}) is empty or not integer"
+        start = integer_in(self.i_start, None, None, GridError, message)
+        object.__setattr__(self, "i_start", start)
+        object.__setattr__(self, "i_stop", integer_in(self.i_stop, start + 1, None, GridError, message))
 
     @property
     def point_count(self) -> int:
@@ -108,8 +123,7 @@ class UniformGrid:
 
     def point(self, pos: int) -> Fraction:
         """Exact coordinate of the pos-th grid point (0-based)."""
-        if not 0 <= pos < self.point_count:
-            raise GridError(f"grid position {pos} out of range")
+        pos = integer_in(pos, 0, self.point_count - 1, GridError, f"grid position {pos!r} out of range")
         return Fraction(self.i_start + pos, self.level.n)
 
     def points(self) -> np.ndarray:
@@ -180,10 +194,9 @@ def grid_integral(f: GridFunction, start: int = 0, stop: int | None = None) -> f
 
     Defaults to the full grid.  An empty range integrates to exactly 0.
     """
-    if stop is None:
-        stop = len(f)
-    if not (0 <= start <= stop <= len(f)):
-        raise GridError(f"integration range [{start}, {stop}) out of bounds")
+    message = f"integration range [{start!r}, {stop!r}) out of bounds"
+    start = integer_in(start, 0, len(f), GridError, message)
+    stop = integer_in(len(f) if stop is None else stop, start, len(f), GridError, message)
     return math.fsum(f.values[start:stop]) / f.grid.level.n
 
 
@@ -204,8 +217,9 @@ def fundamental_theorem_check(f: GridFunction, x_idx: int, y_idx: int) -> tuple[
     Returns (integral of the grid derivative, f[y] - f[x]); the two agree to
     rounding error because the sum telescopes term by term.
     """
-    if not (0 <= x_idx < y_idx < len(f)):
-        raise GridError(f"need 0 <= x_idx < y_idx < {len(f)}")
+    message = f"need integers 0 <= x_idx < y_idx < {len(f)}, got {x_idx!r}, {y_idx!r}"
+    x_idx = integer_in(x_idx, 0, len(f) - 2, GridError, message)
+    y_idx = integer_in(y_idx, x_idx + 1, len(f) - 1, GridError, message)
     lhs = grid_integral(grid_derivative(f), x_idx, y_idx)
     rhs = float(f.values[y_idx] - f.values[x_idx])
     return lhs, rhs
@@ -248,7 +262,7 @@ def multilevel_integral(
     a, b = domain
     if not (a < b):
         raise GridError("domain must satisfy a < b")
-    levels = tuple(int(n) for n in levels)
+    levels = tuple(GridLevel(n).n for n in levels)  # GridError unless positive integers
     if len(levels) < 3:
         raise GridError("need at least 3 levels")
     if any(n2 <= n1 for n1, n2 in zip(levels, levels[1:])):

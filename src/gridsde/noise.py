@@ -33,13 +33,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .grids import GridLevel
+from .grids import GridLevel, integer_in
 
 __all__ = [
     "NoiseError",
@@ -218,11 +217,14 @@ class NoiseEnsemble:
     def __post_init__(self):
         if self.mode not in ("exhaustive", "sampled"):
             raise NoiseError(f"unknown ensemble mode {self.mode!r}")
-        if self.count < 1:
-            raise NoiseError("ensemble must contain at least one path")
-        if self.mode == "sampled" and self.seed is None:
-            raise NoiseError("sampled ensembles need a seed")
+        message = f"path count {self.count!r} is not a positive integer"
+        object.__setattr__(self, "count", integer_in(self.count, 1, None, NoiseError, message))
+        if self.mode == "sampled":
+            message = f"sampled ensembles need an integer seed, got {self.seed!r}"
+            object.__setattr__(self, "seed", integer_in(self.seed, None, None, NoiseError, message))
         if self.mode == "exhaustive":
+            message = f"first path {self.first!r} is not a non-negative integer"
+            object.__setattr__(self, "first", integer_in(self.first, 0, None, NoiseError, message))
             stop = self.first + self.count
             sizes = [_class_size(self.alphabet, self.level, k) for k in range(self.level.n + 2)]
             # at every prefix length the slice holds whole classes or lies within one
@@ -237,13 +239,12 @@ class NoiseEnsemble:
     def prefix_rows(self, length: int) -> int:
         """min(count, |A|^(n+1-length)): the run of paths that agree on grid points 0..length-1.
 
-        NoiseError unless the ensemble is exhaustive and ``length`` an integer in 0..n+1.
+        NoiseError unless exhaustive with ``length`` an integer in 0..n+1 (numpy's too; not a bool).
         """
         if self.mode != "exhaustive":
             raise NoiseError("prefix classes need an exhaustive ensemble")
-        points = self.level.n + 1
-        if not (isinstance(length, numbers.Integral) and 0 <= length <= points):
-            raise NoiseError(f"prefix length {length!r} is not an integer in 0..{points}")
+        message = f"prefix length {length!r} is not an integer in 0..{self.level.n + 1}"
+        length = integer_in(length, 0, self.level.n + 1, NoiseError, message)
         return min(self.count, _class_size(self.alphabet, self.level, length))
 
     def descriptor(self) -> dict:
@@ -274,9 +275,10 @@ class NoiseEnsemble:
         contiguous float64 buffer of at least min(batch_size, count) * (n+1)
         values; each matrix is then a view of its front, which the next
         batch overwrites, so a caller copies what it keeps past its
-        iteration.
+        iteration.  NoiseError unless batch_size is an integer >= 1 (numpy's too; not a bool).
         """
-        _check_batch_size(batch_size)
+        message = f"batch size must be a positive integer, got {batch_size!r}"
+        batch_size = integer_in(batch_size, 1, None, NoiseError, message)
         rows = min(batch_size, self.count)
         if out is not None and (
             out.ndim != 1
@@ -293,15 +295,9 @@ class NoiseEnsemble:
             yield start, self._values_for(start, stop, out)
 
     def path(self, index: int) -> NoisePath:
-        if not 0 <= index < self.count:
-            raise NoiseError(f"path index {index} out of range")
+        index = integer_in(index, 0, self.count - 1, NoiseError, f"path index {index!r} out of range")
         values = self._values_for(index, index + 1)[0]
         return NoisePath(self.level, values, path_index=index)
-
-
-def _check_batch_size(batch_size) -> None:
-    if isinstance(batch_size, bool) or not isinstance(batch_size, numbers.Integral) or batch_size < 1:
-        raise NoiseError(f"batch size must be a positive integer, got {batch_size!r}")
 
 
 def _block(out: np.ndarray | None, rows: int, cols: int) -> np.ndarray:
@@ -375,7 +371,7 @@ def sample_paths(
 ) -> NoiseEnsemble:
     """A reproducible sample of noise paths, uniform over the alphabet per point."""
     alphabet = alphabet or NoiseAlphabet.white()
-    return NoiseEnsemble("sampled", level, alphabet, count, seed=int(seed))
+    return NoiseEnsemble("sampled", level, alphabet, count, seed=seed)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -35,7 +35,6 @@ agree across batch sizes only to rounding.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -43,16 +42,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .expr import Expr, as_expr
-from .grids import GridError, GridFunction, GridLevel
-from .noise import (
-    _DEFAULT_BATCH,
-    _TILE,
-    NoiseEnsemble,
-    NoiseError,
-    NoisePath,
-    _block,
-    _check_batch_size,
-)
+from .grids import GridError, GridFunction, GridLevel, integer_in
+from .noise import _DEFAULT_BATCH, _TILE, NoiseEnsemble, NoiseError, NoisePath, _block
 
 __all__ = [
     "DivergenceError",
@@ -96,6 +87,8 @@ class CauchyProblem:
         object.__setattr__(self, "drift", as_expr(self.drift))
         object.__setattr__(self, "diffusion", as_expr(self.diffusion))
         object.__setattr__(self, "x0", float(self.x0))
+        if not math.isfinite(self.x0):
+            raise GridError(f"x0 must be finite, got {self.x0!r}")
         # t0 must be a grid point; snaps within 1e-9
         self.level.time_grid().index_of(self.t0)
 
@@ -229,10 +222,10 @@ class TrajectorySet:
     ):
         if ensemble.level.n != problem.level.n:
             raise GridError("ensemble level does not match the problem level")
-        _check_batch_size(batch_size)
+        message = f"batch size must be a positive integer, got {batch_size!r}"
+        self.batch_size = batch_size = integer_in(batch_size, 1, None, NoiseError, message)
         self.problem = problem
         self.ensemble = ensemble
-        self.batch_size = batch_size
         n = problem.level.n
         # widths[k]: rows of a batch that share xi_0..xi_{k-1}, hence x_k
         self._widths = [1] * (n + 2)
@@ -304,12 +297,11 @@ class TrajectorySet:
         through it; with ``with_noise`` each distinct pair (x_k, xi_k).
         Without it xi_k is None.  x_k and xi_k are copies, so a caller's
         loop variables do not keep a finished batch alive.  GridError before
-        the first batch unless every k is an integer in 0..n (a bool is not).
+        the first batch unless every k is an integer in 0..n (numpy's too; not a bool).
         """
         n = self.problem.level.n
-        for k in time_indices:
-            if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 <= k <= n:
-                raise GridError(f"time index {k!r} is not an integer in 0..{n}")
+        message = "time index {!r} is not an integer in 0..{}"
+        time_indices = [integer_in(k, 0, n, GridError, message.format(k, n)) for k in time_indices]
         shift = 1 if with_noise else 0
         for _, noise, values in self.batches():
             for i, k in enumerate(time_indices):

@@ -208,6 +208,46 @@ def test_missing_coefficient_is_one_line_for_every_command(tmp_path, capsys, com
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, files, code, first_line",
+    [
+        (("simulate", "--config", "missing.json", "--f", "0", "--h", "1"), {}, 2,
+         "config error: config file not found: "),
+        (("simulate", "--config", "run.json", "--f", "0", "--h", "1"), {"run.json": "{bad"}, 2,
+         "config error: config file is not valid JSON: "),
+        (("simulate", "--config", "run.json", "--f", "0", "--h", "1"), {"run.json": "[1, 2]"}, 2,
+         "config error: config file must hold a flat JSON object"),
+        (("convergence", "--levels", "16,8,32"), {}, 2,
+         "config error: levels must be strictly increasing"),
+        (("simulate", "--h", "1"), {}, 2, "config error: missing drift expression --f"),
+        (("verify", "ito", "--config", "run.json"), {"run.json": '{"tol_ito_ratio_noise": 100}'}, 1,
+         "FAIL verify ito: noise decay ratios "),
+    ],
+    ids=["config-missing", "config-not-json", "config-list", "levels-decreasing", "simulate-no-f",
+         "ito-noise-ladder-fails"],
+)
+def test_refusal_is_one_line_with_its_exit_code(
+    tmp_path, capsys, monkeypatch, argv, files, code, first_line
+):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        Path(name).write_text(text)
+    assert run(*argv, "--out", "out") == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(first_line)
+
+
+@pytest.mark.parametrize(
+    "argv, mode",
+    [(("--n", "8"), "exhaustive"), (("--n", "24", "--samples", "1000"), "sampled")],
+    ids=["n8", "n24"],
+)
+def test_weakform_without_mode_walks_exhaustively_when_the_paths_fit(tmp_path, argv, mode):
+    run("verify", "weakform", *argv, "--out", str(tmp_path))
+    report = json.loads((tmp_path / "verify_weakform.json").read_text())
+    assert report["results"]["ensemble"]["mode"] == report["config"]["mode"] == mode
+
+
 class TestVerify:
     def test_lemmas_pass(self, tmp_path):
         assert run("verify", "lemmas", "--n", "8", "--out", str(tmp_path)) == 0

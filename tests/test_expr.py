@@ -7,6 +7,7 @@ import pytest
 from gridsde.expr import (
     Add,
     Bump,
+    Call,
     Const,
     Div,
     ExprDomainError,
@@ -18,6 +19,7 @@ from gridsde.expr import (
     Sub,
     TestFunction,
     Var,
+    as_expr,
     parse,
 )
 
@@ -354,3 +356,22 @@ class TestTestFunction:
             assert abs(phi.d_t(t, x) - fd_t) <= 1e-5 * (1 + abs(fd_t))
             assert abs(phi.d_x(t, x) - fd_x) <= 1e-5 * (1 + abs(fd_x))
             assert abs(phi.d_xx(t, x) - fd_xx) <= 1e-4 * (1 + abs(fd_xx))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Var("y"), ExprError, "unknown variable 'y'"),
+        (lambda: Call("tan", Var("x")), ExprError, "unknown function 'tan'"),
+        (lambda: parse("(x"), ExprSyntaxError, r"expected '\)' \(offset 2\)"),
+        (lambda: parse("x)"), ExprSyntaxError, r"unexpected token '\)' \(offset 1\)"),
+        (lambda: as_expr(None), ExprError, "cannot interpret None"),
+        (lambda: TestFunction.from_bumps(x_width=0.0), ExprError, "x_width must be positive"),
+        (lambda: TestFunction.from_bumps(t_center=0.5, t_width=0.0), ExprError,
+         "t_width must be positive"),
+    ],
+    ids=["var-y", "call-tan", "open-paren", "close-paren", "none", "x-width-zero", "t-width-zero"],
+)
+def test_refusal(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -16,7 +16,7 @@ from gridsde.fokker_planck import (
     ito_residual,
     weak_form_residual,
 )
-from gridsde.grids import GridLevel
+from gridsde.grids import GridFunction, GridLevel
 from gridsde.identities import increment_report, moment_report, tower_property_report
 from gridsde.noise import (
     NoiseAlphabet,
@@ -689,3 +689,21 @@ class TestIncrementIdentities:
         )
         assert report.max_orthogonality_rel <= 1e-10
         assert report.max_quadratic_rel <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: fp_solve("-x", "1", 0.0, (1.0, -1.0), 0.125), "window must satisfy lo < hi"),
+        (lambda: fp_solve("-x", "1", 0.0, (-1.0, 1.0), 0.125, save_times=(0.5, 1.5)),
+         r"save times must lie in \[0, t_end\]"),
+        (lambda: fp_solve("-x", "1", 0.0, (-1.0, 1.0), 0.125, save_times=(0.5, 0.25)),
+         "save times must be strictly increasing"),
+        (lambda: ito_residual(STANDARD_PHI, GridFunction(GridLevel(1).time_grid(), [0.0, 0.0])),
+         "need at least 2 steps"),
+    ],
+    ids=["window-reversed", "save-past-t-end", "save-decreasing", "ito-n1"],
+)
+def test_refusal(build, message):
+    with pytest.raises(VerificationError, match=message):
+        build()

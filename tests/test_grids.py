@@ -282,3 +282,24 @@ class TestMultilevelIntegral:
             multilevel_integral(lambda x: 1.0, (0.0, 1.0), [4, 8], tol=1.0)
         with pytest.raises(GridError):
             multilevel_integral(lambda x: 1.0, (0.0, 1.0), [8, 8, 16], tol=1.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GridLevel(4, 0), "spatial halfwidth must be positive"),
+        (lambda: UniformGrid(GridLevel(4), 2, 2), r"grid index range \[2, 2\) is empty"),
+        (lambda: multilevel_integral(math.exp, (1.0, 1.0), [8, 16, 32], 1.0), "a < b"),
+    ],
+    ids=["window-zero", "empty-range", "empty-domain"],
+)
+def test_refusal(build, message):
+    with pytest.raises(GridError, match=message):
+        build()
+
+
+def test_window_holds_a_support_up_to_a_slack_of_1e_12():
+    level = GridLevel(8)  # window [-4, 4]
+    assert level.window_holds(-4.0, 4.0) and level.window_holds(-4.0 - 1e-13, 4.0 + 1e-13)
+    assert not level.window_holds(-4.0 - 1e-9, 0.0)
+    assert not level.window_holds(0.0, 4.0 + 1e-9)

@@ -649,3 +649,18 @@ class TestNoisePath:
         path = enumerate_paths(GridLevel(2)).path(0)
         with pytest.raises(ValueError):
             path.values[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: NoiseAlphabet((1.0,)), "at least 2 symbols"),
+        (lambda: NoiseAlphabet.from_symbols([1.0]), "at least 2 symbols"),
+        (lambda: NoiseEnsemble("bogus", GridLevel(4), TERNARY, 4), "unknown ensemble mode"),
+        (lambda: NoiseEnsemble("sampled", GridLevel(4), TERNARY, 4), "integer seed, got None"),
+    ],
+    ids=["one-symbol", "one-symbol-from-symbols", "unknown-mode", "sampled-without-seed"],
+)
+def test_refusal(build, message):
+    with pytest.raises(NoiseError, match=message):
+        build()

@@ -610,3 +610,16 @@ class TestPrefixTree:
         with pytest.raises(DivergenceError) as single:
             solve_grid_ode(problem, ensemble.path(index))
         assert single.value.step == step
+
+
+@pytest.mark.parametrize("t0", [0.0, 1.0])
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_x0_is_refused_when_the_problem_is_built(x0, t0):
+    # at t0 = 1 no step runs, so no divergence check would see it
+    with pytest.raises(GridError, match="x0 must be finite"):
+        CauchyProblem("0", "1", x0, GridLevel(4), t0=t0)
+
+
+def test_ensemble_of_another_level_is_refused():
+    with pytest.raises(GridError, match="ensemble level does not match the problem level"):
+        TrajectorySet(brownian_problem(4), enumerate_paths(GridLevel(3)))
