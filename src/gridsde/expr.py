@@ -19,20 +19,26 @@ over the language.
 Differentiation is symbolic rather than numeric because the residual checks
 downstream measure O(1/n) signals and need derivative error far below that.
 
-Each expression compiles once to a numpy closure.  ``vectorized()`` returns
-it, and a scalar call ``e(t, x)`` runs the same closure on float64 scalars,
-so scalar and array evaluation agree bit for bit.  A scalar call raises
-every floating-point fault as ``ExprDomainError`` naming the innermost
-failing subexpression, e.g. "division by zero in '1.0/(x - 1.0)'"; an
-overflow in '+', '-', '*' or inside a bump names the whole expression.
+Each expression compiles once to a numpy function, and one compiler emits
+every such function.  It hash-conses a tuple of expressions into one DAG and
+evaluates each distinct node once per call, and every bump over one argument
+shares u, the support mask, w = 1-u^2 and exp(-1/w).  ``vectorized()``
+returns the one-output case; ``TestFunction.jet`` evaluates phi_t, phi_x and
+phi_xx together.  Each node runs the same numpy operation on the same
+operands whichever function evaluates it, so the outputs of a jet, of
+``vectorized()`` and of a scalar call ``e(t, x)`` (the one-output function
+on float64 scalars) agree bit for bit.  A scalar call raises every
+floating-point fault as ``ExprDomainError`` naming the innermost failing
+subexpression, e.g. "division by zero in '1.0/(x - 1.0)'"; an overflow in
+'+', '-', '*' or inside a bump names the whole expression.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache, partial
 from typing import Callable, ClassVar
 
@@ -101,7 +107,7 @@ class Expr:
         return self._diff(var)
 
     def vectorized(self) -> _VectorFn:
-        """The compiled numpy closure that scalar calls run too.
+        """The compiled numpy function that scalar calls run too.
 
         Outside ``__call__`` domain faults follow the caller's numpy errstate,
         so under ``errstate(all="ignore")`` they surface as nan/inf.
@@ -119,13 +125,14 @@ class Expr:
 
     @cached_property
     def _compiled(self) -> _VectorFn:
-        return self._vector()
+        return _compile(self)
 
     # subclass hooks
     def _diff(self, var: str) -> "Expr":
         raise NotImplementedError
 
-    def _vector(self) -> _VectorFn:
+    def _emit(self, c: "_Compiler", *args: str) -> str:
+        """Emit this node's operation on its children's operands ``args``; return its operand."""
         raise NotImplementedError
 
     def _src(self) -> tuple[str, int]:
@@ -136,21 +143,6 @@ class Expr:
         return f"({text})" if prec < min_prec else text
 
 
-def _guarded(op, message: str, node: Expr):
-    """Run one node's own operation (its operands are already evaluated),
-    naming the node if numpy raises under ``Expr.__call__``'s errstate.
-    """
-
-    def run(*args):
-        try:
-            return op(*args)
-        except FloatingPointError as exc:
-            fault = "overflow" if str(exc).startswith("overflow") else message
-            raise ExprDomainError(fault, str(node)) from None
-
-    return run
-
-
 @dataclass(frozen=True, repr=False)
 class Const(Expr):
     value: float
@@ -158,9 +150,8 @@ class Const(Expr):
     def _diff(self, var):
         return Const(0.0)
 
-    def _vector(self):
-        v = np.float64(self.value)
-        return lambda t, x: v
+    def _emit(self, c):
+        return c.constant(np.float64(self.value))
 
     def _src(self):
         text = repr(self.value)  # a leading minus, -0.0 included, prints as negation
@@ -178,10 +169,8 @@ class Var(Expr):
     def _diff(self, var):
         return Const(1.0 if var == self.name else 0.0)
 
-    def _vector(self):
-        if self.name == "t":
-            return lambda t, x: t
-        return lambda t, x: x
+    def _emit(self, c):
+        return self.name
 
     def variables(self):
         return frozenset((self.name,))
@@ -197,9 +186,8 @@ class Neg(Expr):
     def _diff(self, var):
         return _neg(self.arg._diff(var))
 
-    def _vector(self):
-        f = self.arg._vector()
-        return lambda t, x: -f(t, x)
+    def _emit(self, c, a):
+        return c.assign(f"-{a}", (a,))
 
     def _src(self):
         return f"-{self._child(self.arg, _P_ATOM)}", _P_NEG
@@ -207,24 +195,20 @@ class Neg(Expr):
 
 @dataclass(frozen=True, repr=False)
 class _Binary(Expr):
-    """``left symbol right``; a subclass gives its operation, symbol,
-    precedence and derivative.  The right operand binds one level tighter,
-    so x - (t - 1.0) keeps its parentheses and x - t - 1.0 needs none.
+    """``left symbol right``; a subclass gives its symbol, precedence and
+    derivative.  The right operand binds one level tighter, so x - (t - 1.0)
+    keeps its parentheses and x - t - 1.0 needs none.
     """
 
     left: Expr
     right: Expr
 
-    op: ClassVar[Callable]
     symbol: ClassVar[str]
     prec: ClassVar[int]
+    fault: ClassVar[str | None] = None  # a fault the node names in a scalar call
 
-    def _operation(self):
-        return self.op
-
-    def _vector(self):
-        f, g, op = self.left._vector(), self.right._vector(), self._operation()
-        return lambda t, x: op(f(t, x), g(t, x))
+    def _emit(self, c, a, b):
+        return c.assign(f"{a} {self.symbol.strip()} {b}", (a, b), self if self.fault else None)
 
     def _src(self):
         left, right = self._child(self.left, self.prec), self._child(self.right, self.prec + 1)
@@ -232,21 +216,21 @@ class _Binary(Expr):
 
 
 class Add(_Binary):
-    op, symbol, prec = operator.add, " + ", _P_ADD
+    symbol, prec = " + ", _P_ADD
 
     def _diff(self, var):
         return _add(self.left._diff(var), self.right._diff(var))
 
 
 class Sub(_Binary):
-    op, symbol, prec = operator.sub, " - ", _P_ADD
+    symbol, prec = " - ", _P_ADD
 
     def _diff(self, var):
         return _sub(self.left._diff(var), self.right._diff(var))
 
 
 class Mul(_Binary):
-    op, symbol, prec = operator.mul, "*", _P_MUL
+    symbol, prec = "*", _P_MUL
 
     def _diff(self, var):
         da, db = self.left._diff(var), self.right._diff(var)
@@ -254,10 +238,7 @@ class Mul(_Binary):
 
 
 class Div(_Binary):
-    op, symbol, prec = operator.truediv, "/", _P_MUL
-
-    def _operation(self):
-        return _guarded(self.op, "division by zero", self)
+    symbol, prec, fault = "/", _P_MUL, "division by zero"
 
     def _diff(self, var):
         da, db = self.left._diff(var), self.right._diff(var)
@@ -270,6 +251,8 @@ class Pow(Expr):
     base: Expr
     exponent: int
 
+    fault: ClassVar[str] = "overflow"
+
     def __post_init__(self):
         message = "exponent must be a non-negative integer"
         object.__setattr__(self, "exponent", integer_in(self.exponent, 0, None, ExprError, message))
@@ -280,11 +263,9 @@ class Pow(Expr):
         db = self.base._diff(var)
         return _mul(Const(float(self.exponent)), _mul(_pow(self.base, self.exponent - 1), db))
 
-    def _vector(self):
-        f, k = self.base._vector(), self.exponent
+    def _emit(self, c, a):
         # numpy's scalar power rounds differently from its array power
-        power = _guarded(lambda a: np.asarray(a) ** k, "overflow", self)
-        return lambda t, x: power(f(t, x))
+        return c.assign(f"_asarray({a}) ** {self.exponent}", (a,), self)
 
     def _src(self):
         return f"{self._child(self.base, _P_NEG)}^{self.exponent}", _P_POW
@@ -309,14 +290,15 @@ class Call(Expr):
         if self.name not in _FUNCTIONS:
             raise ExprError(f"unknown function {self.name!r}")
 
+    @property
+    def fault(self) -> str:
+        return _FUNCTIONS[self.name][1]
+
     def _diff(self, var):
         return _FUNCTIONS[self.name][2](self.arg, self.arg._diff(var))
 
-    def _vector(self):
-        f = self.arg._vector()
-        ufunc, message, _ = _FUNCTIONS[self.name]
-        apply = _guarded(ufunc, message, self)
-        return lambda t, x: apply(f(t, x))
+    def _emit(self, c, a):
+        return c.assign(f"_{self.name}({a})", (a,), self)
 
     def _src(self):
         return f"{self.name}({self.arg._src()[0]})", _P_ATOM
@@ -328,6 +310,7 @@ def _bump_poly(order: int) -> tuple[int, ...]:
 
     The recurrence follows from differentiating the quotient form:
     P_{k+1} = (1-u^2)^2 P_k' + 4k u (1-u^2) P_k - 2u P_k, with P_0 = 1.
+    The last coefficient is nonzero.
     """
     if order == 0:
         return (1,)
@@ -347,15 +330,20 @@ def _poly_shift(p: tuple[int, ...], degree: int, scale: int) -> tuple[int, ...]:
 
 
 def _poly_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a + b without trailing zero coefficients, (0,) for the zero polynomial."""
     size = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(size)
-    )
+    total = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(size)]
+    while len(total) > 1 and total[-1] == 0:
+        total.pop()
+    return tuple(total)
 
 
 def _poly_eval(p: tuple[int, ...], u):
-    acc = 0.0
-    for c in reversed(p):
+    """Horner's rule, started at the last coefficient: from acc = 0 the first
+    step, 0*u + p[-1], gives p[-1] exactly wherever u is finite.
+    """
+    acc = float(p[-1])
+    for c in reversed(p[:-1]):
         acc = acc * u + c
     return acc
 
@@ -379,26 +367,141 @@ class Bump(Expr):
     def _diff(self, var):
         return _mul(Bump(self.order + 1, self.arg), self.arg._diff(var))
 
-    def _vector(self):
-        f, order = self.arg._vector(), self.order
-        poly = _bump_poly(order)
-
-        def run(t, x):
-            u = np.asarray(f(t, x), dtype=np.float64)
-            inside = np.abs(u) < 1.0
-            # lanes outside the support may overflow; they are zeroed below
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = np.where(inside, 1.0 - u * u, 1.0)
-                value = np.exp(-1.0 / w)
-                if order:
-                    value = value * _poly_eval(poly, u) / w ** (2 * order)
-            return np.where(inside, value, 0.0)
-
-        return run
+    def _emit(self, c, a):
+        u, inside, w, support = c.bump_support(a)
+        value = c.fresh()
+        if not self.order:
+            c.step(f"{value} = _where({inside}, {support}, 0.0)", defines=(value,), reads=(inside, support))
+            return value
+        c.step(
+            "with _quiet():",  # lanes outside the support may overflow; they are zeroed below
+            f"    {value} = {support} * _poly({_bump_poly(self.order)!r}, {u}) / {w} ** {2 * self.order}",
+            f"{value} = _where({inside}, {value}, 0.0)",
+            defines=(value,),
+            reads=(u, inside, w, support),
+        )
+        return value
 
     def _src(self):
         name = "bump" if self.order == 0 else f"bump_d{self.order}"
         return f"{name}({self.arg._src()[0]})", _P_ATOM
+
+
+# ----------------------------------------------------------------------
+# compiler
+
+# the names an emitted function reads besides its operands
+_GLOBALS = {
+    "_asarray": np.asarray,
+    "_float64": np.float64,
+    "_abs": np.abs,
+    "_where": np.where,
+    "_quiet": partial(np.errstate, over="ignore", invalid="ignore"),
+    "_poly": _poly_eval,
+    **{f"_{name}": ufunc for name, (ufunc, _, _) in _FUNCTIONS.items()},
+}
+
+
+def _fault(guarded: list[Expr], exc: FloatingPointError, i: int) -> ExprDomainError:
+    node = guarded[i]
+    return ExprDomainError("overflow" if str(exc).startswith("overflow") else node.fault, str(node))
+
+
+class _Compiler:
+    """Straight-line numpy code evaluating each distinct node once.
+
+    A node's key is its type, its own fields and its children's operands,
+    so structurally equal subtrees share one operand.  A float field is
+    keyed with its sign too, because Const(0.0) == Const(-0.0).
+    """
+
+    def __init__(self):
+        self.operands: dict[tuple, str] = {}
+        self.guarded: list[Expr] = []
+        self.globals = {**_GLOBALS, "_fault": partial(_fault, self.guarded)}
+        # (lines, locals they define, operands they read), in evaluation order
+        self.steps: list[tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = []
+        self.supports: dict[str, tuple[str, str, str, str]] = {}
+        self.names = itertools.count()
+
+    def operand(self, node: Expr) -> str:
+        values = [getattr(node, f.name) for f in fields(node)]
+        args = [self.operand(v) for v in values if isinstance(v, Expr)]
+        own = [v for v in values if not isinstance(v, Expr)]
+        key = (type(node), *((v, math.copysign(1.0, v)) if isinstance(v, float) else v for v in own), *args)
+        if key not in self.operands:
+            self.operands[key] = node._emit(self, *args)
+        return self.operands[key]
+
+    def fresh(self) -> str:
+        return f"v{next(self.names)}"
+
+    def constant(self, value) -> str:
+        name = self.fresh()
+        self.globals[name] = value
+        return name
+
+    def step(self, *lines: str, defines: tuple[str, ...], reads: tuple[str, ...]) -> None:
+        self.steps.append((lines, defines, reads))
+
+    def assign(self, text: str, reads: tuple[str, ...], guard: Expr | None = None) -> str:
+        """A new local holding ``text``; under a scalar call's errstate a
+        fault in it names ``guard``."""
+        name = self.fresh()
+        if guard is None:
+            self.step(f"{name} = {text}", defines=(name,), reads=reads)
+            return name
+        self.guarded.append(guard)
+        self.step(
+            "try:",
+            f"    {name} = {text}",
+            "except FloatingPointError as exc:",
+            f"    raise _fault(exc, {len(self.guarded) - 1}) from None",
+            defines=(name,),
+            reads=reads,
+        )
+        return name
+
+    def bump_support(self, arg: str) -> tuple[str, str, str, str]:
+        """u, |u| < 1, w = 1-u^2 inside (1 outside) and exp(-1/w), once per bump argument."""
+        if arg not in self.supports:
+            u, inside, w, support = names = tuple(self.fresh() for _ in range(4))
+            self.step(
+                f"{u} = _asarray({arg}, dtype=_float64)",
+                f"{inside} = _abs({u}) < 1.0",
+                "with _quiet():",  # lanes outside the support may overflow; each bump zeroes them
+                f"    {w} = _where({inside}, 1.0 - {u} * {u}, 1.0)",
+                f"    {support} = _exp(-1.0 / {w})",
+                defines=names,
+                reads=(arg,),
+            )
+            self.supports[arg] = names
+        return self.supports[arg]
+
+    def function(self, outputs: list[str]) -> _VectorFn:
+        """def compiled(t, x) returning the outputs, one bare or several as a
+        tuple; each local is deleted after the step that reads it last."""
+        last = {name: i for i, (_, defines, _) in enumerate(self.steps) for name in defines}
+        for i, (_, _, reads) in enumerate(self.steps):
+            last.update((name, i) for name in reads if name in last)
+        for name in outputs:
+            last.pop(name, None)
+        body = []
+        for i, (lines, _, _) in enumerate(self.steps):
+            body += lines
+            dead = [name for name, at in last.items() if at == i]
+            if dead:
+                body.append(f"del {', '.join(dead)}")
+        result = outputs[0] if len(outputs) == 1 else f"({', '.join(outputs)},)"
+        source = "\n    ".join(["def compiled(t, x):", *body, f"return {result}"])
+        exec(source, self.globals)
+        return self.globals["compiled"]
+
+
+def _compile(*exprs: Expr) -> _VectorFn:
+    """One numpy function of (t, x) returning the value of each expression."""
+    c = _Compiler()
+    return c.function([c.operand(e) for e in exprs])
 
 
 # ----------------------------------------------------------------------
@@ -706,6 +809,13 @@ class TestFunction:
 
     def __call__(self, t: float, x: float) -> float:
         return self.expr(t, x)
+
+    @cached_property
+    def jet(self) -> Callable[[object, object], tuple]:
+        """(phi_t, phi_x, phi_xx) at (t, x), as ``dt_fn``, ``dx_fn`` and ``dxx_fn``
+        give them bit for bit, from one function that evaluates their shared
+        subexpressions once."""
+        return _compile(self.d_t, self.d_x, self.d_xx)
 
     @cached_property
     def value_fn(self) -> _VectorFn:

@@ -100,7 +100,11 @@ class ItoReport:
 
 
 def ito_residual(phi: TestFunction, trajectory: GridFunction) -> ItoReport:
-    """Per-step residual of the second-order chain-rule estimate along x on the time grid, k = 0..n-2."""
+    """Per-step residual of the second-order chain-rule estimate along x on the time grid, k = 0..n-2.
+
+    phi_t, phi_x and phi_xx come from one call of ``phi.jet`` at the states
+    x_0..x_{n-1}, bit for bit as their own compiled functions give them.
+    """
     n = trajectory.grid.level.n
     if n < 2:
         raise VerificationError("need at least 2 steps for a residual")
@@ -110,11 +114,8 @@ def ito_residual(phi: TestFunction, trajectory: GridFunction) -> ItoReport:
         pv = _arr(phi.value_fn(times, xv), xv)
         rate = (xv[1:] - xv[:-1]) * n
         tk, xk = times[:-1], xv[:-1]
-        estimate = (
-            phi.dt_fn(tk, xk)
-            + phi.dx_fn(tk, xk) * rate
-            + (0.5 / n) * phi.dxx_fn(tk, xk) * rate * rate
-        )
+        pt, px, pxx = phi.jet(tk, xk)
+        estimate = pt + px * rate + (0.5 / n) * pxx * rate * rate
         residuals = ((pv[1:] - pv[:-1]) * n - estimate)[: n - 1]
     if not np.all(np.isfinite(residuals)):
         raise VerificationError("residuals are not finite")
@@ -166,7 +167,10 @@ def weak_form_residual(
     are ensemble averages accumulated along the same trajectories:
     E[phi_t + f phi_x], E[(phi_x h + eps phi_xx f h) xi],
     E[(eps/2) phi_xx f^2], and E[(eps/2) phi_xx h^2 xi^2], each summed over
-    t with weight eps.
+    t with weight eps.  Both loops, over the stepped states and over the
+    bin edges, read phi_t, phi_x and phi_xx from one call of ``phi.jet``,
+    which evaluates their shared subexpressions once and gives each bit for
+    bit as its own compiled function does.
     """
     level = problem.level
     n = level.n
@@ -197,9 +201,7 @@ def weak_form_residual(
                 continue
             fv = _arr(fdrift(tk, xk), xk)
             hv = _arr(fdiff(tk, xk), xk)
-            pt = _arr(phi.dt_fn(tk, xk), xk)
-            px = _arr(phi.dx_fn(tk, xk), xk)
-            pxx = _arr(phi.dxx_fn(tk, xk), xk)
+            pt, px, pxx = (_arr(d, xk) for d in phi.jet(tk, xk))
             q = fv + hv * xik
             drift_sum += weight * float((pt + fv * px).sum())
             noise_sum += weight * float(((px * hv + eps * pxx * fv * hv) * xik).sum())
@@ -222,11 +224,8 @@ def weak_form_residual(
     with np.errstate(all="ignore"):
         for k in range(n):
             tk = k / n
-            g = (
-                _arr(phi.dt_fn(tk, edges), edges)
-                + _arr(fdrift(tk, edges), edges) * _arr(phi.dx_fn(tk, edges), edges)
-                + 0.5 * _arr(fdiff(tk, edges), edges) ** 2 * _arr(phi.dxx_fn(tk, edges), edges)
-            )
+            pt, px, pxx = (_arr(d, edges) for d in phi.jet(tk, edges))
+            g = pt + _arr(fdrift(tk, edges), edges) * px + 0.5 * _arr(fdiff(tk, edges), edges) ** 2 * pxx
             weighted += float((g * counts[k]).sum())
     double_sum = weighted / (n * total)
     initial_term = phi(0.0, problem.x0)

@@ -223,6 +223,8 @@ class NoiseEnsemble:
             message = f"sampled ensembles need an integer seed, got {self.seed!r}"
             object.__setattr__(self, "seed", integer_in(self.seed, None, None, NoiseError, message))
         if self.mode == "exhaustive":
+            if self.seed is not None:
+                raise NoiseError(f"exhaustive ensembles read no seed, got {self.seed!r}")
             message = f"first path {self.first!r} is not a non-negative integer"
             object.__setattr__(self, "first", integer_in(self.first, 0, None, NoiseError, message))
             stop = self.first + self.count

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -299,15 +299,19 @@ class TrajectorySet:
         loop variables do not keep a finished batch alive.  GridError before
         the first batch unless every k is an integer in 0..n (numpy's too; not a bool).
         """
-        n = self.problem.level.n
-        message = "time index {!r} is not an integer in 0..{}"
-        time_indices = [integer_in(k, 0, n, GridError, message.format(k, n)) for k in time_indices]
+        time_indices = _checked_times(self.problem.level, time_indices)
         shift = 1 if with_noise else 0
         for _, noise, values in self.batches():
             for i, k in enumerate(time_indices):
                 w = self._widths[k + shift]
                 yield i, values[::w, k].copy(), noise[::w, k].copy() if with_noise else None, w
             del noise, values
+
+
+def _checked_times(level: GridLevel, time_indices: Iterable[int]) -> tuple[int, ...]:
+    """The time indices as ints; GridError unless each is an integer in 0..n (numpy's too; not a bool)."""
+    message = "time index {!r} is not an integer in 0..{}"
+    return tuple(integer_in(k, 0, level.n, GridError, message.format(k, level.n)) for k in time_indices)
 
 
 @dataclass(frozen=True)
@@ -370,7 +374,7 @@ def density(
     """Accumulate the empirical density over the window at ``time_indices`` (default 0..n)."""
     level = trajectories.problem.level
     n = level.n
-    time_indices = tuple(range(n + 1) if time_indices is None else time_indices)
+    time_indices = _checked_times(level, range(n + 1) if time_indices is None else time_indices)
     k_window = level.window_steps
     counts = np.zeros((len(time_indices), 2 * k_window), dtype=np.int64)
     overflow = np.zeros(len(time_indices), dtype=np.int64)

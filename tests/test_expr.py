@@ -1,9 +1,11 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gridsde import expr as expr_module
 from gridsde.expr import (
     Add,
     Bump,
@@ -19,6 +21,9 @@ from gridsde.expr import (
     Sub,
     TestFunction,
     Var,
+    _bump_poly,
+    _compile,
+    _poly_eval,
     as_expr,
     parse,
 )
@@ -266,6 +271,60 @@ class TestVectorized:
         with np.errstate(all="ignore"):
             out = fn(0.0, np.array([-2.0, -1.0, 1.0, 3.0]))
         assert np.all(out == 0.0)
+
+    def test_each_intermediate_is_dropped_after_its_last_use(self):
+        xs = np.linspace(-1.0, 1.0, 100_000)
+        chain = parse("x" + " + 1" * 20).vectorized()  # 20 distinct sums, each read once
+        tracemalloc.start()
+        try:
+            chain(0.0, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * xs.nbytes
+
+    def test_equal_subtrees_and_bump_supports_are_evaluated_once(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            ufunc = expr_module._GLOBALS[name]
+
+            def run(*args, **kwargs):
+                calls.append(name)
+                return ufunc(*args, **kwargs)
+
+            return run
+
+        for name in ("_sin", "_exp"):
+            monkeypatch.setitem(expr_module._GLOBALS, name, counting(name))
+        xs = np.linspace(-3.0, 3.0, 13)
+        parse("sin(x)*sin(x) + sin(x)").vectorized()(0.0, xs)
+        assert calls == ["_sin"]
+        phi = TestFunction.from_expression("bump((t-0.5)/0.45)*bump(x/2)")
+        calls.clear()
+        phi.jet(0.3, xs)
+        assert calls == ["_exp", "_exp"]  # one exp(-1/w) per bump argument, for 6 bumps
+
+    def test_constants_of_either_sign_of_zero_stay_apart(self):
+        with np.errstate(all="ignore"):
+            got = _compile(Div(Const(1.0), Const(0.0)), Div(Const(1.0), Const(-0.0)))(0.0, 0.0)
+        assert got == (np.inf, -np.inf)
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_bump_polynomial_keeps_no_trailing_zero(order):
+    p = _bump_poly(order)
+    assert p[-1] != 0
+    u = np.linspace(-0.999, 0.999, 2001)
+    padded = 0.0  # Horner's rule over the coefficients with three zeros appended
+    for c in reversed(p + (0, 0, 0)):
+        padded = padded * u + c
+    assert np.broadcast_to(_poly_eval(p, u), u.shape).tobytes() == np.broadcast_to(padded, u.shape).tobytes()
+
+
+def test_bump_polynomials_of_orders_1_and_2():
+    assert _bump_poly(1) == (0, -2)
+    assert _bump_poly(2) == (-2, 0, 0, 0, 6)
 
 
 class TestTestFunction:

@@ -1,5 +1,7 @@
 """Property tests over random expressions of the grammar."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from gridsde.expr import (  # noqa: E402
     Sub,
     TestFunction,
     Var,
+    _bump_poly,
+    _compile,
     parse,
 )
 
@@ -68,6 +72,61 @@ def test_scalar_call_matches_vectorized_closure(e, t, x):
         array_t = np.broadcast_to(fn(np.full(2, t), xs), xs.shape)[0]
     assert scalar_t == scalar
     assert array_t == scalar
+
+
+def _same_bits(got, want, shape) -> bool:
+    """Equal values, NaN in the same places and the same sign on every zero."""
+    got, want = (np.broadcast_to(np.asarray(v, dtype=np.float64), shape) for v in (got, want))
+    nan = np.isnan(want)
+    return (
+        np.array_equal(np.isnan(got), nan)
+        and np.array_equal(got[~nan], want[~nan])
+        and np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
+    )
+
+
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+def _reference(e, t, x):
+    """e at (t, x) node by node, each node's numpy operation on its children's values."""
+    if isinstance(e, Const):
+        return np.float64(e.value)
+    if isinstance(e, Var):
+        return t if e.name == "t" else x
+    if isinstance(e, Neg):
+        return -_reference(e.arg, t, x)
+    if type(e) in _BINARY:
+        return _BINARY[type(e)](_reference(e.left, t, x), _reference(e.right, t, x))
+    if isinstance(e, Pow):
+        return np.asarray(_reference(e.base, t, x)) ** e.exponent
+    if isinstance(e, Call):
+        return getattr(np, e.name)(_reference(e.arg, t, x))
+    u = np.asarray(_reference(e.arg, t, x), dtype=np.float64)
+    inside = np.abs(u) < 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.where(inside, 1.0 - u * u, 1.0)
+        value = np.exp(-1.0 / w)
+        if e.order:
+            poly = 0.0  # Horner's rule over zero-padded coefficients
+            for c in reversed(_bump_poly(e.order) + (0, 0, 0)):
+                poly = poly * u + c
+            value = value * poly / w ** (2 * e.order)
+    return np.where(inside, value, 0.0)
+
+
+@SETTINGS
+@given(EXPRESSIONS, POINTS, st.lists(POINTS, max_size=6))
+def test_jet_matches_each_expression_closure_bit_for_bit(e, t, xs):
+    d_x = e.diff("x")
+    exprs = (e, d_x, d_x.diff("x"))
+    xs = np.array([*xs, -1.0, -0.0, 0.0, 1.0])
+    jet = _compile(*exprs)
+    with np.errstate(all="ignore"):
+        for ts in (np.float64(t), np.full(xs.shape, t)):
+            for got, expr in zip(jet(ts, xs), exprs, strict=True):
+                assert _same_bits(got, expr.vectorized()(ts, xs), xs.shape), str(expr)
+                assert _same_bits(got, _reference(expr, ts, xs), xs.shape), str(expr)
 
 
 @SETTINGS

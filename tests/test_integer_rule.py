@@ -29,7 +29,7 @@ from gridsde.noise import (
     enumerate_paths,
     sample_paths,
 )
-from gridsde.sde import CauchyProblem, TrajectorySet
+from gridsde.sde import CauchyProblem, TrajectorySet, density
 
 GF = GridFunction(GridLevel(4).time_grid(), [0.0, 1.0, 4.0, 9.0, 16.0])
 ENS = enumerate_paths(GridLevel(4))
@@ -68,6 +68,7 @@ SITES = [
      lambda v: TrajectorySet(PROBLEM, sample_paths(GridLevel(4), 10, 1), batch_size=v).batch_size),
     ("TrajectorySet.steps", GridError, 2,
      lambda v: [w for _, _, _, w in TrajectorySet(PROBLEM, ENS).steps((v,))]),
+    ("density.time_indices", GridError, 2, lambda v: density(TrajectorySet(PROBLEM, ENS), (v,)).time_indices),
 ]
 
 

@@ -658,8 +658,14 @@ class TestNoisePath:
         (lambda: NoiseAlphabet.from_symbols([1.0]), "at least 2 symbols"),
         (lambda: NoiseEnsemble("bogus", GridLevel(4), TERNARY, 4), "unknown ensemble mode"),
         (lambda: NoiseEnsemble("sampled", GridLevel(4), TERNARY, 4), "integer seed, got None"),
+        (
+            lambda: NoiseEnsemble("exhaustive", GridLevel(3), NoiseAlphabet.white(), 16, seed=True),
+            "exhaustive ensembles read no seed, got True",
+        ),
     ],
-    ids=["one-symbol", "one-symbol-from-symbols", "unknown-mode", "sampled-without-seed"],
+    ids=[
+        "one-symbol", "one-symbol-from-symbols", "unknown-mode", "sampled-without-seed", "exhaustive-with-seed",
+    ],
 )
 def test_refusal(build, message):
     with pytest.raises(NoiseError, match=message):
