@@ -70,8 +70,6 @@ class ConfigError(ValueError):
 
 STANDARD_PHI = "bump((t-0.5)/0.45)*bump(x/2)"
 SPATIAL_PHI = "bump(x/2)"
-# convergence walks a level exhaustively when its 2^(n+1) paths are at most this many
-CONVERGENCE_EXHAUSTIVE_PATHS = 1 << 17
 # the path functionals of the tower check in `verify lemmas`, on noise blocks [rows, n+1]
 LEMMA_FUNCTIONALS = (
     ("mean increment", lambda v: v.mean(axis=1)),
@@ -200,13 +198,13 @@ def _level(cfg) -> GridLevel:
     return GridLevel(cfg.n, cfg.window)
 
 
-def _ensemble(cfg, level: GridLevel):
-    """The ensemble of cfg.mode; without one, exhaustive when its 2^(n+1) paths fit under the cap."""
-    if cfg.mode is None:
-        cfg.mode = "exhaustive" if 2 ** (level.n + 1) <= DEFAULT_ENUMERATION_CAP else "sampled"
-    if cfg.mode == "exhaustive":
+def _ensemble(level: GridLevel, mode: str | None, samples: int, seed: int):
+    """The ensemble of ``mode``; without one, exhaustive when its 2^(n+1) paths fit under the cap."""
+    if mode is None:
+        mode = "exhaustive" if 2 ** (level.n + 1) <= DEFAULT_ENUMERATION_CAP else "sampled"
+    if mode == "exhaustive":
         return enumerate_paths(level)
-    return sample_paths(level, cfg.samples, cfg.seed)
+    return sample_paths(level, samples, seed)
 
 
 def _coefficients(cfg) -> tuple[str, str]:
@@ -243,7 +241,8 @@ def _write_json(cfg, name: str, command: str, **payload) -> Path:
 def cmd_simulate(cfg) -> int:
     level = _level(cfg)
     problem = _problem(cfg, level)
-    ensemble = _ensemble(cfg, level)
+    ensemble = _ensemble(level, cfg.mode, cfg.samples, cfg.seed)
+    cfg.mode = ensemble.mode
     trajset = TrajectorySet(problem, ensemble)
     dens = density(trajset, time_indices=slice_indices(level, cfg.slices))
     csv_path = _out_path(cfg, "density.csv")
@@ -305,7 +304,8 @@ def _verify_lemmas(cfg) -> tuple[dict, dict, str | None]:
 
 def _verify_weakform(cfg) -> tuple[dict, dict, str | None]:
     level = _level(cfg)
-    ensemble = _ensemble(cfg, level)
+    ensemble = _ensemble(level, cfg.mode, cfg.samples, cfg.seed)
+    cfg.mode = ensemble.mode
     problem = _problem(cfg, level)
     phi = TestFunction.from_expression(cfg.phi)
     report = weak_form_residual(problem, ensemble, phi)
@@ -321,7 +321,8 @@ def _verify_weakform(cfg) -> tuple[dict, dict, str | None]:
 
 def _verify_crossval(cfg) -> tuple[dict, dict, str | None]:
     level = _level(cfg)
-    ensemble = _ensemble(cfg, level)
+    ensemble = _ensemble(level, cfg.mode, cfg.samples, cfg.seed)
+    cfg.mode = ensemble.mode
     problem = _problem(cfg, level)
     report = cross_validate(problem, ensemble, slice_times=cfg.slices)
     tol = cfg.tol_crossval_l1
@@ -420,14 +421,11 @@ def cmd_convergence(cfg) -> int:
     for level in grid_levels:
         n = level.n
         problem = _problem(cfg, level)
-        if 2 ** (n + 1) <= CONVERGENCE_EXHAUSTIVE_PATHS:
-            ensemble = enumerate_paths(level)
-        else:
-            ensemble = sample_paths(level, cfg.samples, cfg.seed)
+        # one ensemble per level, by the rule of verify weakform without --mode
+        ensemble = _ensemble(level, None, cfg.samples, cfg.seed)
         weak = weak_form_residual(problem, ensemble, phi)
         ito_max = _ito_mean(phi, problem, cfg.seed, 3)
-        mc = sample_paths(level, min(cfg.samples, 50000), cfg.seed)
-        cross = cross_validate(problem, mc, slice_times=cfg.slices)
+        cross = cross_validate(problem, ensemble, slice_times=cfg.slices)
         rows.append((n, abs(weak.residual), ito_max, cross.max_l1))
 
     exponents = {

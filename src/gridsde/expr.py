@@ -463,7 +463,13 @@ class _Compiler:
         return name
 
     def bump_support(self, arg: str) -> tuple[str, str, str, str]:
-        """u, |u| < 1, w = 1-u^2 inside (1 outside) and exp(-1/w), once per bump argument."""
+        """u, |u| < 1 where exp(-1/w) > 0, w = 1-u^2 inside (1 outside) and
+        exp(-1/w), once per bump argument.
+
+        A lane where exp(-1/w) underflows to 0 is not inside, so every bump
+        over it is 0 there: from order 17 on, w^(2k) underflows there too,
+        and the quotient would be 0/0.
+        """
         if arg not in self.supports:
             u, inside, w, support = names = tuple(self.fresh() for _ in range(4))
             self.step(
@@ -472,6 +478,7 @@ class _Compiler:
                 "with _quiet():",  # lanes outside the support may overflow; each bump zeroes them
                 f"    {w} = _where({inside}, 1.0 - {u} * {u}, 1.0)",
                 f"    {support} = _exp(-1.0 / {w})",
+                f"{inside} &= {support} > 0.0",
                 defines=names,
                 reads=(arg,),
             )

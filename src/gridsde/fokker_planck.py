@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import TestFunction, as_expr
-from .grids import GridError, GridFunction
+from .grids import GridFunction
 from .noise import NoiseEnsemble
 from .sde import (
     CauchyProblem,
@@ -230,7 +230,7 @@ def weak_form_residual(
     double_sum = weighted / (n * total)
     initial_term = phi(0.0, problem.x0)
 
-    return WeakFormReport(
+    report = WeakFormReport(
         n=n,
         residual=double_sum + initial_term,
         double_sum=double_sum,
@@ -244,6 +244,11 @@ def weak_form_residual(
         ensemble=ensemble.descriptor(),
         phi=phi.label,
     )
+    # a NaN would pass every tolerance, since each comparison with it is false
+    bad = [name for name, v in vars(report).items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise VerificationError(f"weak-form terms are not finite: {', '.join(bad)}")
+    return report
 
 
 # ----------------------------------------------------------------------
@@ -510,18 +515,16 @@ class CrossValReport:
 def cross_validate(
     problem: CauchyProblem,
     ensemble: NoiseEnsemble,
-    window: tuple[float, float] | None = None,
-    dx: float | None = None,
     slice_times: Sequence[float] = (0.5, 0.75, 1.0),
 ) -> CrossValReport:
     """Compare the empirical density with the finite-volume solution.
 
     The empirical bins (width 1/n) are regrouped onto the solver cells, so
-    dx must be a whole number of grid steps and the solver window must sit
-    on the 1/n lattice inside the density window.  The default window is
-    (-h, h) with h = min(3, the level's spatial halfwidth); the default dx
-    is m/n for the largest whole m <= max(1, n // 64) that divides the
-    window's width in 1/n steps, so every level has a grid.
+    the grid is chosen here, on the 1/n lattice inside the density window,
+    and takes no overrides.  The window is (-h, h) with h = min(3, the
+    level's spatial halfwidth); the cells are m/n wide, for the largest
+    whole m <= max(1, n // 64) that divides the window's width in 1/n
+    steps, so every level has a grid.
 
     Early slices are a poor comparison: a coin-flip walk initially lives on
     a parity lattice of spacing 2/sqrt(n) which fine cells resolve as a
@@ -535,20 +538,12 @@ def cross_validate(
         raise VerificationError("no slice times to compare")
     time_indices = slice_indices(level, slice_times)
 
-    if window is None:
-        half = min(3.0, float(level.spatial_halfwidth))
-        window = (-half, half)
-    lo, hi = float(window[0]), float(window[1])
-    try:
-        lo_pos, hi_pos = (level.spatial_grid().index_of(x) for x in (lo, hi))
-    except GridError as exc:
-        raise VerificationError(f"solver window must lie on the density window's lattice: {exc}") from exc
-    if dx is None:
-        dx = next(m for m in range(max(1, n // 64), 0, -1) if (hi_pos - lo_pos) % m == 0) / n
-    ratio_f = dx * n
-    ratio = round(ratio_f)
-    if ratio < 1 or abs(ratio_f - ratio) > 1e-9:
-        raise VerificationError("incompatible bin alignment: dx must be a whole number of 1/n steps")
+    # h in 1/n steps, and the bins of (-h, h) among the density's 2K
+    steps = min(3 * n, level.window_steps)
+    lo, hi = -steps / n, steps / n
+    lo_pos, hi_pos = level.window_steps - steps, level.window_steps + steps
+    ratio = next(m for m in range(max(1, n // 64), 0, -1) if 2 * steps % m == 0)
+    dx = ratio / n
 
     trajset = TrajectorySet(problem, ensemble)
     dens = density(trajset, time_indices=time_indices)

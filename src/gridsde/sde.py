@@ -2,10 +2,12 @@
 
 The dynamics are the explicit one-step recursion
 ``x[k+1] = x[k] + (1/n) * (f(t_k, x[k]) + h(t_k, x[k]) * xi(t_k))``
-driven by a noise path (or by zero noise, giving the deterministic grid
-ODE).  Existence and uniqueness are by construction: the recursion is total
-and deterministic.  ``solve_grid_ode`` returns a ``GridFunction`` on the
-time grid, and slice times become time indices by one rule, ``slice_indices``.
+from ``x[0] = x0``, driven by a noise path (or by zero noise, giving the
+deterministic grid ODE).  Every walk starts at t = 0: a ``CauchyProblem``
+holds f, h, x0 and the level, and has no start time.  Existence and
+uniqueness are by construction: the recursion is total and deterministic.
+``solve_grid_ode`` returns a ``GridFunction`` on the time grid, and slice
+times become time indices by one rule, ``slice_indices``.
 
 Densities, event probabilities, the weak form and the increment report all
 read one step stream, ``TrajectorySet.steps``: per batch of paths, the
@@ -75,13 +77,16 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class CauchyProblem:
-    """Drift/diffusion pair with an initial state on a grid level."""
+    """Drift/diffusion pair with an initial state x(0) = x0 on a grid level."""
 
     drift: Expr
     diffusion: Expr
     x0: float
     level: GridLevel
-    t0: float = 0.0
+
+    # every walk starts at t = 0; bench/tracing.py's count_steps reads this
+    # until the library counts its own steps (ROADMAP item 1)
+    t0_index = 0
 
     def __post_init__(self):
         object.__setattr__(self, "drift", as_expr(self.drift))
@@ -89,19 +94,12 @@ class CauchyProblem:
         object.__setattr__(self, "x0", float(self.x0))
         if not math.isfinite(self.x0):
             raise GridError(f"x0 must be finite, got {self.x0!r}")
-        # t0 must be a grid point; snaps within 1e-9
-        self.level.time_grid().index_of(self.t0)
-
-    @property
-    def t0_index(self) -> int:
-        return self.level.time_grid().index_of(self.t0)
 
     def describe(self) -> dict:
         return {
             "f": str(self.drift),
             "h": str(self.diffusion),
             "x0": self.x0,
-            "t0": self.t0,
             "n": self.level.n,
         }
 
@@ -152,15 +150,13 @@ def _step_block(
     and caches it, so every batch steps with the same two closures.
     """
     n = problem.level.n
-    m0 = problem.t0_index
     drift_fn, diffusion_fn = problem.drift.vectorized(), problem.diffusion.vectorized()
     states = _block(out, n + 1, noise.shape[1])
-    states[: m0 + 1] = problem.x0
-    # states never read the noise before t0, so every node at t0 is at x0
-    x = states[m0, :: widths[m0]]
+    states[0] = problem.x0
+    x = states[0, :: widths[0]]
     comp = np.zeros(x.shape[0])
     with np.errstate(all="ignore"):
-        for k in range(m0, n):
+        for k in range(n):
             tk = k / n
             # row i: the children of node i
             xi = noise[k, :: widths[k + 1]].reshape(x.shape[0], -1)

@@ -151,7 +151,8 @@ def test_criterion_07_cross_validation():
     level = g.GridLevel(128)
     problem = g.CauchyProblem("-x", "1", 0.0, level)
     ens = g.sample_paths(level, 100_000, seed=7)
-    report = g.cross_validate(problem, ens, window=(-3.0, 3.0), dx=1.0 / 64)
+    report = g.cross_validate(problem, ens)
+    assert report.fp["window"] == [-3.0, 3.0] and report.fp["dx"] == 1.0 / 64
     assert report.max_l1 <= 0.1
 
     fp = g.fp_solve("0", "1", 0.0, (-3.0, 3.0), 1.0 / 64, t_end=0.5, save_times=(0.5,))

@@ -9,6 +9,7 @@ import pytest
 from gridsde import cli
 from gridsde.cli import _COMMANDS, main
 from gridsde.fokker_planck import MAX_CELLS, MAX_SUBSTEPS
+from gridsde.noise import DEFAULT_ENUMERATION_CAP
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -279,6 +280,14 @@ class TestVerify:
         report = json.loads((tmp_path / "verify_crossval.json").read_text())
         assert report["results"]["fp"]["dx"] == 3 / 257
 
+    def test_non_finite_weakform_residual_is_one_error_line(self, tmp_path, capsys):
+        phi = "bump((t-0.5)/0.45)*bump(x/2)*log(x+1)"
+        rc = run("verify", "weakform", "--n", "12", "--x0", "0.5", "--phi", phi, "--out", str(tmp_path))
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: weak-form terms are not finite: residual")
+        assert not (tmp_path / "verify_weakform.json").exists()
+
     def test_ito_pass_with_unit_exponents(self, tmp_path):
         assert run("verify", "ito", "--n", "64", "--out", str(tmp_path)) == 0
         report = json.loads((tmp_path / "verify_ito.json").read_text())
@@ -309,6 +318,24 @@ class TestConvergence:
         # weak-form residual decays across levels (superconvergent here,
         # so only positivity of the fitted exponent is asserted)
         assert meta["exponents"]["weakform"] > 0.5
+
+    def test_rows_read_the_verify_reports_of_each_level(self, tmp_path):
+        # one ensemble per level, by the rule of verify weakform without --mode:
+        # 8 and 18 (2^19 paths) are exhaustive, 24 (2^25 paths) is sampled
+        levels, slices = (8, 18, 24), ("--slices", "0.5,1")
+        argv = ("--samples", "2000", "--f", "0", "--h", "1")
+        assert run("convergence", "--levels", "8,18,24", *argv, *slices, "--out", str(tmp_path)) == 0
+        rows = json.loads((tmp_path / "convergence.json").read_text())["rows"]
+        for (n, weak, _, l1), level in zip(rows, levels, strict=True):
+            mode = "exhaustive" if 2 ** (n + 1) <= DEFAULT_ENUMERATION_CAP else "sampled"
+            out = tmp_path / str(n)
+            assert run("verify", "weakform", "--n", str(n), *argv, "--out", str(out)) in (0, 1)
+            cross_argv = ("verify", "crossval", "--n", str(n), *argv, *slices, "--mode", mode)
+            assert run(*cross_argv, "--out", str(out)) in (0, 1)
+            weakform = json.loads((out / "verify_weakform.json").read_text())["results"]
+            crossval = json.loads((out / "verify_crossval.json").read_text())["results"]
+            assert n == level and weakform["ensemble"]["mode"] == crossval["ensemble"]["mode"] == mode
+            assert (weak, l1) == (abs(weakform["residual"]), crossval["max_l1"])
 
 
 class TestFpSolve:
@@ -569,7 +596,7 @@ RESULT_FILES = {
     "density.json": (
         ("simulate", "--n", "4", "--mode", "exhaustive", "--f", "0", "--h", "1"),
         ["csv", *(f"ensemble.{k}" for k in ENSEMBLE_KEYS), "normalization_exact",
-         "overflow_fractions", "problem.f", "problem.h", "problem.n", "problem.t0",
+         "overflow_fractions", "problem.f", "problem.h", "problem.n",
          "problem.x0", "slices"],
     ),
     "fp.json": (

@@ -327,6 +327,41 @@ def test_bump_polynomials_of_orders_1_and_2():
     assert _bump_poly(2) == (-2, 0, 0, 0, 6)
 
 
+# a grid of u that reaches 1 - 1e-10 from inside at both ends of the support
+U_TO_THE_EDGE = np.concatenate(
+    [np.linspace(-1.5, 1.5, 3001), 1 - np.logspace(-10, -1, 200), np.logspace(-10, -1, 200) - 1]
+)
+
+
+def _plain_bump(order, u):
+    """bump(u) * P_k(u) / (1-u^2)^(2k) on |u| < 1 and 0 elsewhere, with no other lane zeroed."""
+    inside = np.abs(u) < 1.0
+    with np.errstate(all="ignore"):
+        w = np.where(inside, 1.0 - u * u, 1.0)
+        value = np.exp(-1.0 / w) * _poly_eval(_bump_poly(order), u) / w ** (2 * order)
+    return np.where(inside, value, 0.0)
+
+
+@pytest.mark.parametrize("order", range(17))
+def test_bump_up_to_order_16_is_the_plain_quotient(order):
+    got = Bump(order, Var("x")).vectorized()(0.0, U_TO_THE_EDGE)
+    assert np.array_equal(got, _plain_bump(order, U_TO_THE_EDGE))
+
+
+def test_high_order_bump_is_zero_where_its_exponential_underflows():
+    # at order 20, w^40 underflows to 0 where exp(-1/w) has, so the plain quotient is 0/0
+    edge = 1 - 1e-10
+    e = Bump(20, Var("x"))
+    plain = _plain_bump(20, U_TO_THE_EDGE)
+    assert np.isnan(_plain_bump(20, np.array([edge])))[0]
+    assert e(0.0, edge) == 0.0 and e(0.0, -edge) == 0.0
+    got = e.vectorized()(0.0, U_TO_THE_EDGE)
+    defined = ~np.isnan(plain)
+    assert np.array_equal(got[defined], plain[defined])
+    assert np.all(got[~defined] == 0.0)
+    assert e.vectorized()(0.0, np.array([edge, -edge])).tolist() == [0.0, 0.0]
+
+
 class TestTestFunction:
     def test_from_bumps_support(self):
         phi = TestFunction.from_bumps(x_center=0.0, x_width=2.0, t_center=0.5, t_width=0.45)

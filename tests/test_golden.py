@@ -1,13 +1,15 @@
-"""The README's verify weakform and verify ito reports, against recorded files.
+"""README example outputs against recorded files.
 
-``tests/golden/`` holds the two reports as the README examples wrote them,
-with ``config.out`` (the output directory) left out.  Keys, strings, ints
-and bools must match exactly; floats within ``ULPS`` units in the last
-place.  Bump derivatives go through ``np.exp``, whose last bit depends on
-the CPU: with numpy's AVX-512 exp disabled (``NPY_DISABLE_CPU_FEATURES=
-"X86_V4 AVX512_ICL AVX512_SPR"``) the chain-rule residuals of verify ito,
-differences of nearby phi values, move by up to 13 ulps, and verify
-weakform not at all.
+``tests/golden/`` holds the files as the README examples wrote them, with
+``config.out`` (the output directory) left out of each JSON report;
+``tests/golden/record.py`` rewrites them.  A CSV must match byte for byte:
+the exhaustive density is integer counts scaled by one factor.  In a JSON
+report, keys, strings, ints and bools must match exactly; floats within
+``ULPS`` units in the last place.  Bump derivatives go through ``np.exp``,
+whose last bit depends on the CPU: with numpy's AVX-512 exp disabled
+(``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``) the
+chain-rule residuals of verify ito, differences of nearby phi values, move
+by up to 13 ulps, and verify weakform not at all.
 """
 
 import json
@@ -21,10 +23,24 @@ from gridsde.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 ULPS = 64
 
+SIMULATE = ["simulate", "--n", "8", "--mode", "exhaustive", "--f", "0", "--h", "1", "--x0", "0"]
+# each recorded file and the README example that writes it
 EXAMPLES = {
+    "density.csv": SIMULATE,
+    "density.json": SIMULATE,
+    "verify_lemmas.json": ["verify", "lemmas", "--n", "8"],
     "verify_weakform.json": ["verify", "weakform", "--n", "16", "--mode", "exhaustive"],
     "verify_ito.json": ["verify", "ito", "--n", "64"],
 }
+
+
+def stored(path: Path) -> str:
+    """The text of an output file as it is recorded: a JSON report without ``config.out``."""
+    if path.suffix != ".json":
+        return path.read_text()
+    report = json.loads(path.read_text())
+    del report["config"]["out"]
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def mismatches(got, want, path="") -> list[str]:
@@ -48,12 +64,18 @@ def mismatches(got, want, path="") -> list[str]:
     return [f"{path}: {got!r} != {want!r}"]
 
 
+def compare(name: str, got: str, want: str) -> list[str]:
+    """Where the text of file ``name`` leaves its recorded text: a CSV byte
+    for byte, a JSON report through ``mismatches``."""
+    if name.endswith(".csv"):
+        return [] if got == want else [f"{name}: the bytes differ"]
+    return mismatches(json.loads(got), json.loads(want))
+
+
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
 def test_readme_example_matches_its_recorded_report(tmp_path, name):
     assert main([*EXAMPLES[name], "--out", str(tmp_path)]) == 0
-    report = json.loads((tmp_path / name).read_text())
-    del report["config"]["out"]
-    assert mismatches(report, json.loads((GOLDEN / name).read_text())) == []
+    assert compare(name, stored(tmp_path / name), (GOLDEN / name).read_text()) == []
 
 
 @pytest.mark.parametrize(
@@ -74,3 +96,15 @@ def test_comparison_catches_a_changed_report(change, caught):
     got = json.loads((GOLDEN / "verify_weakform.json").read_text())
     change(got["results"])
     assert bool(mismatches(got, want)) == caught
+
+
+@pytest.mark.parametrize("ulps, caught", [(0, False), (1, True)], ids=["unchanged", "one-ulp"])
+def test_density_csv_comparison_catches_a_one_ulp_change(ulps, caught):
+    want = (GOLDEN / "density.csv").read_text()
+    *head, last = want.splitlines()
+    cells = last.split(",")
+    j = next(i for i, cell in enumerate(cells[1:], 1) if float(cell) > 0)
+    value = float(cells[j])
+    cells[j] = repr(float(np.nextafter(value, np.inf)) if ulps else value)
+    got = "\n".join([*head, ",".join(cells)]) + "\n"
+    assert bool(compare("density.csv", got, want)) == caught

@@ -64,17 +64,6 @@ class TestSolveGridOde:
         with pytest.raises(GridError):
             solve_grid_ode(brownian_problem(4), path)
 
-    def test_nonzero_start_time_holds_state_before_t0(self):
-        level = GridLevel(8)
-        problem = CauchyProblem("1", "0", 2.0, level, t0=0.5)
-        tr = solve_grid_ode(problem)
-        assert np.all(tr.values[:5] == 2.0)
-        assert tr.values[-1] == pytest.approx(2.5, rel=1e-15)
-
-    def test_off_grid_t0_rejected(self):
-        with pytest.raises(GridError):
-            CauchyProblem("0", "0", 0.0, GridLevel(8), t0=0.3)
-
     def test_adaptedness_future_noise_irrelevant(self):
         n = 16
         level = GridLevel(n)
@@ -435,13 +424,13 @@ def _per_row_states(problem, noise):
     so the kernel's node sharing and memory layout are checked against code
     that has neither.
     """
-    n, m0 = problem.level.n, problem.t0_index
+    n = problem.level.n
     drift, diffusion = problem.drift.vectorized(), problem.diffusion.vectorized()
     out = np.empty((noise.shape[0], n + 1))
     for row, xi in enumerate(noise):
         x, comp = np.full(1, problem.x0), np.zeros(1)
-        out[row, : m0 + 1] = problem.x0
-        for k in range(m0, n):
+        out[row, 0] = problem.x0
+        for k in range(n):
             rate = drift(k / n, x) + diffusion(k / n, x) * xi[k]
             inc = rate / n - comp
             nxt = x + inc
@@ -493,14 +482,13 @@ def assert_tree_matches_per_path(problem, ensemble, batch_size=1 << 15):
 
 
 class TestPrefixTree:
-    @pytest.mark.parametrize("t0_index", [0, 2, 4])
     @pytest.mark.parametrize(
         "alphabet, n", [(NoiseAlphabet.white(), 8), (TERNARY, 5)], ids=["binary", "ternary"]
     )
     @pytest.mark.parametrize("prefix", [None, (1, 0, 1)], ids=["full", "conditional"])
-    def test_matches_per_path_reduction(self, alphabet, n, t0_index, prefix):
+    def test_matches_per_path_reduction(self, alphabet, n, prefix):
         level = GridLevel(n)
-        problem = CauchyProblem("sin(t)-x", "1+0.5*sin(x)", 0.1, level, t0=t0_index / n)
+        problem = CauchyProblem("sin(t)-x", "1+0.5*sin(x)", 0.1, level)
         ensemble = enumerate_paths(level, alphabet)
         if prefix is not None:
             ensemble = conditional(ensemble, tuple(alphabet.scaled(level)[list(prefix)]))
@@ -508,11 +496,10 @@ class TestPrefixTree:
         assert_tree_matches_per_path(problem, ensemble, batch_size=5)
 
     @pytest.mark.parametrize("batch_size", [7, 1 << 15])
-    @pytest.mark.parametrize("t0_index", [0, 2])
-    def test_states_match_per_path_bit_for_bit(self, t0_index, batch_size):
+    def test_states_match_per_path_bit_for_bit(self, batch_size):
         n = 10
         level = GridLevel(n)
-        problem = CauchyProblem("sin(t)-x", "1+0.5*sin(x)", 0.0, level, t0=t0_index / n)
+        problem = CauchyProblem("sin(t)-x", "1+0.5*sin(x)", 0.0, level)
         ensemble = enumerate_paths(level)
         tree = TrajectorySet(problem, ensemble, batch_size=batch_size)
         rows = min(batch_size, ensemble.count)
@@ -539,13 +526,12 @@ class TestPrefixTree:
 
     @pytest.mark.parametrize("batch_size", [7, 777, 1 << 15])
     @pytest.mark.parametrize("kind", ["exhaustive", "conditional", "sampled"])
-    @pytest.mark.parametrize("t0_index", [0, 2])
     @pytest.mark.parametrize(
         "alphabet, n", [(NoiseAlphabet.white(), 8), (TERNARY, 5)], ids=["binary", "ternary"]
     )
-    def test_states_match_a_per_row_loop(self, alphabet, n, t0_index, kind, batch_size):
+    def test_states_match_a_per_row_loop(self, alphabet, n, kind, batch_size):
         level = GridLevel(n)
-        problem = CauchyProblem("sin(t)-x", "1+0.5*sin(x)", 0.1, level, t0=t0_index / n)
+        problem = CauchyProblem("sin(t)-x", "1+0.5*sin(x)", 0.1, level)
         ensemble = enumerate_paths(level, alphabet)
         if kind == "conditional":
             ensemble = conditional(ensemble, tuple(alphabet.scaled(level)[[1, 0]]))
@@ -612,12 +598,10 @@ class TestPrefixTree:
         assert single.value.step == step
 
 
-@pytest.mark.parametrize("t0", [0.0, 1.0])
 @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-def test_non_finite_x0_is_refused_when_the_problem_is_built(x0, t0):
-    # at t0 = 1 no step runs, so no divergence check would see it
+def test_non_finite_x0_is_refused_when_the_problem_is_built(x0):
     with pytest.raises(GridError, match="x0 must be finite"):
-        CauchyProblem("0", "1", x0, GridLevel(4), t0=t0)
+        CauchyProblem("0", "1", x0, GridLevel(4))
 
 
 def test_ensemble_of_another_level_is_refused():

@@ -32,7 +32,7 @@ def tree_cases(draw):
     c = [draw(COEFFICIENTS) for _ in range(6)]
     drift = f"{c[0]!r}*sin(x) + {c[1]!r}*t - {abs(c[2])!r}*x"
     diffusion = f"{c[3]!r} + {c[4]!r}*cos(x)"
-    problem = CauchyProblem(drift, diffusion, c[5], level, t0=draw(st.integers(0, n)) / n)
+    problem = CauchyProblem(drift, diffusion, c[5], level)
     ensemble = enumerate_paths(level, alphabet)
     digits = draw(st.lists(st.integers(0, alphabet.size - 1), max_size=3))
     if digits:
