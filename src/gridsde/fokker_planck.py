@@ -38,6 +38,7 @@ from .sde import (
     bin_counts,
     density,
     slice_indices,
+    weighted_sum,
     write_density_csv,
 )
 
@@ -203,11 +204,11 @@ def weak_form_residual(
             hv = _arr(fdiff(tk, xk), xk)
             pt, px, pxx = (_arr(d, xk) for d in phi.jet(tk, xk))
             q = fv + hv * xik
-            drift_sum += weight * float((pt + fv * px).sum())
-            noise_sum += weight * float(((px * hv + eps * pxx * fv * hv) * xik).sum())
-            corr_sum += weight * float((0.5 * eps * pxx * fv * fv).sum())
-            quad_sum += weight * float((0.5 * eps * pxx * hv * hv * xik * xik).sum())
-            taylor_sum += weight * float((pt + px * q + 0.5 * eps * pxx * q * q).sum())
+            drift_sum += weighted_sum(pt + fv * px, weight)
+            noise_sum += weighted_sum((px * hv + eps * pxx * fv * hv) * xik, weight)
+            corr_sum += weighted_sum(0.5 * eps * pxx * fv * fv, weight)
+            quad_sum += weighted_sum(0.5 * eps * pxx * hv * hv * xik * xik, weight)
+            taylor_sum += weighted_sum(pt + px * q + 0.5 * eps * pxx * q * q, weight)
 
     total = trajset.count
     drift_term = eps * drift_sum / total
@@ -524,7 +525,8 @@ def cross_validate(
     and takes no overrides.  The window is (-h, h) with h = min(3, the
     level's spatial halfwidth); the cells are m/n wide, for the largest
     whole m <= max(1, n // 64) that divides the window's width in 1/n
-    steps, so every level has a grid.
+    steps, so every level n >= 2 has a grid.  At n = 1 the density window
+    is empty, and VerificationError names the level before any walk.
 
     Early slices are a poor comparison: a coin-flip walk initially lives on
     a parity lattice of spacing 2/sqrt(n) which fine cells resolve as a
@@ -533,6 +535,9 @@ def cross_validate(
     """
     level = problem.level
     n = level.n
+    if not level.window_steps:
+        # only n = 1: its lattice is the single point 0, so no bin holds a path
+        raise VerificationError(f"level n = {n} has an empty density window [0, 0); no density to compare")
     slice_times = tuple(float(t) for t in slice_times)
     if not slice_times:
         raise VerificationError("no slice times to compare")

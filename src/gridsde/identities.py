@@ -23,7 +23,7 @@ import numpy as np
 
 from .expr import as_expr
 from .noise import NoiseEnsemble, PathFunctional, _path_values
-from .sde import CauchyProblem, TrajectorySet
+from .sde import CauchyProblem, TrajectorySet, weighted_sum
 
 __all__ = [
     "MomentReport",
@@ -171,10 +171,10 @@ def increment_report(
             tk = time_indices[col] / n
             for row, (_, fn) in enumerate(exprs):
                 fv = np.broadcast_to(np.asarray(fn(tk, xk), dtype=np.float64), xk.shape)
-                sums_f[row, col] += weight * float(fv.sum())
-                sums_fxi[row, col] += weight * float((fv * xik).sum())
-                sums_fxi2[row, col] += weight * float((fv * xik * xik).sum())
-                sums_abs[row, col] += weight * float(np.abs(fv * xik).sum())
+                sums_f[row, col] += weighted_sum(fv, weight)
+                sums_fxi[row, col] += weighted_sum(fv * xik, weight)
+                sums_fxi2[row, col] += weighted_sum(fv * xik * xik, weight)
+                sums_abs[row, col] += weighted_sum(np.abs(fv * xik), weight)
     count = trajset.count
     entries = []
     for row, (label, _) in enumerate(exprs):

@@ -10,28 +10,43 @@ uniqueness are by construction: the recursion is total and deterministic.
 times become time indices by one rule, ``slice_indices``.
 
 Densities, event probabilities, the weak form and the increment report all
-read one step stream, ``TrajectorySet.steps``: per batch of paths, the
-states x_k, the noise values xi_k and a path multiplicity.  Batches
-arrive in path order, one at a time, so a million paths never live in
-memory at once; an exhaustive walk allocates two flat buffers of
-batch_size * (n+1) floats and reuses them for every batch.
+read one step stream, ``TrajectorySet.steps``: the states x_k, the noise
+values xi_k and path weights, reduced through one rule, ``weighted_sum``.
 
-One kernel steps every batch as a piece of the noise tree: x_k depends
-only on xi_0..xi_{k-1}, so it steps each distinct noise prefix once.  A
-sampled batch, like the single path of ``solve_grid_ode``, is a tree with
-one child per node and is stepped path by path, from a time-major copy of
-its noise block, so each step reads one contiguous row.  An exhaustive
-batch, which reads one row per child, steps from a transposed view of its
-block.  It is a whole subtree, so an exhaustive run costs about
+A full exhaustive enumeration is first walked as a recombining lattice (the
+discrete Cox-Ross-Rubinstein lattice): level by level, each distinct
+(x, Kahan compensation) pair is held once, keyed by its bit pattern, with an
+int64 count of the noise prefixes that reach it.  Two prefixes that reach
+the same state have the same future, so merging them is exact, and every
+state is bit-identical to the path-by-path state.  With f = 0 and h = 1 a
+level k holds k+1 states in place of 2^k.  The lattice falls back to the
+batch walk below, from the start and before anything is yielded, when from
+depth 2 on a level's children are all distinct (f = -x stops there), when a
+level holds more distinct states than the walk's batch size, or when a step
+leaves the divergence guard, so that the batch walk raises the
+``DivergenceError`` that names the path.
+
+The batch walk streams batches of paths in path order, one at a time, so a
+million paths never live in memory at once; an exhaustive walk allocates
+two flat buffers of batch_size * (n+1) floats and reuses them for every
+batch.  One kernel steps every batch as a piece of the noise tree: x_k
+depends only on xi_0..xi_{k-1}, so it steps each distinct noise prefix
+once.  A sampled batch, like the single path of ``solve_grid_ode``, is a
+tree with one child per node and is stepped path by path, from a time-major
+copy of its noise block, so each step reads one contiguous row.  An
+exhaustive batch, which reads one row per child, steps from a transposed
+view of its block.  It is a whole subtree, so an exhaustive run costs about
 |A|^(n+1)/(|A|-1) steps in place of n * |A|^(n+1), plus one write of every
-path's states for the per-path view ``batches()``, and every state is
-bit-identical to the path-by-path state.  The step stream then carries
-each distinct state once per batch, weighted by the number of the batch's
-paths through it, so integer bin and event counts are bit-identical to
-path-by-path counts for any batch size.  Float sums such as the weak-form
-pieces add ``weight * sum`` over distinct states, so they agree with a
-path-by-path reduction only to rounding, as a sampled run's float sums
-agree across batch sizes only to rounding.
+path's states for the per-path view ``batches()``.  The step stream then
+carries each distinct state once per batch, weighted by the number of the
+batch's paths through it.
+
+Integer bin and event counts, and so the weak-form residual, which reads
+only bin counts, are bit-identical to path-by-path counts for either walk
+and any batch size.  Float sums such as the weak-form pieces add
+``weight * value`` over distinct states, so they agree with a path-by-path
+reduction only to rounding, as a sampled run's float sums agree across
+batch sizes only to rounding.
 """
 
 from __future__ import annotations
@@ -55,6 +70,7 @@ __all__ = [
     "DependenceReport",
     "solve_grid_ode",
     "slice_indices",
+    "weighted_sum",
     "bin_counts",
     "density",
     "event_probability",
@@ -204,10 +220,11 @@ def slice_indices(level: GridLevel, times: Sequence[float]) -> list[int]:
 class TrajectorySet:
     """Streaming view of the solutions over every path of an ensemble.
 
-    One batch kernel steps each distinct noise prefix of a batch once: a
-    sampled batch is a tree with one child per node, so its paths are
-    stepped one by one; an exhaustive batch is a whole subtree of the noise
-    tree.
+    A full exhaustive enumeration is walked as a recombining lattice where
+    its states merge.  Otherwise one batch kernel steps each distinct noise
+    prefix of a batch once: a sampled batch is a tree with one child per
+    node, so its paths are stepped one by one; an exhaustive batch is a
+    whole subtree of the noise tree.
     """
 
     def __init__(
@@ -235,6 +252,14 @@ class TrajectorySet:
     def count(self) -> int:
         return self.ensemble.count
 
+    def _check_counts(self) -> None:
+        """NoiseError if the int64 bin counts could not hold an exhaustive ensemble's paths."""
+        if self.ensemble.mode == "exhaustive" and self.count >= 1 << 63:
+            raise NoiseError(
+                f"exhaustive ensemble of {self.count} paths: its bin counts would pass "
+                "the int64 limit 2**63 - 1"
+            )
+
     def batches(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """Yield (start, noise, values) in path order.
 
@@ -251,13 +276,9 @@ class TrajectorySet:
         reproducible.  Path indices are Python ints, exact at any index, but
         the bin and event counts that the weights add into are int64, so an
         exhaustive ensemble of 2^63 paths or more raises NoiseError before
-        the first batch.
+        the first batch.  This per-path view never merges states.
         """
-        if self.ensemble.mode == "exhaustive" and self.count >= 1 << 63:
-            raise NoiseError(
-                f"exhaustive ensemble of {self.count} paths: its bin counts would pass "
-                "the int64 limit 2**63 - 1"
-            )
+        self._check_counts()
         # every row of a tree with one child per node is read at every step, so
         # a contiguous time-major copy pays for itself; an exhaustive batch
         # reads only every widths[k+1]-th row, and steps from a transposed view
@@ -284,24 +305,100 @@ class TrajectorySet:
             del out
 
     def steps(self, time_indices: Sequence[int], with_noise: bool = False) -> Iterator[tuple]:
-        """Yield (i, x_k, xi_k, weight) for k = time_indices[i], batch by batch.
+        """Yield (i, x_k, xi_k, weight) for k = time_indices[i].
 
-        Every element of x_k stands for ``weight`` paths of the batch, so
-        the weights of one k add up to the ensemble count.  Sampled
-        ensembles yield every path with weight 1.  Exhaustive ensembles
-        yield each distinct state of a batch once, weighted by the paths
-        through it; with ``with_noise`` each distinct pair (x_k, xi_k).
-        Without it xi_k is None.  x_k and xi_k are copies, so a caller's
-        loop variables do not keep a finished batch alive.  GridError before
-        the first batch unless every k is an integer in 0..n (numpy's too; not a bool).
+        Every element of x_k stands for its weight in paths, so the weights
+        of one k add up to the ensemble count.  ``weight`` is an int that
+        holds for every element, or an int64 array aligned with x_k;
+        ``weighted_sum`` reduces either.  A full exhaustive enumeration whose
+        states merge yields each level once: its distinct states, weighted
+        by the paths through each, or with ``with_noise`` each (state,
+        symbol) pair, weighted by the paths through the pair.  Otherwise the
+        batch walk yields batch by batch: sampled ensembles every path with
+        weight 1, exhaustive ones each distinct state of a batch once,
+        weighted by the batch's paths through it, and with ``with_noise``
+        each distinct pair (x_k, xi_k).  Without it xi_k is None.  x_k and
+        xi_k are copies, so a caller's loop variables do not keep a
+        finished batch alive.  GridError before either walk unless every k
+        is an integer in 0..n (numpy's too; not a bool), and NoiseError for
+        an exhaustive ensemble of 2^63 paths or more.
         """
         time_indices = _checked_times(self.problem.level, time_indices)
+        self._check_counts()
+        lattice = self._lattice(set(time_indices))
+        if lattice is not None:
+            n = self.problem.level.n
+            symbols = self.ensemble.alphabet.scaled(self.problem.level)
+            size = len(symbols)
+            for i, k in enumerate(time_indices):
+                x, prefixes = lattice[k]
+                if with_noise:
+                    pairs = np.repeat(prefixes, size) * size ** (n - k)
+                    yield i, np.repeat(x, size), np.tile(symbols, x.shape[0]), pairs
+                else:
+                    yield i, x.copy(), None, prefixes * size ** (n + 1 - k)
+            return
         shift = 1 if with_noise else 0
         for _, noise, values in self.batches():
             for i, k in enumerate(time_indices):
                 w = self._widths[k + shift]
                 yield i, values[::w, k].copy(), noise[::w, k].copy() if with_noise else None, w
             del noise, values
+
+    def _lattice(self, wanted: set[int]) -> dict[int, tuple[np.ndarray, np.ndarray]] | None:
+        """The recombining walk: {k: (distinct x_k, prefix counts)} for each wanted k.
+
+        None, with nothing kept, where the batch walk takes over: the
+        ensemble is not a full enumeration, from depth 2 on a level's
+        children are all distinct, a level holds more than ``batch_size``
+        states, or a step leaves the divergence guard.  Every level is
+        stepped, wanted or not, as the batch walk steps it, so a divergence
+        at any step falls back.  A prefix count stays below the path count,
+        which ``_check_counts`` keeps below 2^63.
+        """
+        problem, ensemble = self.problem, self.ensemble
+        n = problem.level.n
+        symbols = ensemble.alphabet.scaled(problem.level)
+        if ensemble.mode != "exhaustive" or ensemble.first or ensemble.count != len(symbols) ** (n + 1):
+            return None
+        drift_fn, diffusion_fn = problem.drift.vectorized(), problem.diffusion.vectorized()
+        x, comp = np.full(1, problem.x0), np.zeros(1)
+        prefixes = np.ones(1, dtype=np.int64)
+        kept = {}
+        with np.errstate(all="ignore"):
+            for k in range(n):
+                if k in wanted:
+                    kept[k] = (x, prefixes)
+                tk = k / n
+                # row i: the children of state i, one per symbol, as _step_block steps them
+                fv = np.broadcast_to(drift_fn(tk, x), x.shape)[:, None]
+                hv = np.broadcast_to(diffusion_fn(tk, x), x.shape)[:, None]
+                x, comp, ok = _kahan_step(x[:, None], comp[:, None], fv + hv * symbols, n)
+                if not ok.all():
+                    return None
+                children = x.size
+                x, comp, prefixes = _merge(x.reshape(-1), comp.reshape(-1), np.repeat(prefixes, len(symbols)))
+                if x.shape[0] > self.batch_size or (k >= 1 and x.shape[0] == children):
+                    return None
+        if n in wanted:
+            kept[n] = (x, prefixes)
+        return kept
+
+
+def _merge(x: np.ndarray, comp: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct (x, comp) pairs, each once with the sum of its counts.
+
+    Pairs are equal when their bits are: 0.0 and -0.0 are different states,
+    since a step can tell them apart (1/x, or the sign of a zero sum).
+    """
+    x_bits, comp_bits = x.view(np.int64), comp.view(np.int64)
+    order = np.lexsort((comp_bits, x_bits))
+    x_bits, comp_bits = x_bits[order], comp_bits[order]
+    first = np.ones(order.shape[0], dtype=bool)
+    first[1:] = (x_bits[1:] != x_bits[:-1]) | (comp_bits[1:] != comp_bits[:-1])
+    starts = np.flatnonzero(first)
+    keep = order[starts]
+    return x[keep], comp[keep], np.add.reduceat(counts[order], starts)
 
 
 def _checked_times(level: GridLevel, time_indices: Iterable[int]) -> tuple[int, ...]:
@@ -350,17 +447,37 @@ class DensityField:
         write_density_csv(path, self.times(), self.bin_left_edges(), self.rho())
 
 
-def bin_counts(xk: np.ndarray, n: int, k_window: int, counts: np.ndarray, weight: int = 1) -> int:
+def weighted_sum(values: np.ndarray, weight: int | np.ndarray) -> int | float:
+    """The sum of ``values``, each element counted ``weight`` times.
+
+    ``weight`` is a step stream's weight: an int for every element, or an
+    int64 array aligned with ``values``.  Boolean values give an exact int
+    count.  Other values give a float: ``weight * float(values.sum())`` for
+    an int weight, the sum of the elementwise products for an array.
+    """
+    per_element = isinstance(weight, np.ndarray)
+    if values.dtype == np.bool_:
+        return int(weight[values].sum()) if per_element else weight * int(np.count_nonzero(values))
+    return float((values * weight).sum()) if per_element else weight * float(values.sum())
+
+
+def bin_counts(
+    xk: np.ndarray, n: int, k_window: int, counts: np.ndarray, weight: int | np.ndarray = 1
+) -> int:
     """Add the positions xk to the half-open bins [j/n, (j+1)/n), j = -K..K-1.
 
     ``counts`` holds the 2K bins in order and is updated in place; each
-    position counts ``weight`` times.  The return value is the weighted
-    number of positions outside the window.
+    position counts ``weight`` times, an int for all or an int64 array
+    aligned with xk, so integer counts stay exact.  The return value is the
+    weighted number of positions outside the window.
     """
     bins = np.floor(xk * n).astype(np.int64)
     inside = (bins >= -k_window) & (bins < k_window)
-    counts += np.bincount(bins[inside] + k_window, minlength=2 * k_window) * weight
-    return weight * int(bins.shape[0] - int(inside.sum()))
+    if isinstance(weight, np.ndarray):
+        np.add.at(counts, bins[inside] + k_window, weight[inside])
+    else:
+        counts += np.bincount(bins[inside] + k_window, minlength=2 * k_window) * weight
+    return weighted_sum(~inside, weight)
 
 
 def density(
@@ -396,7 +513,7 @@ def event_probability(trajectories: TrajectorySet, t0: float, a: float, b: float
     (k0,) = slice_indices(trajectories.problem.level, (t0,))
     hits = 0
     for _, xk, _, weight in trajectories.steps((k0,)):
-        hits += weight * int(np.count_nonzero((xk >= a) & (xk < b)))
+        hits += weighted_sum((xk >= a) & (xk < b), weight)
     return Fraction(hits, trajectories.count)
 
 

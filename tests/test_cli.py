@@ -10,6 +10,7 @@ from gridsde import cli
 from gridsde.cli import _COMMANDS, main
 from gridsde.fokker_planck import MAX_CELLS, MAX_SUBSTEPS
 from gridsde.noise import DEFAULT_ENUMERATION_CAP
+from gridsde.sde import TrajectorySet
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -279,6 +280,15 @@ class TestVerify:
         assert rc in (0, 1)
         report = json.loads((tmp_path / "verify_crossval.json").read_text())
         assert report["results"]["fp"]["dx"] == 3 / 257
+
+    def test_crossval_at_level_1_is_one_error_line_naming_the_level(self, tmp_path, capsys, monkeypatch):
+        # GridLevel(1) has spatial halfwidth 0: no density bin, so nothing to compare
+        monkeypatch.setattr(TrajectorySet, "steps", lambda *a: pytest.fail("a walk ran"))
+        argv = ("verify", "crossval", "--n", "1", "--slices", "1", "--samples", "10")
+        assert run(*argv, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: level n = 1 has an empty density window [0, 0); no density to compare"]
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_weakform_residual_is_one_error_line(self, tmp_path, capsys):
         phi = "bump((t-0.5)/0.45)*bump(x/2)*log(x+1)"

@@ -26,7 +26,7 @@ from gridsde.noise import (
     expectation_detail,
     sample_paths,
 )
-from gridsde.sde import CauchyProblem, TrajectorySet, solve_grid_ode
+from gridsde.sde import CauchyProblem, TrajectorySet, solve_grid_ode, weighted_sum
 
 def record_mass_checks(monkeypatch):
     """The t of every later fp_solve mass check: one per substep and one per save time."""
@@ -264,11 +264,11 @@ def _unskipped_pieces(problem, ensemble, phi):
             pt, px = arr(phi.dt_fn(tk, xk), xk), arr(phi.dx_fn(tk, xk), xk)
             pxx = arr(phi.dxx_fn(tk, xk), xk)
             q = fv + hv * xik
-            drift_sum += weight * float((pt + fv * px).sum())
-            noise_sum += weight * float(((px * hv + eps * pxx * fv * hv) * xik).sum())
-            corr_sum += weight * float((0.5 * eps * pxx * fv * fv).sum())
-            quad_sum += weight * float((0.5 * eps * pxx * hv * hv * xik * xik).sum())
-            taylor_sum += weight * float((pt + px * q + 0.5 * eps * pxx * q * q).sum())
+            drift_sum += weighted_sum(pt + fv * px, weight)
+            noise_sum += weighted_sum((px * hv + eps * pxx * fv * hv) * xik, weight)
+            corr_sum += weighted_sum(0.5 * eps * pxx * fv * fv, weight)
+            quad_sum += weighted_sum(0.5 * eps * pxx * hv * hv * xik * xik, weight)
+            taylor_sum += weighted_sum(pt + px * q + 0.5 * eps * pxx * q * q, weight)
     total = trajset.count
     return tuple(eps * s / total for s in (drift_sum, noise_sum, corr_sum, quad_sum, taylor_sum))
 

@@ -2,14 +2,17 @@
 
 ``tests/golden/`` holds the files as the README examples wrote them, with
 ``config.out`` (the output directory) left out of each JSON report;
-``tests/golden/record.py`` rewrites them.  A CSV must match byte for byte:
-the exhaustive density is integer counts scaled by one factor.  In a JSON
-report, keys, strings, ints and bools must match exactly; floats within
-``ULPS`` units in the last place.  Bump derivatives go through ``np.exp``,
-whose last bit depends on the CPU: with numpy's AVX-512 exp disabled
+``tests/golden/record.py`` rewrites them.  ``density.csv`` must match byte
+for byte: the exhaustive density is integer counts scaled by one factor.
+The other CSVs are compared cell by cell, as a JSON report is: keys,
+strings, ints and bools must match exactly; floats within ``ULPS`` units in
+the last place.  Bump derivatives go through ``np.exp``, whose last bit
+depends on the CPU: with numpy's AVX-512 exp disabled
 (``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``) the
 chain-rule residuals of verify ito, differences of nearby phi values, move
-by up to 13 ulps, and verify weakform not at all.
+by up to 13 ulps, and verify weakform not at all.  The ito column of
+``convergence.csv`` goes through ``np.exp`` too, so no float CSV is held to
+the byte.
 """
 
 import json
@@ -24,6 +27,8 @@ GOLDEN = Path(__file__).parent / "golden"
 ULPS = 64
 
 SIMULATE = ["simulate", "--n", "8", "--mode", "exhaustive", "--f", "0", "--h", "1", "--x0", "0"]
+CONVERGENCE = ["convergence", "--levels", "16,32,64"]
+FP_SOLVE = ["fp-solve", "--f=-x", "--h", "1"]
 # each recorded file and the README example that writes it
 EXAMPLES = {
     "density.csv": SIMULATE,
@@ -31,7 +36,16 @@ EXAMPLES = {
     "verify_lemmas.json": ["verify", "lemmas", "--n", "8"],
     "verify_weakform.json": ["verify", "weakform", "--n", "16", "--mode", "exhaustive"],
     "verify_ito.json": ["verify", "ito", "--n", "64"],
+    "verify_crossval.json": ["verify", "crossval", "--n", "128", "--f=-x", "--h", "1", "--samples", "100000"],
+    "convergence.csv": CONVERGENCE,
+    "convergence.json": CONVERGENCE,
+    "fp.csv": FP_SOLVE,
+    "fp.json": FP_SOLVE,
+    "pair.json": ["pair", "--dist", "dirac-derivative", "--center", "0.25"],
+    "equivalent.json": ["equivalent", "--dist", "dirac", "--dist2", "split-dirac"],
 }
+# the exact counts, held to the byte; every other CSV is compared cell by cell
+EXACT = {"density.csv"}
 
 
 def stored(path: Path) -> str:
@@ -64,11 +78,25 @@ def mismatches(got, want, path="") -> list[str]:
     return [f"{path}: {got!r} != {want!r}"]
 
 
+def cells(text: str) -> list[list]:
+    """The rows of a CSV, each cell a float where it reads as one."""
+
+    def cell(text: str):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    return [[cell(c) for c in line.split(",")] for line in text.splitlines()]
+
+
 def compare(name: str, got: str, want: str) -> list[str]:
-    """Where the text of file ``name`` leaves its recorded text: a CSV byte
-    for byte, a JSON report through ``mismatches``."""
-    if name.endswith(".csv"):
+    """Where the text of file ``name`` leaves its recorded text: an exact
+    CSV byte for byte, any other CSV and a JSON report through ``mismatches``."""
+    if name in EXACT:
         return [] if got == want else [f"{name}: the bytes differ"]
+    if name.endswith(".csv"):
+        return mismatches(cells(got), cells(want))
     return mismatches(json.loads(got), json.loads(want))
 
 
@@ -108,3 +136,14 @@ def test_density_csv_comparison_catches_a_one_ulp_change(ulps, caught):
     cells[j] = repr(float(np.nextafter(value, np.inf)) if ulps else value)
     got = "\n".join([*head, ",".join(cells)]) + "\n"
     assert bool(compare("density.csv", got, want)) == caught
+
+
+@pytest.mark.parametrize("ulps, caught", [(1, False), (ULPS, False), (2 * ULPS, True)])
+def test_float_csv_comparison_allows_ulps(ulps, caught):
+    want = (GOLDEN / "convergence.csv").read_text()
+    head, row, *rest = want.splitlines()
+    cells = row.split(",")
+    value = float(cells[2])
+    cells[2] = repr(value + ulps * float(np.spacing(value)))
+    got = "\n".join([head, ",".join(cells), *rest]) + "\n"
+    assert bool(compare("convergence.csv", got, want)) == caught

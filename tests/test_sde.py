@@ -29,6 +29,7 @@ from gridsde.sde import (
     density,
     event_probability,
     solve_grid_ode,
+    weighted_sum,
 )
 
 
@@ -454,7 +455,8 @@ def assert_tree_matches_per_path(problem, ensemble, batch_size=1 << 15):
 
     for k in range(n + 1):
         for with_noise in (False, True):
-            total = sum(w * len(x) for _, x, _, w in tree.steps((k,), with_noise=with_noise))
+            steps = tree.steps((k,), with_noise=with_noise)
+            total = sum(weighted_sum(np.ones(len(x), dtype=bool), w) for _, x, _, w in steps)
             assert total == ensemble.count
     got, want = density(tree), density(reference)
     assert np.array_equal(got.counts, want.counts)
@@ -479,6 +481,51 @@ def assert_tree_matches_per_path(problem, ensemble, batch_size=1 << 15):
         assert _close(g.orthogonality_gap, w.orthogonality_gap, max(1.0, w.orthogonality_scale))
         assert _close(g.orthogonality_scale, w.orthogonality_scale)
         assert _close(g.quadratic_gap, w.quadratic_gap, w.quadratic_scale)
+
+
+def merges(problem, ensemble, batch_size=1 << 15):
+    """Whether ``steps`` walks the recombining lattice: its weights are arrays."""
+    _, _, _, weight = next(TrajectorySet(problem, ensemble, batch_size).steps((0,)))
+    return isinstance(weight, np.ndarray)
+
+
+def assert_lattice_matches_per_path(problem, ensemble):
+    """``steps`` against the per-path view and ``_PerPath``, whichever walk it takes.
+
+    Bin counts, overflow, event probabilities and the weak-form residual
+    must be equal; the weak-form pieces and increment sums within 1e-12
+    relative.  exp(-exp(1/x)) is 0 at 0.0 and 1 at -0.0, so a merge of
+    states that are equal as floats but not as bits changes its sums.
+    """
+    n = problem.level.n
+    trajectories = TrajectorySet(problem, ensemble)
+    values = np.concatenate([v.copy() for _, _, v in trajectories.batches()])
+    got = density(trajectories)
+    counts, overflow = np.zeros_like(got.counts), np.zeros_like(got.overflow)
+    for k in range(n + 1):
+        overflow[k] = bin_counts(values[:, k], n, problem.level.window_steps, counts[k])
+    assert np.array_equal(got.counts, counts)
+    assert np.array_equal(got.overflow, overflow)
+    for k, a, b in ((n // 2, -0.25, 0.5), (n, 0.0, math.inf), (n, -0.3, 0.1)):
+        hits = int(np.count_nonzero((values[:, k] >= a) & (values[:, k] < b)))
+        assert event_probability(trajectories, k / n, a, b) == Fraction(hits, ensemble.count)
+
+    got = weak_form_residual(problem, ensemble, PHI)
+    want = weak_form_residual(problem, _PerPath(ensemble), PHI)
+    assert (got.residual, got.double_sum) == (want.residual, want.double_sum)
+    pieces = ("drift_term", "noise_term", "correction_term", "quadratic_term", "taylor_total")
+    scale = max(1.0, *(abs(getattr(want, p)) for p in pieces))
+    for piece in pieces:
+        assert _close(getattr(got, piece), getattr(want, piece), scale), piece
+
+    functions = ["sin(x) + 1", "x^2", "exp(-exp(1/x))"]
+    indices = (0, 1, n // 2, n - 1, n)
+    got = increment_report(problem, ensemble, functions, indices)
+    want = increment_report(problem, _PerPath(ensemble), functions, indices)
+    for g, w in zip(got.entries, want.entries, strict=True):
+        assert _close(g.orthogonality_gap, w.orthogonality_gap, max(1.0, w.orthogonality_scale)), g
+        assert _close(g.orthogonality_scale, w.orthogonality_scale), g
+        assert _close(g.quadratic_gap, w.quadratic_gap, w.quadratic_scale), g
 
 
 class TestPrefixTree:
@@ -607,3 +654,86 @@ def test_non_finite_x0_is_refused_when_the_problem_is_built(x0):
 def test_ensemble_of_another_level_is_refused():
     with pytest.raises(GridError, match="ensemble level does not match the problem level"):
         TrajectorySet(brownian_problem(4), enumerate_paths(GridLevel(3)))
+
+
+class TestRecombiningLattice:
+    """A full exhaustive enumeration whose states merge is walked level by level."""
+
+    @staticmethod
+    def walks(monkeypatch):
+        """The batch walks that ``TrajectorySet.steps`` starts, as a list that grows."""
+        started, batches = [], TrajectorySet.batches
+
+        def recording(self):
+            started.append(self)
+            return batches(self)
+
+        monkeypatch.setattr(TrajectorySet, "batches", recording)
+        return started
+
+    @pytest.mark.parametrize(
+        "alphabet, n", [(NoiseAlphabet.white(), 12), (TERNARY, 6)], ids=["binary", "ternary"]
+    )
+    def test_brownian_walk_holds_few_states_per_level(self, monkeypatch, alphabet, n):
+        level = GridLevel(n)
+        problem, ensemble = brownian_problem(n), enumerate_paths(level, alphabet)
+        walks = self.walks(monkeypatch)
+        for with_noise in (False, True):
+            for k, xk, xik, weight in TrajectorySet(problem, ensemble).steps(range(n + 1), with_noise):
+                assert weight.dtype == np.int64 and weight.shape == xk.shape
+                assert int(weight.sum()) == ensemble.count
+                states = xk.shape[0] // (alphabet.size if with_noise else 1)
+                if alphabet.size == 2:
+                    assert states == k + 1  # a binary walk recombines fully: k+1 sites at level k
+                elif k >= 2:
+                    assert states < alphabet.size**k  # a ternary one in part
+                if with_noise:
+                    assert xik.tolist() == alphabet.scaled(level).tolist() * states
+        assert walks == []
+        monkeypatch.undo()
+        assert_lattice_matches_per_path(problem, ensemble)
+
+    def test_states_are_merged_by_bits_not_by_float_equality(self):
+        # from x0 = -0.0 with f = -0.0 and h = 0, a lower symbol keeps -0.0, an upper one
+        # gives 0.0, and 0.0 stays 0.0: the all-lower prefix alone holds -0.0
+        n = 6
+        level = GridLevel(n)
+        problem, ensemble = CauchyProblem(-0.0, 0.0, -0.0, level), enumerate_paths(level)
+        (_, xk, _, weight), = TrajectorySet(problem, ensemble).steps((3,))
+        assert xk.tobytes() == np.array([-0.0, 0.0]).tobytes()
+        assert weight.tolist() == [2**4, 7 * 2**4]
+        assert_lattice_matches_per_path(problem, ensemble)
+
+    def test_mean_reverting_drift_takes_the_batch_walk(self, monkeypatch):
+        # f = -x: no two level-2 states agree, so the walk falls back at depth 2
+        level = GridLevel(8)
+        problem, ensemble = CauchyProblem("-x", "1", 0.0, level), enumerate_paths(level)
+        walks = self.walks(monkeypatch)
+        weights = [w for _, _, _, w in TrajectorySet(problem, ensemble).steps(range(9))]
+        assert len(walks) == 1 and all(type(w) is int for w in weights)
+
+    def test_more_states_than_the_batch_size_takes_the_batch_walk(self, monkeypatch):
+        # level 8 of the coin-flip walk holds 9 states, more than batch_size 8
+        problem, ensemble = brownian_problem(8), enumerate_paths(GridLevel(8))
+        walks = self.walks(monkeypatch)
+        want = density(TrajectorySet(problem, ensemble))
+        assert walks == []
+        got = density(TrajectorySet(problem, ensemble, batch_size=8))
+        assert len(walks) == 1 and np.array_equal(got.counts, want.counts)
+        assert not merges(problem, ensemble, batch_size=8) and merges(problem, ensemble, batch_size=16)
+
+    def test_divergence_raises_the_batch_walks_error(self, monkeypatch):
+        # sqrt(16) = 4, so every state is an exact integer and level 2 merges.  The
+        # batch walk steps the first batch first, and there path 0, x_k = -2e11 * k,
+        # passes -1e12 at step 6, although the all-upper node does at step 3
+        n = 16
+        level = GridLevel(n)
+        problem, ensemble = CauchyProblem(1.6e12, 1.2e12, 0.0, level), enumerate_paths(level)
+        walks = self.walks(monkeypatch)
+        with pytest.raises(DivergenceError) as merged:
+            density(TrajectorySet(problem, ensemble))
+        assert len(walks) == 1
+        with pytest.raises(DivergenceError) as per_path:
+            density(TrajectorySet(problem, _PerPath(ensemble)))
+        got = (merged.value.step, merged.value.path_index)
+        assert got == (per_path.value.step, per_path.value.path_index) == (6, 0)

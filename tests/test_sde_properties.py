@@ -1,10 +1,11 @@
-"""Property tests on random small problems: the prefix tree agrees with the
-per-path reduction, and the exhaustive identities hold on random alphabets."""
+"""Property tests on random small problems: the prefix tree and the
+recombining lattice agree with the per-path reduction, and the exhaustive
+identities hold on random alphabets."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from gridsde.grids import GridLevel  # noqa: E402
 from gridsde.identities import (  # noqa: E402
@@ -14,7 +15,7 @@ from gridsde.identities import (  # noqa: E402
 )
 from gridsde.noise import NoiseAlphabet, conditional, enumerate_paths  # noqa: E402
 from gridsde.sde import CauchyProblem  # noqa: E402
-from test_sde import assert_tree_matches_per_path  # noqa: E402
+from test_sde import assert_lattice_matches_per_path, assert_tree_matches_per_path  # noqa: E402
 
 COEFFICIENTS = st.integers(-8, 8).map(lambda i: i / 8)
 
@@ -45,6 +46,30 @@ def tree_cases(draw):
 def test_tree_matches_per_path_reduction(case):
     problem, ensemble, batch_size = case
     assert_tree_matches_per_path(problem, ensemble, batch_size)
+
+
+@st.composite
+def lattice_cases(draw):
+    """A constant f and h, an x0 and a full enumeration of at most 2^11 or 3^7 paths."""
+    if draw(st.booleans()):
+        a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        alphabet = NoiseAlphabet.from_symbols((-float(a + b), float(a), float(b)))
+        n = draw(st.integers(4, 6))
+    else:
+        alphabet = NoiseAlphabet.white()
+        n = draw(st.integers(4, 10))
+    # dyadic values step exactly more often, and so merge more often, than arbitrary floats
+    value = st.one_of(COEFFICIENTS, st.floats(-2.0, 2.0))
+    drift, diffusion, x0 = draw(value), draw(value), draw(value)
+    return CauchyProblem(drift, diffusion, x0, GridLevel(n)), enumerate_paths(GridLevel(n), alphabet)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(lattice_cases())
+# 0.0 and -0.0 are equal floats but different states: f = -0.0 and h = 0 from x0 = -0.0
+@example((CauchyProblem(-0.0, 0.0, -0.0, GridLevel(5)), enumerate_paths(GridLevel(5))))
+def test_lattice_matches_per_path_reduction(case):
+    assert_lattice_matches_per_path(*case)
 
 
 @st.composite
