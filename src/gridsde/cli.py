@@ -47,8 +47,8 @@ from .fokker_planck import (
 from .grids import GridError, GridLevel
 from .identities import increment_report, moment_report, tower_property_report
 from .noise import (
-    DEFAULT_ENUMERATION_CAP,
     NoiseError,
+    _enumeration_fits,
     enumerate_paths,
     sample_paths,
 )
@@ -201,7 +201,7 @@ def _level(cfg) -> GridLevel:
 def _ensemble(level: GridLevel, mode: str | None, samples: int, seed: int):
     """The ensemble of ``mode``; without one, exhaustive when its 2^(n+1) paths fit under the cap."""
     if mode is None:
-        mode = "exhaustive" if 2 ** (level.n + 1) <= DEFAULT_ENUMERATION_CAP else "sampled"
+        mode = "exhaustive" if _enumeration_fits(level) else "sampled"
     if mode == "exhaustive":
         return enumerate_paths(level)
     return sample_paths(level, samples, seed)

@@ -35,6 +35,7 @@ from .noise import NoiseEnsemble
 from .sde import (
     CauchyProblem,
     TrajectorySet,
+    _arr,
     bin_counts,
     density,
     slice_indices,
@@ -72,10 +73,6 @@ MAX_SUBSTEPS = 1 << 17
 
 # The most cells one fp_solve steps, far above the 768 of bench pde's fp-solve.
 MAX_CELLS = 1 << 20
-
-
-def _arr(value, like: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(np.asarray(value, dtype=np.float64), like.shape)
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +217,7 @@ def weak_form_residual(
         (drift_term + noise_term + correction_term + quadratic_term) - taylor_total
     )
 
-    edges = np.arange(-k_window, k_window, dtype=np.float64) / n
+    edges = level.spatial_grid().points()[:-1]
     weighted = 0.0
     with np.errstate(all="ignore"):
         for k in range(n):

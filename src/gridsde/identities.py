@@ -23,7 +23,7 @@ import numpy as np
 
 from .expr import as_expr
 from .noise import NoiseEnsemble, PathFunctional, _path_values
-from .sde import CauchyProblem, TrajectorySet, weighted_sum
+from .sde import CauchyProblem, TrajectorySet, _arr, weighted_sum
 
 __all__ = [
     "MomentReport",
@@ -170,7 +170,7 @@ def increment_report(
         for col, xk, xik, weight in trajset.steps(time_indices, with_noise=True):
             tk = time_indices[col] / n
             for row, (_, fn) in enumerate(exprs):
-                fv = np.broadcast_to(np.asarray(fn(tk, xk), dtype=np.float64), xk.shape)
+                fv = _arr(fn(tk, xk), xk)
                 sums_f[row, col] += weighted_sum(fv, weight)
                 sums_fxi[row, col] += weighted_sum(fv * xik, weight)
                 sums_fxi2[row, col] += weighted_sum(fv * xik * xik, weight)

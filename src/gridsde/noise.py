@@ -349,6 +349,11 @@ def _lexicographic_block(
     return block
 
 
+def _enumeration_fits(level: GridLevel, alphabet: NoiseAlphabet | None = None) -> bool:
+    """Whether the |A|^(n+1) paths of the enumeration are at most ``DEFAULT_ENUMERATION_CAP``."""
+    return _class_size(alphabet or NoiseAlphabet.white(), level, 0) <= DEFAULT_ENUMERATION_CAP
+
+
 def enumerate_paths(level: GridLevel, alphabet: NoiseAlphabet | None = None) -> NoiseEnsemble:
     """All |alphabet|^(n+1) noise paths at this level, exactly once each.
 
@@ -357,7 +362,7 @@ def enumerate_paths(level: GridLevel, alphabet: NoiseAlphabet | None = None) -> 
     """
     alphabet = alphabet or NoiseAlphabet.white()
     count = _class_size(alphabet, level, 0)
-    if count > DEFAULT_ENUMERATION_CAP:
+    if not _enumeration_fits(level, alphabet):
         raise NoiseError(
             f"exhaustive enumeration of {count} paths exceeds the cap "
             f"{DEFAULT_ENUMERATION_CAP}; use sampled mode"

@@ -12,6 +12,9 @@ times become time indices by one rule, ``slice_indices``.
 Densities, event probabilities, the weak form and the increment report all
 read one step stream, ``TrajectorySet.steps``: the states x_k, the noise
 values xi_k and path weights, reduced through one rule, ``weighted_sum``.
+Both walks below step a level by one function, ``_step_nodes``: f and h
+once per node at t_k, times each child's noise value, and the compensated
+update, so a state is the same bits whichever walk reaches it.
 
 A full exhaustive enumeration is first walked as a recombining lattice (the
 discrete Cox-Ross-Rubinstein lattice): level by level, each distinct
@@ -39,7 +42,10 @@ view of its block.  It is a whole subtree, so an exhaustive run costs about
 |A|^(n+1)/(|A|-1) steps in place of n * |A|^(n+1), plus one write of every
 path's states for the per-path view ``batches()``.  The step stream then
 carries each distinct state once per batch, weighted by the number of the
-batch's paths through it.
+batch's paths through it.  A batch that diverges is not yielded, the rest
+are stepped, and the ``DivergenceError`` raised after the last batch names
+the first diverging step of the whole ensemble and the smallest path
+through a bad node there, so it does not depend on the batch size.
 
 Integer bin and event counts, and so the weak-form residual, which reads
 only bin counts, are bit-identical to path-by-path counts for either walk
@@ -60,7 +66,7 @@ import numpy as np
 
 from .expr import Expr, as_expr
 from .grids import GridError, GridFunction, GridLevel, integer_in
-from .noise import _DEFAULT_BATCH, _TILE, NoiseEnsemble, NoiseError, NoisePath, _block
+from .noise import _DEFAULT_BATCH, _TILE, NoiseEnsemble, NoiseError, NoisePath, _block, _class_size
 
 __all__ = [
     "DivergenceError",
@@ -120,18 +126,28 @@ class CauchyProblem:
         }
 
 
-def _kahan_step(xk, comp, rate, n: int):
-    """One compensated step x + rate/n: (next states, their compensation, in-range mask).
+def _arr(value, like: np.ndarray) -> np.ndarray:
+    """An expression's value at the states ``like`` as a float array of their shape."""
+    return np.broadcast_to(np.asarray(value, dtype=np.float64), like.shape)
 
+
+def _step_nodes(problem: CauchyProblem, k: int, x: np.ndarray, comp: np.ndarray, xi: np.ndarray):
+    """Step the nodes x at t_k, f and h evaluated once each, to their children.
+
+    Node i's children are its run of len(xi) // len(x) noise values in xi;
+    the flat (states, compensations, in-range mask) are aligned with xi.
     Compensated (Kahan) accumulation: exactly cancelling coin-flip
     increments must return the walk to an exact lattice site, otherwise
     balanced paths end a few ulps off zero and land in the wrong half-open
     density bin.
     """
-    inc = rate / n - comp
-    nxt = xk + inc
+    n, tk, node = problem.level.n, k / problem.level.n, x[:, None]
+    fv = _arr(problem.drift.vectorized()(tk, x), x)[:, None]
+    hv = _arr(problem.diffusion.vectorized()(tk, x), x)[:, None]
+    inc = (fv + hv * xi.reshape(x.shape[0], -1)) / n - comp[:, None]
+    nxt = node + inc
     # NaN and inf compare False, so they are out of range too
-    return nxt, (nxt - xk) - inc, np.abs(nxt) <= DIVERGENCE_GUARD
+    return nxt.ravel(), ((nxt - node) - inc).ravel(), np.abs(nxt).ravel() <= DIVERGENCE_GUARD
 
 
 def _time_major(block: np.ndarray) -> np.ndarray:
@@ -161,25 +177,17 @@ def _step_block(
     first row's noise value.  Widths of 1 step every path on its own; a
     whole subtree in lexicographic order shares its prefixes.  A divergence
     names the first diverging step and the smallest path index through the
-    first bad node there, or no path if ``start_index`` is None.  f and h
-    are read from ``problem``: each expression compiles its closure once
-    and caches it, so every batch steps with the same two closures.
+    first bad node there, or no path if ``start_index`` is None.  Each
+    level is one ``_step_nodes`` call, as in the lattice walk.
     """
     n = problem.level.n
-    drift_fn, diffusion_fn = problem.drift.vectorized(), problem.diffusion.vectorized()
     states = _block(out, n + 1, noise.shape[1])
     states[0] = problem.x0
     x = states[0, :: widths[0]]
     comp = np.zeros(x.shape[0])
     with np.errstate(all="ignore"):
         for k in range(n):
-            tk = k / n
-            # row i: the children of node i
-            xi = noise[k, :: widths[k + 1]].reshape(x.shape[0], -1)
-            fv = np.broadcast_to(drift_fn(tk, x), x.shape)[:, None]
-            hv = np.broadcast_to(diffusion_fn(tk, x), x.shape)[:, None]
-            x, comp, ok = _kahan_step(x[:, None], comp[:, None], fv + hv * xi, n)
-            x, comp = x.reshape(-1), comp.reshape(-1)
+            x, comp, ok = _step_nodes(problem, k, x, comp, noise[k, :: widths[k + 1]])
             if not ok.all():
                 row = int(np.argmin(ok)) * widths[k + 1]
                 raise DivergenceError(
@@ -276,7 +284,10 @@ class TrajectorySet:
         reproducible.  Path indices are Python ints, exact at any index, but
         the bin and event counts that the weights add into are int64, so an
         exhaustive ensemble of 2^63 paths or more raises NoiseError before
-        the first batch.  This per-path view never merges states.
+        the first batch.  This per-path view never merges states.  A batch
+        that diverges is not yielded; after the last batch a DivergenceError
+        names the first diverging step of the whole ensemble and the
+        smallest path through a bad node there, whatever the batch size.
         """
         self._check_counts()
         # every row of a tree with one child per node is read at every step, so
@@ -294,15 +305,25 @@ class TrajectorySet:
         if not one_child:
             size = self.batch_size * (self.problem.level.n + 1)  # batch_size <= count
             block, states = np.empty(size), np.empty(size)
+        first_bad = None  # (step, path) of the earliest divergence; ints keep no batch alive
         for start, noise in self.ensemble.batches(self.batch_size, out=block):
             # rebinding drops a fresh row-major block before the states are allocated
             noise = _time_major(noise) if one_child else noise.T
-            values = _step_block(self.problem, noise, start, self._widths, states)
+            try:
+                values = _step_block(self.problem, noise, start, self._widths, states)
+            except DivergenceError as exc:
+                # batches run in path order, so an equal step later names a larger path
+                if first_bad is None or exc.step < first_bad[0]:
+                    first_bad = exc.step, exc.path_index
+                del noise
+                continue
             out = (start, noise.T, values)
             # hold no batch while the next is built: one batch is alive at a time
             del noise, values
             yield out
             del out
+        if first_bad is not None:
+            raise DivergenceError(*first_bad)
 
     def steps(self, time_indices: Sequence[int], with_noise: bool = False) -> Iterator[tuple]:
         """Yield (i, x_k, xi_k, weight) for k = time_indices[i].
@@ -327,16 +348,14 @@ class TrajectorySet:
         self._check_counts()
         lattice = self._lattice(set(time_indices))
         if lattice is not None:
-            n = self.problem.level.n
             symbols = self.ensemble.alphabet.scaled(self.problem.level)
-            size = len(symbols)
             for i, k in enumerate(time_indices):
                 x, prefixes = lattice[k]
                 if with_noise:
-                    pairs = np.repeat(prefixes, size) * size ** (n - k)
-                    yield i, np.repeat(x, size), np.tile(symbols, x.shape[0]), pairs
+                    pairs = np.repeat(prefixes, len(symbols)) * self.ensemble.prefix_rows(k + 1)
+                    yield i, np.repeat(x, len(symbols)), np.tile(symbols, x.shape[0]), pairs
                 else:
-                    yield i, x.copy(), None, prefixes * size ** (n + 1 - k)
+                    yield i, x.copy(), None, prefixes * self.ensemble.prefix_rows(k)
             return
         shift = 1 if with_noise else 0
         for _, noise, values in self.batches():
@@ -358,10 +377,10 @@ class TrajectorySet:
         """
         problem, ensemble = self.problem, self.ensemble
         n = problem.level.n
-        symbols = ensemble.alphabet.scaled(problem.level)
-        if ensemble.mode != "exhaustive" or ensemble.first or ensemble.count != len(symbols) ** (n + 1):
+        from_zero = ensemble.mode == "exhaustive" and not ensemble.first
+        if not from_zero or ensemble.count != _class_size(ensemble.alphabet, ensemble.level, 0):
             return None
-        drift_fn, diffusion_fn = problem.drift.vectorized(), problem.diffusion.vectorized()
+        symbols = ensemble.alphabet.scaled(problem.level)
         x, comp = np.full(1, problem.x0), np.zeros(1)
         prefixes = np.ones(1, dtype=np.int64)
         kept = {}
@@ -369,15 +388,12 @@ class TrajectorySet:
             for k in range(n):
                 if k in wanted:
                     kept[k] = (x, prefixes)
-                tk = k / n
-                # row i: the children of state i, one per symbol, as _step_block steps them
-                fv = np.broadcast_to(drift_fn(tk, x), x.shape)[:, None]
-                hv = np.broadcast_to(diffusion_fn(tk, x), x.shape)[:, None]
-                x, comp, ok = _kahan_step(x[:, None], comp[:, None], fv + hv * symbols, n)
+                # the children of each state, one per symbol
+                x, comp, ok = _step_nodes(problem, k, x, comp, np.tile(symbols, x.shape[0]))
                 if not ok.all():
                     return None
-                children = x.size
-                x, comp, prefixes = _merge(x.reshape(-1), comp.reshape(-1), np.repeat(prefixes, len(symbols)))
+                children = x.shape[0]
+                x, comp, prefixes = _merge(x, comp, np.repeat(prefixes, len(symbols)))
                 if x.shape[0] > self.batch_size or (k >= 1 and x.shape[0] == children):
                     return None
         if n in wanted:
@@ -428,8 +444,7 @@ class DensityField:
         return np.asarray(self.time_indices, dtype=np.float64) / self.level.n
 
     def bin_left_edges(self) -> np.ndarray:
-        k = self.window_steps
-        return np.arange(-k, k, dtype=np.float64) / self.level.n
+        return self.level.spatial_grid().points()[:-1]
 
     def rho(self) -> np.ndarray:
         """Density values: count / (step * ensemble size), one row per slice."""

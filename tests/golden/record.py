@@ -3,8 +3,9 @@
 Run from the root of a gridsde checkout at the commit whose outputs are the
 reference (``python3 tests/golden/record.py``).  Each file's example runs
 in a temporary directory; a JSON report is stored without ``config.out``
-(the output directory), a CSV as written.  A change that alters an output by
-design reruns this and names each rewritten file in its change notes.
+(the output directory), a CSV as written.  Only files whose text changed
+are rewritten, and each is printed, so a change that alters an output by
+design reruns this and names those files in its change notes.
 """
 
 import contextlib
@@ -28,8 +29,10 @@ def main() -> int:
             if rc != 0:
                 print(f"{' '.join(argv)}: exit code {rc}", file=sys.stderr)
                 return 1
-            (GOLDEN / name).write_text(stored(out / name))
-            print(f"wrote {GOLDEN / name}", file=sys.stderr)
+            text, golden = stored(out / name), GOLDEN / name
+            if not golden.exists() or golden.read_text() != text:
+                golden.write_text(text)
+                print(f"rewrote {golden}", file=sys.stderr)
     return 0
 
 

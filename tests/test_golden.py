@@ -16,6 +16,8 @@ the byte.
 """
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +106,14 @@ def compare(name: str, got: str, want: str) -> list[str]:
 def test_readme_example_matches_its_recorded_report(tmp_path, name):
     assert main([*EXAMPLES[name], "--out", str(tmp_path)]) == 0
     assert compare(name, stored(tmp_path / name), (GOLDEN / name).read_text()) == []
+
+
+def test_readme_examples_are_the_recorded_examples():
+    # the lines CI runs: a README edit cannot leave a golden file checking a command it no longer shows
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    lines = [line for line in readme.splitlines() if re.fullmatch(r"gridsde .* --out run", line)]
+    shown = {tuple(shlex.split(line)[1:-2]) for line in lines}
+    assert len(shown) == len(lines) and shown == {tuple(argv) for argv in EXAMPLES.values()}
 
 
 @pytest.mark.parametrize(

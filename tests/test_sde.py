@@ -448,10 +448,20 @@ def _close(a, b, scale=1.0):
     return abs(a - b) <= 1e-12 * max(scale, abs(a), abs(b))
 
 
-def assert_tree_matches_per_path(problem, ensemble, batch_size=1 << 15):
+def assert_matches_per_path(problem, ensemble, batch_size=1 << 15):
+    """``steps``, whichever walk it takes, against the per-path view and ``_PerPath``.
+
+    The weights of each level add up to the path count.  Bin counts,
+    overflow, event probabilities and the weak-form residual must equal
+    both the per-path view ``batches()`` and ``_PerPath``; the weak-form
+    pieces and increment sums must agree with ``_PerPath`` within 1e-12
+    relative.  exp(-exp(1/x)) is 0 at 0.0 and 1 at -0.0, so a merge of
+    states that are equal as floats but not as bits changes its sums.
+    """
     n = problem.level.n
     tree = TrajectorySet(problem, ensemble, batch_size=batch_size)
     reference = TrajectorySet(problem, _PerPath(ensemble))
+    values = np.concatenate([v.copy() for _, _, v in tree.batches()])
 
     for k in range(n + 1):
         for with_noise in (False, True):
@@ -459,56 +469,16 @@ def assert_tree_matches_per_path(problem, ensemble, batch_size=1 << 15):
             total = sum(weighted_sum(np.ones(len(x), dtype=bool), w) for _, x, _, w in steps)
             assert total == ensemble.count
     got, want = density(tree), density(reference)
-    assert np.array_equal(got.counts, want.counts)
-    assert np.array_equal(got.overflow, want.overflow)
-    assert got.ensemble_descriptor == want.ensemble_descriptor
-    for t, a, b in (((n // 2) / n, -0.25, 0.5), (1.0, 0.0, math.inf), (1.0, -0.3, 0.1)):
-        assert event_probability(tree, t, a, b) == event_probability(reference, t, a, b)
-
-    got = weak_form_residual(problem, ensemble, PHI)
-    want = weak_form_residual(problem, _PerPath(ensemble), PHI)
-    assert (got.residual, got.double_sum) == (want.residual, want.double_sum)
-    pieces = ("drift_term", "noise_term", "correction_term", "quadratic_term", "taylor_total")
-    scale = max(1.0, *(abs(getattr(want, p)) for p in pieces))
-    for piece in pieces:
-        assert _close(getattr(got, piece), getattr(want, piece), scale), piece
-
-    functions = ["sin(x) + 1", "bump(x/4)", "x^2"]
-    indices = (0, 1, n // 2, n - 1, n)
-    got = increment_report(problem, ensemble, functions, indices)
-    want = increment_report(problem, _PerPath(ensemble), functions, indices)
-    for g, w in zip(got.entries, want.entries, strict=True):
-        assert _close(g.orthogonality_gap, w.orthogonality_gap, max(1.0, w.orthogonality_scale))
-        assert _close(g.orthogonality_scale, w.orthogonality_scale)
-        assert _close(g.quadratic_gap, w.quadratic_gap, w.quadratic_scale)
-
-
-def merges(problem, ensemble, batch_size=1 << 15):
-    """Whether ``steps`` walks the recombining lattice: its weights are arrays."""
-    _, _, _, weight = next(TrajectorySet(problem, ensemble, batch_size).steps((0,)))
-    return isinstance(weight, np.ndarray)
-
-
-def assert_lattice_matches_per_path(problem, ensemble):
-    """``steps`` against the per-path view and ``_PerPath``, whichever walk it takes.
-
-    Bin counts, overflow, event probabilities and the weak-form residual
-    must be equal; the weak-form pieces and increment sums within 1e-12
-    relative.  exp(-exp(1/x)) is 0 at 0.0 and 1 at -0.0, so a merge of
-    states that are equal as floats but not as bits changes its sums.
-    """
-    n = problem.level.n
-    trajectories = TrajectorySet(problem, ensemble)
-    values = np.concatenate([v.copy() for _, _, v in trajectories.batches()])
-    got = density(trajectories)
     counts, overflow = np.zeros_like(got.counts), np.zeros_like(got.overflow)
     for k in range(n + 1):
         overflow[k] = bin_counts(values[:, k], n, problem.level.window_steps, counts[k])
-    assert np.array_equal(got.counts, counts)
-    assert np.array_equal(got.overflow, overflow)
+    assert np.array_equal(got.counts, want.counts) and np.array_equal(got.counts, counts)
+    assert np.array_equal(got.overflow, want.overflow) and np.array_equal(got.overflow, overflow)
+    assert got.ensemble_descriptor == want.ensemble_descriptor
     for k, a, b in ((n // 2, -0.25, 0.5), (n, 0.0, math.inf), (n, -0.3, 0.1)):
         hits = int(np.count_nonzero((values[:, k] >= a) & (values[:, k] < b)))
-        assert event_probability(trajectories, k / n, a, b) == Fraction(hits, ensemble.count)
+        got = event_probability(tree, k / n, a, b)
+        assert got == event_probability(reference, k / n, a, b) == Fraction(hits, ensemble.count)
 
     got = weak_form_residual(problem, ensemble, PHI)
     want = weak_form_residual(problem, _PerPath(ensemble), PHI)
@@ -518,7 +488,7 @@ def assert_lattice_matches_per_path(problem, ensemble):
     for piece in pieces:
         assert _close(getattr(got, piece), getattr(want, piece), scale), piece
 
-    functions = ["sin(x) + 1", "x^2", "exp(-exp(1/x))"]
+    functions = ["sin(x) + 1", "bump(x/4)", "x^2", "exp(-exp(1/x))"]
     indices = (0, 1, n // 2, n - 1, n)
     got = increment_report(problem, ensemble, functions, indices)
     want = increment_report(problem, _PerPath(ensemble), functions, indices)
@@ -526,6 +496,12 @@ def assert_lattice_matches_per_path(problem, ensemble):
         assert _close(g.orthogonality_gap, w.orthogonality_gap, max(1.0, w.orthogonality_scale)), g
         assert _close(g.orthogonality_scale, w.orthogonality_scale), g
         assert _close(g.quadratic_gap, w.quadratic_gap, w.quadratic_scale), g
+
+
+def merges(problem, ensemble, batch_size=1 << 15):
+    """Whether ``steps`` walks the recombining lattice: its weights are arrays."""
+    _, _, _, weight = next(TrajectorySet(problem, ensemble, batch_size).steps((0,)))
+    return isinstance(weight, np.ndarray)
 
 
 class TestPrefixTree:
@@ -539,8 +515,8 @@ class TestPrefixTree:
         ensemble = enumerate_paths(level, alphabet)
         if prefix is not None:
             ensemble = conditional(ensemble, tuple(alphabet.scaled(level)[list(prefix)]))
-        assert_tree_matches_per_path(problem, ensemble)
-        assert_tree_matches_per_path(problem, ensemble, batch_size=5)
+        assert_matches_per_path(problem, ensemble)
+        assert_matches_per_path(problem, ensemble, batch_size=5)
 
     @pytest.mark.parametrize("batch_size", [7, 1 << 15])
     def test_states_match_per_path_bit_for_bit(self, batch_size):
@@ -615,12 +591,12 @@ class TestPrefixTree:
         with pytest.raises(DivergenceError) as single:
             solve_grid_ode(problem, ensemble.path(index))
         assert (single.value.step, single.value.path_index) == (step, index)
-        # every earlier path survives, or fails later in the same batch
-        for j in range(index):
+        # every earlier path survives or fails later, whatever its batch, and no path fails earlier
+        for j in range(ensemble.count):
             try:
                 solve_grid_ode(problem, ensemble.path(j))
             except DivergenceError as other:
-                assert j // batch_size == index // batch_size and other.step > step
+                assert other.step > step if j < index else other.step >= step
 
     def test_int64_guard_trips_before_traversal(self):
         level = GridLevel(40)
@@ -643,6 +619,31 @@ class TestPrefixTree:
         with pytest.raises(DivergenceError) as single:
             solve_grid_ode(problem, ensemble.path(index))
         assert single.value.step == step
+
+
+@pytest.mark.parametrize(
+    "kind, batch_size, want",
+    [
+        ("exhaustive", 1 << 10, (3, 114688)),
+        ("exhaustive", 1 << 15, (3, 114688)),
+        ("exhaustive", 1 << 17, (3, 114688)),
+        ("sampled", 7, (4, 9)),
+        ("sampled", 64, (4, 9)),
+        ("sampled", 1 << 15, (4, 9)),
+    ],
+)
+def test_divergence_names_the_first_step_of_the_whole_ensemble(kind, batch_size, want):
+    # a batch that diverges early must not hide an earlier step in a later batch; at
+    # 2^10 the 2^17 paths are 128 batches (batch size 5, 32768 batches, takes 10 s)
+    if kind == "exhaustive":
+        problem = CauchyProblem(1.6e12, 1.2e12, 0.0, GridLevel(16))
+        ensemble = enumerate_paths(GridLevel(16))
+    else:
+        problem = CauchyProblem("exp(2*x)", "3", 0.0, GridLevel(10))
+        ensemble = sample_paths(GridLevel(10), 300, seed=11)
+    with pytest.raises(DivergenceError) as info:
+        density(TrajectorySet(problem, ensemble, batch_size=batch_size))
+    assert (info.value.step, info.value.path_index) == want
 
 
 @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -691,7 +692,7 @@ class TestRecombiningLattice:
                     assert xik.tolist() == alphabet.scaled(level).tolist() * states
         assert walks == []
         monkeypatch.undo()
-        assert_lattice_matches_per_path(problem, ensemble)
+        assert_matches_per_path(problem, ensemble)
 
     def test_states_are_merged_by_bits_not_by_float_equality(self):
         # from x0 = -0.0 with f = -0.0 and h = 0, a lower symbol keeps -0.0, an upper one
@@ -702,7 +703,7 @@ class TestRecombiningLattice:
         (_, xk, _, weight), = TrajectorySet(problem, ensemble).steps((3,))
         assert xk.tobytes() == np.array([-0.0, 0.0]).tobytes()
         assert weight.tolist() == [2**4, 7 * 2**4]
-        assert_lattice_matches_per_path(problem, ensemble)
+        assert_matches_per_path(problem, ensemble)
 
     def test_mean_reverting_drift_takes_the_batch_walk(self, monkeypatch):
         # f = -x: no two level-2 states agree, so the walk falls back at depth 2
@@ -724,8 +725,8 @@ class TestRecombiningLattice:
 
     def test_divergence_raises_the_batch_walks_error(self, monkeypatch):
         # sqrt(16) = 4, so every state is an exact integer and level 2 merges.  The
-        # batch walk steps the first batch first, and there path 0, x_k = -2e11 * k,
-        # passes -1e12 at step 6, although the all-upper node does at step 3
+        # all-upper node, x_k = 4e11 * k, passes 1e12 at step 3 before any other
+        # node, and path 7 * 2^14 is the smallest through it
         n = 16
         level = GridLevel(n)
         problem, ensemble = CauchyProblem(1.6e12, 1.2e12, 0.0, level), enumerate_paths(level)
@@ -736,4 +737,4 @@ class TestRecombiningLattice:
         with pytest.raises(DivergenceError) as per_path:
             density(TrajectorySet(problem, _PerPath(ensemble)))
         got = (merged.value.step, merged.value.path_index)
-        assert got == (per_path.value.step, per_path.value.path_index) == (6, 0)
+        assert got == (per_path.value.step, per_path.value.path_index) == (3, 7 << 14)

@@ -15,7 +15,7 @@ from gridsde.identities import (  # noqa: E402
 )
 from gridsde.noise import NoiseAlphabet, conditional, enumerate_paths  # noqa: E402
 from gridsde.sde import CauchyProblem  # noqa: E402
-from test_sde import assert_lattice_matches_per_path, assert_tree_matches_per_path  # noqa: E402
+from test_sde import assert_matches_per_path  # noqa: E402
 
 COEFFICIENTS = st.integers(-8, 8).map(lambda i: i / 8)
 
@@ -45,7 +45,7 @@ def tree_cases(draw):
 @given(tree_cases())
 def test_tree_matches_per_path_reduction(case):
     problem, ensemble, batch_size = case
-    assert_tree_matches_per_path(problem, ensemble, batch_size)
+    assert_matches_per_path(problem, ensemble, batch_size)
 
 
 @st.composite
@@ -69,7 +69,7 @@ def lattice_cases(draw):
 # 0.0 and -0.0 are equal floats but different states: f = -0.0 and h = 0 from x0 = -0.0
 @example((CauchyProblem(-0.0, 0.0, -0.0, GridLevel(5)), enumerate_paths(GridLevel(5))))
 def test_lattice_matches_per_path_reduction(case):
-    assert_lattice_matches_per_path(*case)
+    assert_matches_per_path(*case)
 
 
 @st.composite
