@@ -18,10 +18,14 @@ floor(u * |A|), capped at |A| - 1, computed in floats.  For the binary
 alphabet that is exactly the top bit z >> 63, which is how it is computed;
 for other sizes the float rule stays, because floor(u * 3) in floats can
 differ from integer arithmetic on z.  Sampled counters are hashed in tiles
-of 2^15 that stay in cache; each value depends on its counter alone, so the
-tiling cannot change one.  ``batches()`` yields C-contiguous row-major
-blocks ``[rows, n+1]`` in both modes, fresh per batch or, given a buffer
-``out``, written into its front, which the next batch overwrites.
+of 2^15 that stay in cache, as runs first, first + stride, ...: stride 1
+gives a row-major block of consecutive rows, and stride n+1 gives the
+column of grid point j for rows r, r+1, ... (counters r*(n+1) + j onward),
+which is how a sampled walk draws each step's noise without a block.  Each
+value depends on its counter alone, so neither the tiling nor the stride
+can change one.  ``batches()`` yields C-contiguous row-major blocks
+``[rows, n+1]`` in both modes, fresh per batch or, given a buffer ``out``,
+written into its front, which the next batch overwrites.
 
 A path functional maps a noise block [rows, n+1] to one float per row, e.g.
 ``v.mean(axis=1)``; it must read each row alone, or its values would depend
@@ -77,49 +81,67 @@ def _mix_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _sampled_values(seed: int, first: int, scaled: np.ndarray, out: np.ndarray) -> None:
-    """Write the scaled symbols of counters first, first+1, ... into the flat ``out``.
+def _sampled_values(
+    seed: int, first: int, scaled: np.ndarray, out: np.ndarray, stride: int = 1
+) -> None:
+    """Write the scaled symbols of counters first, first+stride, ... into the flat ``out``."""
+    _sampled_hash(seed, scaled, stride, out.size)(first, out)
+
+
+def _sampled_hash(
+    seed: int, scaled: np.ndarray, stride: int, length: int
+) -> Callable[[int, np.ndarray], None]:
+    """The hash of ``_sampled_values``, as write(first, out), with its buffers made once.
 
     Counter c hashes to mix(key(seed) + (c + 1) * golden) modulo 2^64, which
-    is ``_mix_int`` applied per element.  The counters run in tiles of
-    ``_TILE``: each tile is hashed in two reused buffers, mapped to symbols
-    and written to its slice of ``out``, so a tile's temporaries stay in
-    cache.  Every value is a function of its counter alone, so the tiling
-    cannot change one.
+    is ``_mix_int`` applied per element; out[i] gets counter first + i *
+    stride.  The counters run in tiles of ``_TILE``: each tile is hashed in
+    two work buffers, mapped to symbols and written to its slice of ``out``,
+    so a tile's temporaries stay in cache.  The ramp of i * stride * golden
+    and the work buffers hold min(length, ``_TILE``) values, for any ``out``
+    of at most ``length`` values, and are reused by every call, so a walk
+    that hashes one column per step makes them once.
+    Every value is a function of its counter alone, so neither the tiling
+    nor the stride can change one.
     """
-    size = len(scaled)
     key = _mix_int(seed ^ 0xD1B54A32D192ED03)
-    ramp = np.arange(min(_TILE, out.size), dtype=np.uint64) * np.uint64(_GOLDEN)
+    size = len(scaled)
+    ramp = np.arange(min(_TILE, length), dtype=np.uint64) * np.uint64((stride * _GOLDEN) & _MASK64)
     z, shifted = np.empty_like(ramp), np.empty_like(ramp)
     low, high = scaled.view(np.int64)[:2]
-    for lo in range(0, out.size, _TILE):
-        values = out[lo : lo + _TILE]
-        zt, st = z[: values.size], shifted[: values.size]
-        # (c + 1) * golden for the tile's counters: one offset plus i * golden
-        np.add(ramp[: values.size], np.uint64((key + (first + lo + 1) * _GOLDEN) & _MASK64), out=zt)
-        for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-            np.right_shift(zt, np.uint64(shift), out=st)
+
+    def write(first: int, out: np.ndarray) -> None:
+        for lo in range(0, out.size, _TILE):
+            values = out[lo : lo + _TILE]
+            zt, st = z[: values.size], shifted[: values.size]
+            # (c + 1) * golden for the tile's counters: one offset plus i * stride * golden
+            offset = (key + (first + lo * stride + 1) * _GOLDEN) & _MASK64
+            np.add(ramp[: values.size], np.uint64(offset), out=zt)
+            for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+                np.right_shift(zt, np.uint64(shift), out=st)
+                zt ^= st
+                zt *= np.uint64(multiplier)
+            if size == 2:
+                # floor(u * 2) with u = (z >> 11) * 2^-53 is the top bit, which the
+                # last round z ^= z >> 31 leaves alone; an arithmetic shift spreads
+                # it over all 64 bits, selecting the bits of scaled[0] or scaled[1]
+                bits = values.view(np.int64)
+                np.right_shift(zt.view(np.int64), 63, out=bits)
+                bits &= low ^ high
+                bits ^= low
+                continue
+            np.right_shift(zt, np.uint64(31), out=st)
             zt ^= st
-            zt *= np.uint64(multiplier)
-        if size == 2:
-            # floor(u * 2) with u = (z >> 11) * 2^-53 is the top bit, which the
-            # last round z ^= z >> 31 leaves alone; an arithmetic shift spreads
-            # it over all 64 bits, selecting the bits of scaled[0] or scaled[1]
-            bits = values.view(np.int64)
-            np.right_shift(zt.view(np.int64), 63, out=bits)
-            bits &= low ^ high
-            bits ^= low
-            continue
-        np.right_shift(zt, np.uint64(31), out=st)
-        zt ^= st
-        np.right_shift(zt, np.uint64(11), out=zt)
-        values[...] = zt  # u * 2^53, exact in float64
-        values *= 2.0**-53
-        values *= size
-        digits = zt.view(np.int64)
-        digits[...] = values
-        np.minimum(digits, size - 1, out=digits)
-        np.take(scaled, digits, out=values, mode="clip")
+            np.right_shift(zt, np.uint64(11), out=zt)
+            values[...] = zt  # u * 2^53, exact in float64
+            values *= 2.0**-53
+            values *= size
+            digits = zt.view(np.int64)
+            digits[...] = values
+            np.minimum(digits, size - 1, out=digits)
+            np.take(scaled, digits, out=values, mode="clip")
+
+    return write
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ times become time indices by one rule, ``slice_indices``.
 Densities, event probabilities, the weak form and the increment report all
 read one step stream, ``TrajectorySet.steps``: the states x_k, the noise
 values xi_k and path weights, reduced through one rule, ``weighted_sum``.
-Both walks below step a level by one function, ``_step_nodes``: f and h
-once per node at t_k, times each child's noise value, and the compensated
+The three walks below step a level by one function, ``_step_nodes``: f and
+h once per node at t_k, times each child's noise value, and the compensated
 update, so a state is the same bits whichever walk reaches it.
 
 A full exhaustive enumeration is first walked as a recombining lattice (the
@@ -29,26 +29,37 @@ level holds more distinct states than the walk's batch size, or when a step
 leaves the divergence guard, so that the batch walk raises the
 ``DivergenceError`` that names the path.
 
-The batch walk streams batches of paths in path order, one at a time, so a
-million paths never live in memory at once; an exhaustive walk allocates
+A sampled ensemble is walked tile by tile: tiles of batch_size paths in
+path order, each stepped step by step.  Its noise is counter-based, so the
+noise of step k for a tile's rows is one strided run of counters, hashed
+into one reused column where it is stepped; no [batch, n+1] noise block or
+state block is built, and a tile holds a few arrays of batch_size floats
+whatever n is.
+
+Every other walk streams batches of paths in path order, one at a time, so
+a million paths never live in memory at once; an exhaustive walk allocates
 two flat buffers of batch_size * (n+1) floats and reuses them for every
 batch.  One kernel steps every batch as a piece of the noise tree: x_k
 depends only on xi_0..xi_{k-1}, so it steps each distinct noise prefix
-once.  A sampled batch, like the single path of ``solve_grid_ode``, is a
-tree with one child per node and is stepped path by path, from a time-major
-copy of its noise block, so each step reads one contiguous row.  An
-exhaustive batch, which reads one row per child, steps from a transposed
-view of its block.  It is a whole subtree, so an exhaustive run costs about
-|A|^(n+1)/(|A|-1) steps in place of n * |A|^(n+1), plus one write of every
-path's states for the per-path view ``batches()``.  The step stream then
-carries each distinct state once per batch, weighted by the number of the
-batch's paths through it.  A batch that diverges is not yielded, the rest
-are stepped, and the ``DivergenceError`` raised after the last batch names
-the first diverging step of the whole ensemble and the smallest path
-through a bad node there, so it does not depend on the batch size.
+once.  An exhaustive batch, which reads one row per child, steps from a
+transposed view of its block.  It is a whole subtree, so an exhaustive run
+costs about |A|^(n+1)/(|A|-1) steps in place of n * |A|^(n+1), plus one
+write of every path's states for the per-path view ``batches()``.  The step
+stream then carries each distinct state once per batch, weighted by the
+number of the batch's paths through it.  ``batches()`` is also the per-path
+view of a sampled ensemble, whose batches, like the single path of
+``solve_grid_ode``, are trees with one child per node, stepped path by path
+from a time-major copy of the noise block.
+
+Once a tile or batch diverges, nothing more is yielded, and a later one is
+stepped only to the step before the earliest divergence so far, where only
+an earlier step could change the report.  The
+``DivergenceError`` raised after the last one names the first diverging
+step of the whole ensemble and the smallest path through a bad node there,
+so it does not depend on the batch size.
 
 Integer bin and event counts, and so the weak-form residual, which reads
-only bin counts, are bit-identical to path-by-path counts for either walk
+only bin counts, are bit-identical to path-by-path counts for every walk
 and any batch size.  Float sums such as the weak-form pieces add
 ``weight * value`` over distinct states, so they agree with a path-by-path
 reduction only to rounding, as a sampled run's float sums agree across
@@ -66,7 +77,16 @@ import numpy as np
 
 from .expr import Expr, as_expr
 from .grids import GridError, GridFunction, GridLevel, integer_in
-from .noise import _DEFAULT_BATCH, _TILE, NoiseEnsemble, NoiseError, NoisePath, _block, _class_size
+from .noise import (
+    _DEFAULT_BATCH,
+    _TILE,
+    NoiseEnsemble,
+    NoiseError,
+    NoisePath,
+    _block,
+    _class_size,
+    _sampled_hash,
+)
 
 __all__ = [
     "DivergenceError",
@@ -127,7 +147,13 @@ class CauchyProblem:
 
 
 def _arr(value, like: np.ndarray) -> np.ndarray:
-    """An expression's value at the states ``like`` as a float array of their shape."""
+    """An expression's value at the states ``like`` as a float array of their shape.
+
+    A float64 array of that shape is returned as it is; anything else is
+    broadcast, read-only.
+    """
+    if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.shape == like.shape:
+        return value
     return np.broadcast_to(np.asarray(value, dtype=np.float64), like.shape)
 
 
@@ -139,15 +165,21 @@ def _step_nodes(problem: CauchyProblem, k: int, x: np.ndarray, comp: np.ndarray,
     Compensated (Kahan) accumulation: exactly cancelling coin-flip
     increments must return the walk to an exact lattice site, otherwise
     balanced paths end a few ulps off zero and land in the wrong half-open
-    density bin.
+    density bin.  The step holds three arrays of the children's size (inc,
+    the states and the compensations) and writes |nxt| into inc: a walk
+    that frees no large block would fault every extra array back in at
+    every step.  numpy evaluates each chain of temporaries below in place
+    for arrays of 256 KiB and more, such as a tile of 2^15 paths.
     """
     n, tk, node = problem.level.n, k / problem.level.n, x[:, None]
     fv = _arr(problem.drift.vectorized()(tk, x), x)[:, None]
     hv = _arr(problem.diffusion.vectorized()(tk, x), x)[:, None]
     inc = (fv + hv * xi.reshape(x.shape[0], -1)) / n - comp[:, None]
     nxt = node + inc
+    new_comp = (nxt - node) - inc
     # NaN and inf compare False, so they are out of range too
-    return nxt.ravel(), ((nxt - node) - inc).ravel(), np.abs(nxt).ravel() <= DIVERGENCE_GUARD
+    ok = np.abs(nxt, out=inc) <= DIVERGENCE_GUARD
+    return nxt.ravel(), new_comp.ravel(), ok.ravel()
 
 
 def _time_major(block: np.ndarray) -> np.ndarray:
@@ -165,6 +197,7 @@ def _step_block(
     start_index: int | None,
     widths: Sequence[int],
     out: np.ndarray | None = None,
+    steps: int | None = None,
 ) -> np.ndarray:
     """The states of a batch of noise paths under ``problem``, one row per path.
 
@@ -178,7 +211,9 @@ def _step_block(
     whole subtree in lexicographic order shares its prefixes.  A divergence
     names the first diverging step and the smallest path index through the
     first bad node there, or no path if ``start_index`` is None.  Each
-    level is one ``_step_nodes`` call, as in the lattice walk.
+    level is one ``_step_nodes`` call, as in the lattice walk.  Only
+    ``steps`` levels are stepped (all n by default); the states past
+    x_steps are then left unwritten.
     """
     n = problem.level.n
     states = _block(out, n + 1, noise.shape[1])
@@ -186,7 +221,7 @@ def _step_block(
     x = states[0, :: widths[0]]
     comp = np.zeros(x.shape[0])
     with np.errstate(all="ignore"):
-        for k in range(n):
+        for k in range(n if steps is None else steps):
             x, comp, ok = _step_nodes(problem, k, x, comp, noise[k, :: widths[k + 1]])
             if not ok.all():
                 row = int(np.argmin(ok)) * widths[k + 1]
@@ -229,10 +264,11 @@ class TrajectorySet:
     """Streaming view of the solutions over every path of an ensemble.
 
     A full exhaustive enumeration is walked as a recombining lattice where
-    its states merge.  Otherwise one batch kernel steps each distinct noise
-    prefix of a batch once: a sampled batch is a tree with one child per
-    node, so its paths are stepped one by one; an exhaustive batch is a
-    whole subtree of the noise tree.
+    its states merge.  A sampled ensemble is walked in tiles of batch_size
+    paths, step by step, hashing each step's noise column as it goes.
+    Otherwise one batch kernel steps each distinct noise prefix of a batch
+    once: an exhaustive batch is a whole subtree of the noise tree.
+    ``batches()`` is the per-path view of either kind.
     """
 
     def __init__(
@@ -284,10 +320,14 @@ class TrajectorySet:
         reproducible.  Path indices are Python ints, exact at any index, but
         the bin and event counts that the weights add into are int64, so an
         exhaustive ensemble of 2^63 paths or more raises NoiseError before
-        the first batch.  This per-path view never merges states.  A batch
-        that diverges is not yielded; after the last batch a DivergenceError
-        names the first diverging step of the whole ensemble and the
-        smallest path through a bad node there, whatever the batch size.
+        the first batch.  This per-path view never merges states, and it is
+        the one way to see a sampled ensemble's paths whole: ``steps()``
+        walks sampled ensembles without blocks.  After a batch diverges at
+        step s no batch is yielded, and later batches are stepped only to
+        step s-1, where only an earlier step could change the report; after
+        the last batch a DivergenceError names the first diverging step of
+        the whole ensemble and the smallest path through a bad node there,
+        whatever the batch size.
         """
         self._check_counts()
         # every row of a tree with one child per node is read at every step, so
@@ -309,13 +349,19 @@ class TrajectorySet:
         for start, noise in self.ensemble.batches(self.batch_size, out=block):
             # rebinding drops a fresh row-major block before the states are allocated
             noise = _time_major(noise) if one_child else noise.T
+            # after a divergence at step s only an earlier step can change the report
+            steps = None if first_bad is None else first_bad[0] - 1
             try:
-                values = _step_block(self.problem, noise, start, self._widths, states)
+                values = _step_block(self.problem, noise, start, self._widths, states, steps)
             except DivergenceError as exc:
-                # batches run in path order, so an equal step later names a larger path
-                if first_bad is None or exc.step < first_bad[0]:
-                    first_bad = exc.step, exc.path_index
+                # stepped only below the recorded step, so a later batch's is earlier
+                first_bad = exc.step, exc.path_index
                 del noise
+                if exc.step == 1:
+                    break  # no step is earlier
+                continue
+            if first_bad is not None:
+                del noise, values  # a walk that will raise yields nothing more
                 continue
             out = (start, noise.T, values)
             # hold no batch while the next is built: one batch is alive at a time
@@ -334,15 +380,18 @@ class TrajectorySet:
         ``weighted_sum`` reduces either.  A full exhaustive enumeration whose
         states merge yields each level once: its distinct states, weighted
         by the paths through each, or with ``with_noise`` each (state,
-        symbol) pair, weighted by the paths through the pair.  Otherwise the
-        batch walk yields batch by batch: sampled ensembles every path with
-        weight 1, exhaustive ones each distinct state of a batch once,
-        weighted by the batch's paths through it, and with ``with_noise``
-        each distinct pair (x_k, xi_k).  Without it xi_k is None.  x_k and
-        xi_k are copies, so a caller's loop variables do not keep a
-        finished batch alive.  GridError before either walk unless every k
-        is an integer in 0..n (numpy's too; not a bool), and NoiseError for
-        an exhaustive ensemble of 2^63 paths or more.
+        symbol) pair, weighted by the paths through the pair.  A sampled
+        ensemble is walked tile by tile (``_tiles``), step by step: each
+        tile of batch_size paths yields every path with weight 1 at each k
+        it reaches, in order of k, so for ascending time indices the yield
+        order is the batch walk's.  Otherwise the batch walk yields batch by
+        batch each distinct state of an exhaustive batch once, weighted by
+        the batch's paths through it, and with ``with_noise`` each distinct
+        pair (x_k, xi_k).  Without it xi_k is None.  x_k and xi_k are
+        copies, so a caller's loop variables keep no tile or batch alive.
+        GridError before any walk unless every k is an integer in 0..n
+        (numpy's too; not a bool), and NoiseError for an exhaustive ensemble
+        of 2^63 paths or more.
         """
         time_indices = _checked_times(self.problem.level, time_indices)
         self._check_counts()
@@ -357,12 +406,64 @@ class TrajectorySet:
                 else:
                     yield i, x.copy(), None, prefixes * self.ensemble.prefix_rows(k)
             return
+        if self.ensemble.mode == "sampled":
+            yield from self._tiles(time_indices, with_noise)
+            return
         shift = 1 if with_noise else 0
         for _, noise, values in self.batches():
             for i, k in enumerate(time_indices):
                 w = self._widths[k + shift]
                 yield i, values[::w, k].copy(), noise[::w, k].copy() if with_noise else None, w
             del noise, values
+
+    def _tiles(self, time_indices: tuple[int, ...], with_noise: bool) -> Iterator[tuple]:
+        """The sampled walk: tiles of batch_size paths in path order, each stepped step-major.
+
+        For each step k a tile hashes its noise column, counters r*(n+1) + k
+        for its rows r, into one reused buffer, yields copies of x_k (and
+        xi_k) for each i that reads k, and steps by ``_step_nodes``.  So no
+        [batch, n+1] block is built: a tile holds its states, their
+        compensations and one noise column, and the hash buffers are made
+        once per walk.  A tile steps its paths as the batch walk steps a
+        batch of the same rows, so every state is the same bits.  A
+        divergence at step s names the smallest path there; the tile stops,
+        later tiles yield nothing and are stepped only to step s-1, where
+        only an earlier step could change the report, and the
+        DivergenceError is raised after the last tile.
+        """
+        problem, ensemble = self.problem, self.ensemble
+        n = problem.level.n
+        readers = {}
+        for i, k in enumerate(time_indices):
+            readers.setdefault(k, []).append(i)
+        size = min(self.batch_size, ensemble.count)
+        scaled = ensemble.alphabet.scaled(problem.level)
+        hash_column = _sampled_hash(ensemble.seed, scaled, n + 1, size)
+        column = np.empty(size)
+        first_bad = None  # (step, path) of the earliest divergence
+        for start in range(0, ensemble.count, self.batch_size):
+            steps = n if first_bad is None else first_bad[0] - 1
+            if steps == 0:
+                break  # no step is earlier than step 1
+            xi = column[: min(self.batch_size, ensemble.count - start)]
+            x, comp = np.full(xi.shape[0], problem.x0), np.zeros(xi.shape[0])
+            for k in range(steps + 1):
+                reads = readers.get(k, ()) if first_bad is None else ()
+                if k < steps or (with_noise and reads):
+                    hash_column(start * (n + 1) + k, xi)
+                for i in reads:
+                    yield i, x.copy(), xi.copy() if with_noise else None, 1
+                if k == steps:
+                    break
+                with np.errstate(all="ignore"):
+                    x, comp, ok = _step_nodes(problem, k, x, comp, xi)
+                if not ok.all():
+                    # tiles run in path order, and a later one is stepped only below this step
+                    first_bad = k + 1, start + int(np.argmin(ok))
+                    break
+            del x, comp, ok  # no tile is alive while the next is stepped
+        if first_bad is not None:
+            raise DivergenceError(*first_bad)
 
     def _lattice(self, wanted: set[int]) -> dict[int, tuple[np.ndarray, np.ndarray]] | None:
         """The recombining walk: {k: (distinct x_k, prefix counts)} for each wanted k.

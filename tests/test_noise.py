@@ -275,6 +275,24 @@ class TestSampling:
         block = ens._values_for(start, start + rows)
         assert block.tobytes() == reference_sampled_block(ens, start, start + rows).tobytes()
 
+    @pytest.mark.parametrize("alphabet", [NoiseAlphabet.white(), TERNARY], ids=["binary", "ternary"])
+    @pytest.mark.parametrize("start", [0, _TILE - 7, 2**45 + 12345])
+    def test_strided_column_equals_the_blocks_column(self, alphabet, start):
+        # rows start..start+_TILE+9 cross a tile of the block and of the column; at
+        # start 2^45 + 12345 the counters r*(n+1) + j pass 2^48, and the offset
+        # (c + 1) * golden wraps 2^64 many times over
+        n, rows, seed = 6, _TILE + 10, 2**40 + 3
+        ens = sample_paths(GridLevel(n), start + rows, seed=seed, alphabet=alphabet)
+        block = ens._values_for(start, start + rows)
+        scaled = alphabet.scaled(ens.level)
+        column = np.empty(rows)
+        for j in (0, 3, n):
+            _sampled_values(seed, start * (n + 1) + j, scaled, column, stride=n + 1)
+            assert column.tobytes() == np.ascontiguousarray(block[:, j]).tobytes()
+        first = start * (n + 1) + n
+        want = scaled[reference_digits(seed, alphabet.size, first, first + 1)]
+        assert column[:1].tobytes() == want.tobytes()
+
     def test_batches_are_c_contiguous_row_major(self):
         level = GridLevel(6)
         for ens in (

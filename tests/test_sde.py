@@ -141,8 +141,13 @@ class TestBatchIndependence:
         ids=["sampled", "exhaustive"],
     )
     def test_one_batch_alive_while_the_next_is_built(self, monkeypatch, ens):
+        # an exhaustive batch is one _step_block call; a sampled tile is the run of
+        # _step_nodes calls from k = 0, and its arrays are the states, compensations
+        # and masks it steps through (its noise column is one buffer for every tile).
+        # A tile yields x_k before it steps k, so it reads from k = 2: the caller's
+        # loop variables still hold the last tile's yields when the next one steps
         ts = TrajectorySet(CauchyProblem("-x", "1", 0.0, ens.level), ens, batch_size=16)
-        step_block, built = sde._step_block, []
+        step_block, step_nodes, built, tile, tiles = sde._step_block, sde._step_nodes, [], [], []
 
         def recording_step_block(problem, block, *args):
             assert all(ref() is None for ref in built), "an earlier batch is still alive"
@@ -150,11 +155,29 @@ class TestBatchIndependence:
             built.extend((weakref.ref(block), weakref.ref(values)))
             return values
 
-        monkeypatch.setattr(sde, "_step_block", recording_step_block)
+        def recording_step_nodes(problem, k, x, comp, xi):
+            if k == 0:
+                built.extend(tile)
+                tile.clear()
+                tiles.append(len(x))
+                assert all(ref() is None for ref in built), "an earlier tile is still alive"
+            out = step_nodes(problem, k, x, comp, xi)
+            tile.extend(weakref.ref(a) for a in (x, comp, *out))
+            return out
+
+        if ens.mode == "sampled":
+            monkeypatch.setattr(sde, "_step_nodes", recording_step_nodes)
+            reads = (2, 4)
+        else:
+            monkeypatch.setattr(sde, "_step_block", recording_step_block)
+            reads = (0, 4)
         yielded = 0
-        for _, xk, xik, _ in ts.steps((0, 4), with_noise=True):
-            yielded += 1  # xk and xik stay bound while the next batch is built
-        assert yielded == len(built) == 2 * (ens.count // 16)
+        for _, xk, xik, _ in ts.steps(reads, with_noise=True):
+            yielded += 1  # xk and xik stay bound while the next batch or tile is built
+        if ens.mode == "sampled":
+            assert yielded == 2 * len(tiles) and tiles == [16] * (ens.count // 16)
+        else:
+            assert yielded == len(built) == 2 * (ens.count // 16)
 
     @pytest.mark.parametrize("shape", [(1, 9), (7, 3), (3641, 9), (2 * 4096 + 1, 8), (2, 40000)])
     def test_time_major_copy_is_the_transpose(self, shape):
@@ -230,6 +253,23 @@ class TestBatchBuffers:
             tracemalloc.stop()
         # the noise block and the states, plus the step kernel's per-step arrays
         assert peak < 2.5 * block_bytes
+
+    def test_sampled_density_memory_is_set_by_the_batch_size_alone(self):
+        # a tile holds about a dozen arrays of batch_size floats at any n: the hash
+        # buffers and the noise column, the states and compensations, one step's
+        # temporaries and the binning's; a [batch, n+1] block alone is 65 or 513 of them
+        batch_size, peaks = 1 << 14, []
+        for n in (64, 512):
+            level = GridLevel(n)
+            ensemble = sample_paths(level, 2 * batch_size + 100, seed=1)
+            trajectories = TrajectorySet(CauchyProblem("-x", "1", 0.0, level), ensemble, batch_size)
+            tracemalloc.start()
+            try:
+                density(trajectories, range(0, n + 1, n // 4))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 20 * 8 * batch_size
 
 
 class TestBinCounts:
@@ -644,6 +684,93 @@ def test_divergence_names_the_first_step_of_the_whole_ensemble(kind, batch_size,
     with pytest.raises(DivergenceError) as info:
         density(TrajectorySet(problem, ensemble, batch_size=batch_size))
     assert (info.value.step, info.value.path_index) == want
+
+
+def test_batches_after_a_divergence_are_stepped_only_below_its_step(monkeypatch):
+    # from x0 = 5e11 with f = 0 and h = 4e11, paths with many upper symbols pass 1e12:
+    # batch 15 of 8 paths first, at step 8, then batch 31 at step 6 and batch 60 at
+    # step 4.  Each later batch is stepped only below the earliest step so far, and
+    # no batch is yielded after the first divergence
+    n = 8
+    level = GridLevel(n)
+    problem, ensemble = CauchyProblem(0, 4e11, 5e11, level), enumerate_paths(level)
+    step_nodes, levels = sde._step_nodes, []
+
+    def counting(problem, k, *args):
+        if k == 0:
+            levels.append(0)
+        levels[-1] += 1
+        return step_nodes(problem, k, *args)
+
+    monkeypatch.setattr(sde, "_step_nodes", counting)
+    starts = []
+    with pytest.raises(DivergenceError) as info:
+        for start, _, _ in TrajectorySet(problem, ensemble, batch_size=8).batches():
+            starts.append(start)
+    assert starts == list(range(0, 15 * 8, 8))
+    assert levels == [8] * 16 + [7] * 15 + [6] + [5] * 28 + [4] + [3] * 3
+    monkeypatch.undo()
+    first = {}
+    for index in range(ensemble.count):
+        try:
+            solve_grid_ode(problem, ensemble.path(index))
+        except DivergenceError as exc:
+            first.setdefault(exc.step, index)
+    step = min(first)
+    assert (info.value.step, info.value.path_index) == (step, first[step]) and step == 4
+
+
+def test_tiles_after_a_divergence_yield_nothing_and_are_stepped_only_below_its_step(monkeypatch):
+    # the sampled walk's rule, on the problem above: of 32 tiles of 8 paths, tile 1
+    # diverges first, at step 8, after yielding x_0 and x_4; tile 2 then diverges at
+    # step 6 and tile 4 at step 4, and no tile yields after tile 1
+    n = 8
+    level = GridLevel(n)
+    problem, ensemble = CauchyProblem(0, 4e11, 5e11, level), sample_paths(level, 256, seed=0)
+    step_nodes, levels = sde._step_nodes, []
+
+    def counting(problem, k, *args):
+        if k == 0:
+            levels.append(0)
+        levels[-1] += 1
+        return step_nodes(problem, k, *args)
+
+    monkeypatch.setattr(sde, "_step_nodes", counting)
+    yielded = []
+    with pytest.raises(DivergenceError) as info:
+        for i, xk, _, _ in TrajectorySet(problem, ensemble, batch_size=8).steps((0, 4)):
+            yielded.append((i, len(xk)))
+    assert yielded == [(0, 8), (1, 8)] * 2
+    assert levels == [8, 8, 6, 5, 4] + [3] * 27
+    monkeypatch.undo()
+    first = {}
+    for index in range(ensemble.count):
+        try:
+            solve_grid_ode(problem, ensemble.path(index))
+        except DivergenceError as exc:
+            first.setdefault(exc.step, index)
+    assert min(first) == 4 and first[4] >= 32  # in tile 4 or later
+    assert (info.value.step, info.value.path_index) == (4, first[4])
+
+
+def test_a_sampled_ensemble_the_size_of_the_enumeration_is_walked_path_by_path():
+    # 2^(n+1) sampled paths are as many as a full enumeration holds, but they are not
+    # one: walked as the recombining lattice, they would be weighted by prefix classes
+    n = 4
+    ensemble = sample_paths(GridLevel(n), 2 ** (n + 1), seed=3)
+    assert_matches_per_path(brownian_problem(n), ensemble)
+
+
+def test_arr_returns_a_float_array_of_the_states_shape_as_it_is():
+    x = np.linspace(-1.0, 1.0, 7)
+    value = np.sin(x)
+    got = sde._arr(value, x)
+    assert got is value and got.tobytes() == np.sin(x).tobytes()
+    for other in (2.5, np.float64(2.5), np.array(2.5), np.arange(7), value.astype(np.float32), value[:1]):
+        got = sde._arr(other, x)
+        assert got is not other and got.dtype == np.float64 and got.shape == x.shape
+        assert not got.flags.writeable
+        assert got.tobytes() == np.broadcast_to(np.asarray(other, dtype=np.float64), x.shape).tobytes()
 
 
 @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
