@@ -37,19 +37,18 @@ state block is built, and a tile holds a few arrays of batch_size floats
 whatever n is.
 
 Every other walk streams batches of paths in path order, one at a time, so
-a million paths never live in memory at once; an exhaustive walk allocates
-two flat buffers of batch_size * (n+1) floats and reuses them for every
-batch.  One kernel steps every batch as a piece of the noise tree: x_k
-depends only on xi_0..xi_{k-1}, so it steps each distinct noise prefix
-once.  An exhaustive batch, which reads one row per child, steps from a
-transposed view of its block.  It is a whole subtree, so an exhaustive run
-costs about |A|^(n+1)/(|A|-1) steps in place of n * |A|^(n+1), plus one
-write of every path's states for the per-path view ``batches()``.  The step
-stream then carries each distinct state once per batch, weighted by the
-number of the batch's paths through it.  ``batches()`` is also the per-path
-view of a sampled ensemble, whose batches, like the single path of
-``solve_grid_ode``, are trees with one child per node, stepped path by path
-from a time-major copy of the noise block.
+a million paths never live in memory at once; the walk allocates two flat
+buffers of batch_size * (n+1) floats and reuses them for every batch.  One
+kernel steps every batch as a piece of the noise tree, from a transposed
+view of its noise block: x_k depends only on xi_0..xi_{k-1}, so it steps
+each distinct noise prefix once.  An exhaustive batch is a whole subtree,
+so an exhaustive run costs about |A|^(n+1)/(|A|-1) steps in place of
+n * |A|^(n+1), plus one write of every path's states for the per-path view
+``batches()``.  The step stream then carries each distinct state once per
+batch, weighted by the number of the batch's paths through it.
+``batches()`` is also the per-path view of a sampled ensemble, whose
+batches, like the single path of ``solve_grid_ode``, are trees with one
+child per node, so every path is stepped on its own.
 
 Once a tile or batch diverges, nothing more is yielded, and a later one is
 stepped only to the step before the earliest divergence so far, where only
@@ -79,7 +78,6 @@ from .expr import Expr, as_expr
 from .grids import GridError, GridFunction, GridLevel, integer_in
 from .noise import (
     _DEFAULT_BATCH,
-    _TILE,
     NoiseEnsemble,
     NoiseError,
     NoisePath,
@@ -162,7 +160,8 @@ def _step_nodes(problem: CauchyProblem, k: int, x: np.ndarray, comp: np.ndarray,
 
     Node i's children are its run of len(xi) // len(x) noise values in xi;
     the flat (states, compensations, in-range mask) are aligned with xi.
-    Compensated (Kahan) accumulation: exactly cancelling coin-flip
+    A constant f or h is broadcast against the children as it is, not
+    spread to an array of the nodes' shape first.  Compensated (Kahan) accumulation: exactly cancelling coin-flip
     increments must return the walk to an exact lattice site, otherwise
     balanced paths end a few ulps off zero and land in the wrong half-open
     density bin.  The step holds three arrays of the children's size (inc,
@@ -172,23 +171,14 @@ def _step_nodes(problem: CauchyProblem, k: int, x: np.ndarray, comp: np.ndarray,
     for arrays of 256 KiB and more, such as a tile of 2^15 paths.
     """
     n, tk, node = problem.level.n, k / problem.level.n, x[:, None]
-    fv = _arr(problem.drift.vectorized()(tk, x), x)[:, None]
-    hv = _arr(problem.diffusion.vectorized()(tk, x), x)[:, None]
+    fv = np.asarray(problem.drift.vectorized()(tk, x), dtype=np.float64)[..., None]
+    hv = np.asarray(problem.diffusion.vectorized()(tk, x), dtype=np.float64)[..., None]
     inc = (fv + hv * xi.reshape(x.shape[0], -1)) / n - comp[:, None]
     nxt = node + inc
     new_comp = (nxt - node) - inc
     # NaN and inf compare False, so they are out of range too
     ok = np.abs(nxt, out=inc) <= DIVERGENCE_GUARD
     return nxt.ravel(), new_comp.ravel(), ok.ravel()
-
-
-def _time_major(block: np.ndarray) -> np.ndarray:
-    """A C-contiguous copy of ``block.T``, built from row tiles that stay in cache."""
-    out = np.empty(block.shape[::-1])
-    rows = max(1, _TILE // block.shape[1])
-    for lo in range(0, block.shape[0], rows):
-        out[:, lo : lo + rows] = block[lo : lo + rows].T
-    return out
 
 
 def _step_block(
@@ -202,8 +192,8 @@ def _step_block(
     """The states of a batch of noise paths under ``problem``, one row per path.
 
     The noise and the states are time-major, ``[n+1, rows]``; the noise is
-    a copy or a transposed view of the batch's block, and the states, fresh
-    or the front of the flat buffer ``out``, are returned transposed.  The
+    a transposed view of the batch's block, and the states, fresh or the
+    front of the flat buffer ``out``, are returned transposed.  The
     rows sharing xi_0..xi_{k-1}, and so x_k, are runs of ``widths[k]``
     rows: a node of the noise tree at depth k.  Each node is stepped once,
     its children being its runs of ``widths[k+1]`` rows, each read at its
@@ -307,67 +297,42 @@ class TrajectorySet:
     def batches(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """Yield (start, noise, values) in path order.
 
-        ``noise`` and ``values`` are ``[batch, n+1]``; their memory layout
-        is unspecified, and the next batch may overwrite them, so a caller
-        copies what it keeps past its iteration.  An exhaustive walk owns
-        two flat buffers of batch_size * (n+1) floats: each batch writes
-        its noise block to one and its states to the other, and yields
-        views of them.  A sampled batch is stepped from a fresh time-major
-        copy of its noise, and ``noise`` is a transposed view of that copy.
-        The batch boundaries are fixed by batch_size alone (for exhaustive
-        ensembles, by the largest prefix class not above it), so any
-        reduction that combines batch results in yield order is
-        reproducible.  Path indices are Python ints, exact at any index, but
-        the bin and event counts that the weights add into are int64, so an
-        exhaustive ensemble of 2^63 paths or more raises NoiseError before
-        the first batch.  This per-path view never merges states, and it is
-        the one way to see a sampled ensemble's paths whole: ``steps()``
-        walks sampled ensembles without blocks.  After a batch diverges at
-        step s no batch is yielded, and later batches are stepped only to
-        step s-1, where only an earlier step could change the report; after
-        the last batch a DivergenceError names the first diverging step of
-        the whole ensemble and the smallest path through a bad node there,
-        whatever the batch size.
+        ``noise`` and ``values`` are ``[batch, n+1]``, views of two flat
+        buffers of min(batch_size, count) * (n+1) floats that the walk owns:
+        each batch writes its noise block to one and its states to the
+        other, so the next batch overwrites them, and a caller copies what
+        it keeps past its iteration.  The batch boundaries are fixed by
+        batch_size alone (for exhaustive ensembles, by the largest prefix
+        class not above it), so any reduction that combines batch results
+        in yield order is reproducible.  Path indices are Python ints, exact
+        at any index, but the bin and event counts that the weights add
+        into are int64, so an exhaustive ensemble of 2^63 paths or more
+        raises NoiseError before the first batch.  This per-path view never
+        merges states, and it is the one way to see a sampled ensemble's
+        paths whole: ``steps()`` walks sampled ensembles without blocks.
+        After a batch diverges at step s no batch is yielded, and later
+        batches are stepped only to step s-1, where only an earlier step
+        could change the report; after the last batch a DivergenceError
+        names the first diverging step of the whole ensemble and the
+        smallest path through a bad node there, whatever the batch size.
         """
         self._check_counts()
-        # every row of a tree with one child per node is read at every step, so
-        # a contiguous time-major copy pays for itself; an exhaustive batch
-        # reads only every widths[k+1]-th row, and steps from a transposed view
-        one_child = all(w == 1 for w in self._widths)
-        # A subtree batch writes its noise and its states into the walk's two
-        # buffers; fresh arrays of that size were returned to the system and
-        # faulted back in for every batch.  A one-child batch keeps fresh arrays:
-        # the row-major block it frees before stepping is recycled for the next
-        # one, and with no large block freed the step kernel's per-step arrays
-        # were faulted back in at every step instead (a first sampled n=64
-        # density took 143k page faults, against 12k with fresh arrays).
-        block = states = None
-        if not one_child:
-            size = self.batch_size * (self.problem.level.n + 1)  # batch_size <= count
-            block, states = np.empty(size), np.empty(size)
-        first_bad = None  # (step, path) of the earliest divergence; ints keep no batch alive
+        size = min(self.batch_size, self.count) * (self.problem.level.n + 1)
+        block, states = np.empty(size), np.empty(size)
+        first_bad = None  # (step, path) of the earliest divergence
         for start, noise in self.ensemble.batches(self.batch_size, out=block):
-            # rebinding drops a fresh row-major block before the states are allocated
-            noise = _time_major(noise) if one_child else noise.T
             # after a divergence at step s only an earlier step can change the report
             steps = None if first_bad is None else first_bad[0] - 1
             try:
-                values = _step_block(self.problem, noise, start, self._widths, states, steps)
+                values = _step_block(self.problem, noise.T, start, self._widths, states, steps)
             except DivergenceError as exc:
                 # stepped only below the recorded step, so a later batch's is earlier
                 first_bad = exc.step, exc.path_index
-                del noise
                 if exc.step == 1:
                     break  # no step is earlier
                 continue
-            if first_bad is not None:
-                del noise, values  # a walk that will raise yields nothing more
-                continue
-            out = (start, noise.T, values)
-            # hold no batch while the next is built: one batch is alive at a time
-            del noise, values
-            yield out
-            del out
+            if first_bad is None:  # a walk that will raise yields nothing more
+                yield start, noise, values
         if first_bad is not None:
             raise DivergenceError(*first_bad)
 
@@ -414,7 +379,6 @@ class TrajectorySet:
             for i, k in enumerate(time_indices):
                 w = self._widths[k + shift]
                 yield i, values[::w, k].copy(), noise[::w, k].copy() if with_noise else None, w
-            del noise, values
 
     def _tiles(self, time_indices: tuple[int, ...], with_noise: bool) -> Iterator[tuple]:
         """The sampled walk: tiles of batch_size paths in path order, each stepped step-major.

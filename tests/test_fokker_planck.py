@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,14 @@ from gridsde.noise import (
     expectation_detail,
     sample_paths,
 )
-from gridsde.sde import CauchyProblem, TrajectorySet, solve_grid_ode, weighted_sum
+from gridsde.sde import (
+    CauchyProblem,
+    TrajectorySet,
+    density,
+    slice_indices,
+    solve_grid_ode,
+    weighted_sum,
+)
 
 def record_mass_checks(monkeypatch):
     """The t of every later fp_solve mass check: one per substep and one per save time."""
@@ -310,6 +318,13 @@ class TestFPSolve:
         with pytest.raises(VerificationError, match="contain"):
             fp_solve("0", "1", 5.0, (-2.0, 2.0), 1 / 16)
 
+    def test_window_holds_its_lower_edge_but_not_its_upper(self):
+        # the window is [lo, hi): x0 = lo starts the delta in cell 0
+        fp = fp_solve("0", "1", -2.0, (-2.0, 2.0), 1 / 16, t_end=0.0)
+        assert fp.values[0][0] == 16.0 and not fp.values[0][1:].any()
+        with pytest.raises(VerificationError, match="window must contain x0"):
+            fp_solve("0", "1", 2.0, (-2.0, 2.0), 1 / 16)
+
     def test_time_dependent_coefficients(self):
         fp = fp_solve("sin(6*t)", "1", 0.0, (-3.0, 3.0), 1 / 32, t_end=0.5)
         assert fp.masses[-1] == pytest.approx(1.0, abs=1e-9)
@@ -536,6 +551,19 @@ class TestCrossValidate:
         assert report.fp["window"] == [-3.0, 3.0] and report.fp["dx"] == 1 / 64
         assert report.max_l1 <= 0.1
 
+    def test_outside_mass_is_the_share_of_paths_outside_the_window(self):
+        # h = 3 spreads the walk past (-3, 3), inside the density window (-8, 8)
+        level = GridLevel(16)
+        problem = CauchyProblem("0", "3", 0.0, level)
+        ens = enumerate_paths(level)
+        report = cross_validate(problem, ens)
+        assert report.fp["window"] == [-3.0, 3.0]
+        dens = density(TrajectorySet(problem, ens), slice_indices(level, report.slice_times))
+        inside = dens.counts[:, level.window_steps - 48 : level.window_steps + 48].sum(axis=1)
+        want = tuple(float(Fraction(ens.count - int(c), ens.count)) for c in inside)
+        assert report.outside_mass == want
+        assert min(want) > 0.0
+
     def test_no_slice_times_rejected(self):
         level = GridLevel(64)
         problem = CauchyProblem("0", "1", 0.0, level)
@@ -633,6 +661,20 @@ class TestTowerProperty:
                         assert entry.full == expectation_detail(given, phi).mean
                         assert entry.decomposed == math.fsum(inner) / len(inner)
                         assert entry.decomposed == pytest.approx(entry.full, rel=1e-15, abs=1e-15)
+
+    def test_max_relative_gap_scales_each_gap_by_its_full_mean(self):
+        # values set by a row's place in the block, not by its noise: 2^53 + 3 rounds
+        # in a class sum, so the decomposed mean misses the full mean 1.5 by 0.25
+        ens = enumerate_paths(GridLevel(2))
+        functionals = [
+            ("mean", lambda v: v.mean(axis=1)),
+            ("cancelling", lambda v: np.tile([2.0**53, 3.0, -(2.0**53), 3.0], len(v) // 4)),
+        ]
+        report = tower_property_report(ens, functionals, split_index=2)
+        entry = report.entries[1]
+        assert (entry.full, entry.decomposed, entry.gap) == (1.5, 1.75, 0.25)
+        assert report.max_relative_gap == max(e.gap / max(1.0, abs(e.full)) for e in report.entries)
+        assert report.max_relative_gap == 0.25 / 1.5
 
     def test_split_past_the_last_grid_point_of_a_conditional_ensemble(self):
         # one class per path: 16 classes of 1, not 32 classes of half a path
