@@ -14,7 +14,9 @@ The generator is a pure function of (seed, path index, grid point), so a
 path's value never depends on how work is batched.
 Grid point j of path i has counter i*(n+1) + j, hashed by splitmix64 to a
 64-bit z.  With u = (z >> 11) * 2^-53 in [0, 1), the symbol index is
-floor(u * |A|), capped at |A| - 1, computed in floats.  For the binary
+floor(u * |A|), computed in floats; u is at most (2^53 - 1) * 2^-53, so the
+rounded product stays below |A| for every alphabet of fewer than 2^52
+symbols, and the index needs no cap at |A| - 1.  For the binary
 alphabet that is exactly the top bit z >> 63, which is how it is computed;
 for other sizes the float rule stays, because floor(u * 3) in floats can
 differ from integer arithmetic on z.  Sampled counters are hashed in tiles
@@ -138,7 +140,6 @@ def _sampled_hash(
             values *= size
             digits = zt.view(np.int64)
             digits[...] = values
-            np.minimum(digits, size - 1, out=digits)
             np.take(scaled, digits, out=values, mode="clip")
 
     return write

@@ -33,8 +33,10 @@ A sampled ensemble is walked tile by tile: tiles of batch_size paths in
 path order, each stepped step by step.  Its noise is counter-based, so the
 noise of step k for a tile's rows is one strided run of counters, hashed
 into one reused column where it is stepped; no [batch, n+1] noise block or
-state block is built, and a tile holds a few arrays of batch_size floats
-whatever n is.
+state block is built.  The walk makes five buffers of batch_size floats
+once, for the states, their compensations, the step's increment and its two
+outputs, and every tile steps in them through ``_step_nodes``'s ``out``, so
+no step makes an array of the tile's size for its states, whatever n is.
 
 Every other walk streams batches of paths in path order, one at a time, so
 a million paths never live in memory at once; the walk allocates two flat
@@ -155,30 +157,47 @@ def _arr(value, like: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=np.float64), like.shape)
 
 
-def _step_nodes(problem: CauchyProblem, k: int, x: np.ndarray, comp: np.ndarray, xi: np.ndarray):
+def _step_nodes(
+    problem: CauchyProblem,
+    k: int,
+    x: np.ndarray,
+    comp: np.ndarray,
+    xi: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+):
     """Step the nodes x at t_k, f and h evaluated once each, to their children.
 
     Node i's children are its run of len(xi) // len(x) noise values in xi;
     the flat (states, compensations, in-range mask) are aligned with xi.
     A constant f or h is broadcast against the children as it is, not
-    spread to an array of the nodes' shape first.  Compensated (Kahan) accumulation: exactly cancelling coin-flip
-    increments must return the walk to an exact lattice site, otherwise
-    balanced paths end a few ulps off zero and land in the wrong half-open
-    density bin.  The step holds three arrays of the children's size (inc,
-    the states and the compensations) and writes |nxt| into inc: a walk
-    that frees no large block would fault every extra array back in at
-    every step.  numpy evaluates each chain of temporaries below in place
-    for arrays of 256 KiB and more, such as a tile of 2^15 paths.
+    spread to an array of the nodes' shape first.  Compensated (Kahan)
+    accumulation: exactly cancelling coin-flip increments must return the
+    walk to an exact lattice site, otherwise balanced paths end a few ulps
+    off zero and land in the wrong half-open density bin.  The update is
+    written into ``out = (inc, nxt, new_comp)``, three contiguous flat
+    arrays of len(xi) floats that overlap none of x, comp and xi, and nxt
+    and new_comp are returned as the states and compensations; without
+    ``out`` the step makes three fresh arrays.  Each operation is the same
+    one, in the same order, either way, so every state, compensation and
+    mask has the same bits.
     """
     n, tk, node = problem.level.n, k / problem.level.n, x[:, None]
     fv = np.asarray(problem.drift.vectorized()(tk, x), dtype=np.float64)[..., None]
     hv = np.asarray(problem.diffusion.vectorized()(tk, x), dtype=np.float64)[..., None]
-    inc = (fv + hv * xi.reshape(x.shape[0], -1)) / n - comp[:, None]
-    nxt = node + inc
-    new_comp = (nxt - node) - inc
+    if out is None:
+        out = tuple(np.empty(xi.shape[0]) for _ in range(3))
+    inc, nxt, new_comp = (a.reshape(x.shape[0], -1) for a in out)
+    # inc = (fv + hv * xi) / n - comp; nxt = node + inc; new_comp = (nxt - node) - inc
+    np.multiply(hv, xi.reshape(x.shape[0], -1), out=inc)
+    np.add(fv, inc, out=inc)
+    np.divide(inc, n, out=inc)
+    np.subtract(inc, comp[:, None], out=inc)
+    np.add(node, inc, out=nxt)
+    np.subtract(nxt, node, out=new_comp)
+    np.subtract(new_comp, inc, out=new_comp)
     # NaN and inf compare False, so they are out of range too
     ok = np.abs(nxt, out=inc) <= DIVERGENCE_GUARD
-    return nxt.ravel(), new_comp.ravel(), ok.ravel()
+    return out[1], out[2], ok.ravel()
 
 
 def _step_block(
@@ -386,14 +405,18 @@ class TrajectorySet:
         For each step k a tile hashes its noise column, counters r*(n+1) + k
         for its rows r, into one reused buffer, yields copies of x_k (and
         xi_k) for each i that reads k, and steps by ``_step_nodes``.  So no
-        [batch, n+1] block is built: a tile holds its states, their
-        compensations and one noise column, and the hash buffers are made
-        once per walk.  A tile steps its paths as the batch walk steps a
-        batch of the same rows, so every state is the same bits.  A
-        divergence at step s names the smallest path there; the tile stops,
-        later tiles yield nothing and are stepped only to step s-1, where
-        only an earlier step could change the report, and the
-        DivergenceError is raised after the last tile.
+        [batch, n+1] block is built, and no step makes an array of the
+        tile's size for its states: the walk makes five buffers of
+        batch_size floats once, beside the noise column and the hash
+        buffers (the states, their compensations, and the step's increment
+        and two outputs), and each tile's rows use the front of them.  After
+        a step the new states and compensations take the place of the old,
+        whose buffers receive the next step's.  A tile steps its paths as
+        the batch walk steps a batch of the same rows, so every state is the
+        same bits.  A divergence at step s names the smallest path there;
+        the tile stops, later tiles yield nothing and are stepped only to
+        step s-1, where only an earlier step could change the report, and
+        the DivergenceError is raised after the last tile.
         """
         problem, ensemble = self.problem, self.ensemble
         n = problem.level.n
@@ -404,13 +427,16 @@ class TrajectorySet:
         scaled = ensemble.alphabet.scaled(problem.level)
         hash_column = _sampled_hash(ensemble.seed, scaled, n + 1, size)
         column = np.empty(size)
+        buffers = [np.empty(size) for _ in range(5)]
         first_bad = None  # (step, path) of the earliest divergence
         for start in range(0, ensemble.count, self.batch_size):
             steps = n if first_bad is None else first_bad[0] - 1
             if steps == 0:
                 break  # no step is earlier than step 1
-            xi = column[: min(self.batch_size, ensemble.count - start)]
-            x, comp = np.full(xi.shape[0], problem.x0), np.zeros(xi.shape[0])
+            rows = min(self.batch_size, ensemble.count - start)
+            xi = column[:rows]
+            x, comp, inc, *spare = (buffer[:rows] for buffer in buffers)
+            x[...], comp[...] = problem.x0, 0.0
             for k in range(steps + 1):
                 reads = readers.get(k, ()) if first_bad is None else ()
                 if k < steps or (with_noise and reads):
@@ -420,12 +446,12 @@ class TrajectorySet:
                 if k == steps:
                     break
                 with np.errstate(all="ignore"):
-                    x, comp, ok = _step_nodes(problem, k, x, comp, xi)
+                    nxt, new_comp, ok = _step_nodes(problem, k, x, comp, xi, (inc, *spare))
+                spare, x, comp = (x, comp), nxt, new_comp
                 if not ok.all():
                     # tiles run in path order, and a later one is stepped only below this step
                     first_bad = k + 1, start + int(np.argmin(ok))
                     break
-            del x, comp, ok  # no tile is alive while the next is stepped
         if first_bad is not None:
             raise DivergenceError(*first_bad)
 

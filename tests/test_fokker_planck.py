@@ -435,6 +435,18 @@ class TestFPSolve:
         taken = len(checked) - 2  # one mass check per substep and per save time
         assert len(evaluations) == 66 + 2 * taken
 
+    @pytest.mark.parametrize(
+        "dt, substeps",
+        [(0.25, 4), (0.25 * (1 - 1e-11), 4), (0.25 * (1 - 1e-8), 5)],
+        ids=["exact", "within-tolerance", "past-tolerance"],
+    )
+    def test_substeps_round_up_past_a_relative_tolerance_of_1e_9(self, monkeypatch, dt, substeps):
+        # the stability bound is dx^2 / (2 h^2) = 12.5; 1 / dt a hair above 4 still
+        # plans 4 substeps, and one past the 1e-9 tolerance plans 5
+        checked = record_mass_checks(monkeypatch)
+        fp_solve("0", "0.1", 0.0, (-3.0, 3.0), 0.5, dt=dt, t_end=1.0)
+        assert len(checked) == substeps + 1  # one mass check per substep and per save time
+
     def test_cell_limit_is_inclusive(self, monkeypatch):
         # (-2, 2) at dx = 1/16 is 64 cells
         fp = fp_solve("-x", "1", 0.0, (-2.0, 2.0), 1 / 16)

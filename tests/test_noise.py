@@ -263,6 +263,14 @@ class TestSampling:
         want = scaled[reference_digits(11, alphabet.size, first, first + count)]
         assert out.tobytes() == want.tobytes()
 
+    def test_the_largest_u_gives_the_last_symbol_index_without_a_cap(self):
+        # u = (z >> 11) * 2^-53 is at most (2^53 - 1) * 2^-53, and rounding is monotonic,
+        # so one rounded product u * |A| stays below |A| if this one does: floor(u * |A|)
+        # is a symbol index with no cap at |A| - 1
+        u_max = (2.0**53 - 1) * 2.0**-53
+        sizes = np.arange(2, 2**20 + 1, dtype=np.float64)
+        assert np.array_equal(np.floor(u_max * sizes), sizes - 1)
+
     @pytest.mark.parametrize("alphabet", [NoiseAlphabet.white(), TERNARY], ids=["binary", "ternary"])
     @pytest.mark.parametrize(
         "n, start, rows",

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -136,32 +135,6 @@ class TestBatchIndependence:
             assert sum(results[0][1]) > 0
             assert all(r == results[0] for r in results[1:])
 
-    @pytest.mark.parametrize("ens", [sample_paths(GridLevel(8), 64, seed=2)], ids=["sampled"])
-    def test_one_batch_alive_while_the_next_is_built(self, monkeypatch, ens):
-        # a sampled tile is the run of _step_nodes calls from k = 0, and its arrays
-        # are the states, compensations and masks it steps through (its noise column
-        # is one buffer for every tile).  A tile yields x_k before it steps k, so it
-        # reads from k = 2: the caller's loop variables still hold the last tile's
-        # yields when the next one steps
-        ts = TrajectorySet(CauchyProblem("-x", "1", 0.0, ens.level), ens, batch_size=16)
-        step_nodes, built, tile, tiles = sde._step_nodes, [], [], []
-
-        def recording_step_nodes(problem, k, x, comp, xi):
-            if k == 0:
-                built.extend(tile)
-                tile.clear()
-                tiles.append(len(x))
-                assert all(ref() is None for ref in built), "an earlier tile is still alive"
-            out = step_nodes(problem, k, x, comp, xi)
-            tile.extend(weakref.ref(a) for a in (x, comp, *out))
-            return out
-
-        monkeypatch.setattr(sde, "_step_nodes", recording_step_nodes)
-        yielded = 0
-        for _, xk, xik, _ in ts.steps((2, 4), with_noise=True):
-            yielded += 1  # xk and xik stay bound while the next tile is built
-        assert yielded == 2 * len(tiles) and tiles == [16] * (ens.count // 16)
-
 
 class TestBatchBuffers:
     @pytest.mark.parametrize("bad", [0, -3, 2.5, 4.0, True, "8"])
@@ -211,6 +184,38 @@ class TestBatchBuffers:
         assert np.concatenate([xi for xi, _ in kept]).tobytes() == noise.tobytes()
         want = _per_row_states(problem, noise)
         assert np.concatenate([values for _, values in kept]).tobytes() == want.tobytes()
+
+    def test_every_tile_steps_in_the_walks_five_buffers(self, monkeypatch):
+        # tiles of 16, 16, 16 and 5 paths.  The walk's first step is handed its five
+        # buffers: the states, their compensations and the step's three outputs.
+        # Every step of every tile steps in their fronts and returns its outputs,
+        # and every yield is a copy
+        level = GridLevel(8)
+        problem, ens = CauchyProblem("-x", "1", 0.0, level), sample_paths(level, 53, seed=2)
+        ts = TrajectorySet(problem, ens, batch_size=16)
+        want = np.concatenate([values.copy() for _, _, values in ts.batches()])
+        step_nodes, buffers, tiles = sde._step_nodes, [], []
+
+        def recording_step_nodes(problem, k, x, comp, xi, out):
+            if not buffers:
+                buffers.extend((x, comp, *out))
+            if k == 0:
+                tiles.append(len(x))
+            nxt, new_comp, ok = step_nodes(problem, k, x, comp, xi, out)
+            assert nxt is out[1] and new_comp is out[2]
+            for states in (x, comp, *out):
+                assert [np.shares_memory(states, b) for b in buffers].count(True) == 1
+            return nxt, new_comp, ok
+
+        monkeypatch.setattr(sde, "_step_nodes", recording_step_nodes)
+        got = {0: [], 2: [], 8: []}
+        for i, xk, xik, _ in ts.steps((0, 2, 8), with_noise=True):
+            assert not any(np.shares_memory(a, b) for a in (xk, xik) for b in buffers)
+            got[(0, 2, 8)[i]].append(xk)
+        assert tiles == [16, 16, 16, 5]
+        assert len(buffers) == 5 and all(len(b) == 16 for b in buffers)
+        for k, xks in got.items():
+            assert np.concatenate(xks).tobytes() == want[:, k].tobytes()
 
     @pytest.mark.parametrize(
         "ens", [sample_paths(GridLevel(64), 100_000, seed=1), enumerate_paths(GridLevel(18))],
