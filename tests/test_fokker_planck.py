@@ -447,6 +447,34 @@ class TestFPSolve:
         fp_solve("0", "0.1", 0.0, (-3.0, 3.0), 0.5, dt=dt, t_end=1.0)
         assert len(checked) == substeps + 1  # one mass check per substep and per save time
 
+    @pytest.mark.parametrize(
+        "t_end, substeps",
+        [(0.125 * (1 + 1e-13), 1), (0.125 * (1 + 1e-11), 2)],
+        ids=["within-tolerance", "past-tolerance"],
+    )
+    def test_a_substep_is_split_past_a_relative_tolerance_of_1e_12(self, monkeypatch, t_end, substeps):
+        # h reads t but is 1 at every t, so each substep's own bound is dx^2 / (2 h^2) =
+        # 0.125; dt = 0.125 plans one substep to t_end, split in two only past 1e-12
+        checked = record_mass_checks(monkeypatch)
+        fp_solve("0", "1 + 0*t", 0.0, (-3.0, 3.0), 0.5, dt=0.125, t_end=t_end)
+        assert len(checked) == substeps + 1  # one mass check per substep and per save time
+
+    @pytest.mark.parametrize(
+        "drift, diffusion, dt, t_end, ends",
+        [
+            ("0", "0.1", 0.25, 1.0, (0.25, 0.5, 0.75, 1.0)),
+            ("0", "1 + 0*t", 0.125, 0.125 * (1 + 1e-11), (0.0625 * (1 + 1e-11), 0.125 * (1 + 1e-11))),
+        ],
+        ids=["planned", "split"],
+    )
+    def test_each_substep_checks_the_density_at_its_end_time(
+        self, monkeypatch, drift, diffusion, dt, t_end, ends
+    ):
+        # then the save time; the split substep of the second case is two halves
+        checked = record_mass_checks(monkeypatch)
+        fp_solve(drift, diffusion, 0.0, (-3.0, 3.0), 0.5, dt=dt, t_end=t_end)
+        assert checked == [*ends, t_end]
+
     def test_cell_limit_is_inclusive(self, monkeypatch):
         # (-2, 2) at dx = 1/16 is 64 cells
         fp = fp_solve("-x", "1", 0.0, (-2.0, 2.0), 1 / 16)
