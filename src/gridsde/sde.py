@@ -493,9 +493,9 @@ class TrajectorySet:
         return parts
 
     def _workers(self) -> int:
-        """The workers of ``_reduce_counts``: min(cores, tiles) where threads pay, else 1."""
+        """The workers of a sampled ``_reduce_counts``: min(cores, tiles) where threads pay, else 1."""
         count = self.ensemble.count
-        if self.ensemble.mode != "sampled" or min(self.batch_size, count) < _THREAD_ROWS:
+        if min(self.batch_size, count) < _THREAD_ROWS:
             return 1
         return min(_cores(), -(-count // self.batch_size))
 
