@@ -39,10 +39,11 @@ outputs, and every tile steps in them through ``_step_nodes``'s ``out``, so
 no step makes an array of the tile's size for its states, whatever n is.
 
 The exact-count reducers, ``density`` and ``event_probability``, walk a
-sampled ensemble's tiles in min(cores, tiles) workers, the calling thread one
-of them, where there are at least two tiles of at least 2^15 rows
-(``_THREAD_ROWS``); with one core or smaller tiles, and for any other
-ensemble, the calling thread walks alone.  The tiles are handed out in path
+sampled ensemble's tiles in two workers, the calling thread one of them,
+where there are at least two full tiles of at least 2^15 rows
+(``_THREAD_ROWS``) and two cores; with one core, smaller tiles or one full
+tile, and for any other ensemble, the calling thread walks alone.  Two is
+the most (``_MAX_WORKERS``): speed and memory were measured with two.  The tiles are handed out in path
 order from one shared counter.  Each worker owns a noise column with its
 hash buffers, the five step buffers and its own int64 counts, about a dozen
 arrays of batch_size floats with a step's and the binning's temporaries, and
@@ -125,6 +126,9 @@ DIVERGENCE_GUARD = 1e12
 # two threads on separate ufuncs of 2^15 elements ran 1.7x as fast as one, and
 # at 2^14 elements 0.92x as fast.
 _THREAD_ROWS = 1 << 15
+# The most workers a count uses: speed and memory were measured with two, and
+# each worker holds its own tile working set.
+_MAX_WORKERS = 2
 
 
 class DivergenceError(RuntimeError):
@@ -428,8 +432,8 @@ class TrajectorySet:
         a float sum taken in yield order is the same at any core count, and
         yields copies of x_k (and xi_k) for each i that reads k.  The
         exact-count reducers walk the same tiles in ``_reduce_counts``, in
-        more than one worker where threads pay: at least two tiles of at
-        least ``_THREAD_ROWS`` rows, on at least two cores.  A divergence at
+        two workers where threads pay: at least two full tiles of at least
+        ``_THREAD_ROWS`` rows, on at least two cores.  A divergence at
         step s names the smallest path there; the tile stops, later tiles
         yield nothing and are stepped only to step s-1, where only an
         earlier step could change the report, and the DivergenceError is
@@ -493,11 +497,15 @@ class TrajectorySet:
         return parts
 
     def _workers(self) -> int:
-        """The workers of a sampled ``_reduce_counts``: min(cores, tiles) where threads pay, else 1."""
-        count = self.ensemble.count
-        if min(self.batch_size, count) < _THREAD_ROWS:
+        """The workers of a sampled ``_reduce_counts``: up to two where threads pay, else 1.
+
+        Threads pay where there are at least two full tiles of at least
+        ``_THREAD_ROWS`` rows; a short last tile does not count.
+        """
+        full = self.ensemble.count // self.batch_size
+        if self.batch_size < _THREAD_ROWS or full < 2:
             return 1
-        return min(_cores(), -(-count // self.batch_size))
+        return min(_MAX_WORKERS, _cores(), full)
 
     def _tile_reads(self, tiles: _Tiles, readers: dict, with_noise: bool) -> Iterator[tuple]:
         """Yield (i, x_k, xi_k) for each slice i that reads k, over the tiles taken from ``tiles``.
@@ -757,8 +765,8 @@ def density(
     """Accumulate the empirical density over the window at ``time_indices`` (default 0..n).
 
     Bin counts and overflow are int64 counts of paths.  A sampled ensemble
-    of at least two tiles of at least 2^15 rows is counted by
-    min(cores, tiles) workers, the calling thread one of them
+    of at least two full tiles of at least 2^15 rows is counted by two
+    workers on two cores or more, the calling thread one of them
     (``TrajectorySet._reduce_counts``); each holds about a dozen arrays of
     batch_size floats and counts of its own, which are summed at the end.
     The counts are the same integers for any number of workers, and a

@@ -3,9 +3,9 @@
 Each worker walks whole tiles and adds into its own integer counts, so the
 counts, the overflow and the event probabilities are the same integers
 with either count, and so is the DivergenceError of a diverging ensemble.
-Tests force the worker count through the core count, and allow small
-tiles to take two workers, by monkeypatching ``sde._cores`` and
-``sde._THREAD_ROWS``.
+Tests force the worker count through the core count, allow small tiles to
+take two workers, and lift the cap of two workers, by monkeypatching
+``sde._cores``, ``sde._THREAD_ROWS`` and ``sde._MAX_WORKERS``.
 """
 
 import sys
@@ -46,9 +46,10 @@ class Starts:
         monkeypatch.setattr(threading.Thread, "start", counting)
 
 
-def forced(monkeypatch, cores, thread_rows=sde._THREAD_ROWS):
+def forced(monkeypatch, cores, thread_rows=sde._THREAD_ROWS, max_workers=sde._MAX_WORKERS):
     monkeypatch.setattr(sde, "_cores", lambda: cores)
     monkeypatch.setattr(sde, "_THREAD_ROWS", thread_rows)
+    monkeypatch.setattr(sde, "_MAX_WORKERS", max_workers)
 
 
 def counted(trajectories, time_indices, t0, a, b):
@@ -89,13 +90,15 @@ def test_counts_are_the_same_integers_in_one_worker_and_two(tiles, batch_size, s
     ensemble = sample_paths(level, count, seed=seed)
     trajectories = TrajectorySet(CauchyProblem(drift, "1", 0.0, level), ensemble, batch_size)
     time_indices, t0 = range(0, n + 1, max(1, n // 3)), (n // 2) / n
+    threaded = count // batch_size >= 2  # a short last tile does not count
     got = {}
     for cores in (1, 2):
         with pytest.MonkeyPatch.context() as monkeypatch:
             forced(monkeypatch, cores, thread_rows=1)
             starts = Starts(monkeypatch)
             got[cores] = counted(trajectories, time_indices, t0, -0.25, 0.5)
-            assert starts.count == 2 * (cores - 1)  # one thread for each of the two counts
+            # one thread for each of the two counts
+            assert starts.count == (2 * (cores - 1) if threaded else 0)
     assert got[1] == got[2] == streamed(trajectories, time_indices, t0, -0.25, 0.5)
 
 
@@ -158,7 +161,7 @@ def test_more_workers_than_cores_under_a_short_switch_interval_count_each_tile_o
     problem, bad_ensemble = diverging(3, 650)
     bad_trajectories = TrajectorySet(problem, bad_ensemble, 16)
     want = counted(trajectories, range(9), 0.5, -0.25, 0.5), first_divergence(problem, bad_ensemble)
-    forced(monkeypatch, 8, thread_rows=1)
+    forced(monkeypatch, 8, thread_rows=1, max_workers=8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -182,10 +185,11 @@ def big(count, n=2, batch_size=1 << 15):
     [
         (1, big(2 * (1 << 15) + 7)),
         (2, big(1 << 15)),
+        (2, big((1 << 15) + 1)),
         (2, big(3 * (1 << 14), batch_size=1 << 14)),
         (2, TrajectorySet(CauchyProblem("-x", "1", 0.0, GridLevel(16)), enumerate_paths(GridLevel(16)))),
     ],
-    ids=["one-core", "one-tile", "tiles-under-2^15-rows", "exhaustive"],
+    ids=["one-core", "one-tile", "one-full-tile-and-a-short-one", "tiles-under-2^15-rows", "exhaustive"],
 )
 def test_no_thread_starts_where_threads_do_not_pay(monkeypatch, cores, trajectories):
     forced(monkeypatch, cores)
@@ -197,15 +201,21 @@ def test_no_thread_starts_where_threads_do_not_pay(monkeypatch, cores, trajector
 
 
 def test_two_tiles_of_2_15_rows_on_two_cores_start_one_thread(monkeypatch):
-    trajectories = big((1 << 15) + 1)
     forced(monkeypatch, 2)
     starts = Starts(monkeypatch)
     threads = threading.active_count()
-    density(trajectories)
+    density(big(2 * (1 << 15)))
     assert starts.count == 1 and threading.active_count() == threads
-    monkeypatch.setattr(sde, "_cores", lambda: 64)  # no more workers than tiles
-    density(trajectories)
+    monkeypatch.setattr(sde, "_cores", lambda: 64)  # two workers at most, whatever the cores
+    density(big(4 * (1 << 15) + 7))
     assert starts.count == 2 and threading.active_count() == threads
+
+
+def test_lifting_the_cap_gives_no_more_workers_than_full_tiles(monkeypatch):
+    forced(monkeypatch, 64, max_workers=64)
+    starts = Starts(monkeypatch)
+    density(big(3 * (1 << 15) + 7))
+    assert starts.count == 2
 
 
 class Boom(Exception):
