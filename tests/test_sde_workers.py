@@ -209,13 +209,9 @@ def test_two_tiles_of_2_15_rows_on_two_cores_start_one_thread(monkeypatch):
     monkeypatch.setattr(sde, "_cores", lambda: 64)  # two workers at most, whatever the cores
     density(big(4 * (1 << 15) + 7))
     assert starts.count == 2 and threading.active_count() == threads
-
-
-def test_lifting_the_cap_gives_no_more_workers_than_full_tiles(monkeypatch):
-    forced(monkeypatch, 64, max_workers=64)
-    starts = Starts(monkeypatch)
+    monkeypatch.setattr(sde, "_MAX_WORKERS", 64)  # uncapped: one worker per full tile
     density(big(3 * (1 << 15) + 7))
-    assert starts.count == 2
+    assert starts.count == 4 and threading.active_count() == threads
 
 
 class Boom(Exception):
