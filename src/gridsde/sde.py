@@ -14,7 +14,9 @@ read one step stream, ``TrajectorySet.steps``: the states x_k, the noise
 values xi_k and path weights, reduced through one rule, ``weighted_sum``.
 The three walks below step a level by one function, ``_step_nodes``: f and
 h once per node at t_k, times each child's noise value, and the compensated
-update, so a state is the same bits whichever walk reaches it.
+update, so a state is the same bits whichever walk reaches it.  The batch
+walk, the tiles and ``solve_grid_ode`` step their paths by one generator,
+``_walk``, and hold ``np.errstate`` around each step alone.
 
 A full exhaustive enumeration is first walked as a recombining lattice (the
 discrete Cox-Ross-Rubinstein lattice): level by level, each distinct
@@ -53,9 +55,9 @@ workers.  The float reducers read ``steps()`` in the calling thread alone.
 
 Every other walk streams batches of paths in path order, one at a time, so
 a million paths never live in memory at once; the walk allocates two flat
-buffers of batch_size * (n+1) floats and reuses them for every batch.  One
-kernel steps every batch as a piece of the noise tree, from a transposed
-view of its noise block: x_k depends only on xi_0..xi_{k-1}, so it steps
+buffers of batch_size * (n+1) floats and reuses them for every batch.
+``_walk`` steps every batch as a piece of the noise tree, from the columns
+of its noise block: x_k depends only on xi_0..xi_{k-1}, so it steps
 each distinct noise prefix once.  An exhaustive batch is a whole subtree,
 so an exhaustive run costs about |A|^(n+1)/(|A|-1) steps in place of
 n * |A|^(n+1), plus one write of every path's states for the per-path view
@@ -224,46 +226,53 @@ def _step_nodes(
     return out[1], out[2], ok.ravel()
 
 
-def _step_block(
+def _walk(
     problem: CauchyProblem,
-    noise: np.ndarray,
-    start_index: int | None,
+    start: int | None,
+    rows: int,
+    steps: int,
+    noise,
     widths: Sequence[int],
-    out: np.ndarray | None = None,
-    steps: int | None = None,
-) -> np.ndarray:
-    """The states of a batch of noise paths under ``problem``, one row per path.
+    buffers: Sequence[np.ndarray] | None = None,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Step ``rows`` paths from x_0 to x_steps, yielding (k, x_k, xi_k) before each step.
 
-    The noise and the states are time-major, ``[n+1, rows]``; the noise is
-    a transposed view of the batch's block, and the states, fresh or the
-    front of the flat buffer ``out``, are returned transposed.  The
-    rows sharing xi_0..xi_{k-1}, and so x_k, are runs of ``widths[k]``
-    rows: a node of the noise tree at depth k.  Each node is stepped once,
-    its children being its runs of ``widths[k+1]`` rows, each read at its
-    first row's noise value.  Widths of 1 step every path on its own; a
-    whole subtree in lexicographic order shares its prefixes.  A divergence
-    names the first diverging step and the smallest path index through the
-    first bad node there, or no path if ``start_index`` is None.  Each
-    level is one ``_step_nodes`` call, as in the lattice walk.  Only
-    ``steps`` levels are stepped (all n by default); the states past
-    x_steps are then left unwritten.
+    The rows sharing xi_0..xi_{k-1}, and so x_k, are runs of ``widths[k]``
+    rows: a node of the noise tree at depth k, and x_k holds one state per
+    node.  ``noise(k)`` gives step k's noise, one value per row; each node
+    is stepped once, its children being its runs of ``widths[k+1]`` rows,
+    each read at its first row's noise value, and xi_k is those values.
+    Widths of 1 step every path on its own; a whole subtree in
+    lexicographic order shares its prefixes.  Each level is one
+    ``_step_nodes`` call, as in the lattice walk.  Without ``buffers`` every
+    step makes fresh arrays; with five flat buffers of at least ``rows``
+    floats (the states, their compensations, the step's increment and its
+    two outputs), every step writes into their fronts, the new states and
+    compensations taking the buffers that held the previous ones, so x_k is
+    valid only until the next step.  A step that leaves the guard raises
+    DivergenceError naming its step and the smallest path through a bad
+    node there, or no path if ``start`` is None.  ``np.errstate`` is held
+    around each step alone, so none of it reaches the caller at a yield.
     """
-    n = problem.level.n
-    states = _block(out, n + 1, noise.shape[1])
-    states[0] = problem.x0
-    x = states[0, :: widths[0]]
-    comp = np.zeros(x.shape[0])
-    with np.errstate(all="ignore"):
-        for k in range(n if steps is None else steps):
-            x, comp, ok = _step_nodes(problem, k, x, comp, noise[k, :: widths[k + 1]])
-            if not ok.all():
-                row = int(np.argmin(ok)) * widths[k + 1]
-                raise DivergenceError(
-                    step=k + 1,
-                    path_index=None if start_index is None else start_index + row,
-                )
-            states[k + 1].reshape(x.shape[0], -1)[...] = x[:, None]
-    return states.T
+    nodes = -(-rows // widths[0])  # at depth 0; a short exhaustive batch has one
+    if buffers is None:
+        x, comp, free = np.empty(nodes), np.empty(nodes), []
+    else:
+        x, comp, *free = (buffer[:rows] for buffer in buffers)
+    x[...], comp[...] = problem.x0, 0.0
+    for k in range(steps + 1):
+        xi = noise(k)[:: widths[k + 1]]
+        yield k, x, xi
+        if k == steps:
+            return
+        with np.errstate(all="ignore"):
+            nxt, new_comp, ok = _step_nodes(problem, k, x, comp, xi, free or None)
+        if free:
+            free[1:] = x, comp
+        x, comp = nxt, new_comp
+        if not ok.all():
+            row = int(np.argmin(ok)) * widths[k + 1]
+            raise DivergenceError(k + 1, None if start is None else start + row)
 
 
 def solve_grid_ode(problem: CauchyProblem, noise: NoisePath | None = None) -> GridFunction:
@@ -272,15 +281,14 @@ def solve_grid_ode(problem: CauchyProblem, noise: NoisePath | None = None) -> Gr
     The solution is x(t_k), k = 0..n, as a function on the level's time grid.
     """
     n = problem.level.n
-    if noise is None:
-        block = np.zeros((n + 1, 1))
-        index = None
-    else:
+    path, index = np.zeros(n + 1), None
+    if noise is not None:
         if noise.level.n != n:
             raise GridError("noise path level does not match the problem level")
-        block = noise.values[:, None]
-        index = noise.path_index
-    values = _step_block(problem, block, index, [1] * (n + 2))[0]
+        path, index = noise.values, noise.path_index
+    values = np.empty(n + 1)
+    for k, x, _ in _walk(problem, index, 1, n, lambda k: path[k : k + 1], [1] * (n + 2)):
+        values[k] = x[0]
     return GridFunction(problem.level.time_grid(), values)
 
 
@@ -300,10 +308,11 @@ class TrajectorySet:
     its states merge.  A sampled ensemble is walked in tiles of batch_size
     paths, step by step, hashing each step's noise column as it goes; the
     exact counts walk its tiles in more than one worker where threads pay
-    (``_reduce_counts``).
-    Otherwise one batch kernel steps each distinct noise prefix of a batch
-    once: an exhaustive batch is a whole subtree of the noise tree.
-    ``batches()`` is the per-path view of either kind.
+    (``_reduce_counts``).  Otherwise the batch walk steps each distinct
+    noise prefix of a batch once: an exhaustive batch is a whole subtree of
+    the noise tree.  ``batches()`` is the per-path view of either kind.
+    Tiles and batches are stepped by one generator, ``_walk``, and handed
+    out with their earliest divergence by one ``_Tiles``.
     """
 
     def __init__(
@@ -355,31 +364,36 @@ class TrajectorySet:
         raises NoiseError before the first batch.  This per-path view never
         merges states, and it is the one way to see a sampled ensemble's
         paths whole: ``steps()`` walks sampled ensembles without blocks.
-        After a batch diverges at step s no batch is yielded, and later
-        batches are stepped only to step s-1, where only an earlier step
-        could change the report; after the last batch a DivergenceError
-        names the first diverging step of the whole ensemble and the
-        smallest path through a bad node there, whatever the batch size.
+        ``_walk`` steps each batch into fresh arrays.  The batches and the
+        earliest divergence come from ``_Tiles``, as the tiles do, and a
+        batch is taken before its noise block is made: after a batch
+        diverges at step s no batch is yielded, later batches are stepped
+        only to step s-1, where only an earlier step could change the
+        report, and none is made after step 1.  After the last batch a
+        DivergenceError names the first diverging step of the whole
+        ensemble and the smallest path through a bad node there, whatever
+        the batch size.
         """
         self._check_counts()
-        size = min(self.batch_size, self.count) * (self.problem.level.n + 1)
-        block, states = np.empty(size), np.empty(size)
-        first_bad = None  # (step, path) of the earliest divergence
-        for start, noise in self.ensemble.batches(self.batch_size, out=block):
-            # after a divergence at step s only an earlier step can change the report
-            steps = None if first_bad is None else first_bad[0] - 1
+        n = self.problem.level.n
+        size = min(self.batch_size, self.count) * (n + 1)
+        block, buffer = np.empty(size), np.empty(size)
+        tiles, blocks = _Tiles(self), self.ensemble.batches(self.batch_size, out=block)
+        while (tile := tiles.take()) is not None:
+            start, steps, reading = tile
+            _, noise = next(blocks)
+            states = _block(buffer, n + 1, noise.shape[0])  # time-major
             try:
-                values = _step_block(self.problem, noise.T, start, self._widths, states, steps)
+                for k, x, _ in _walk(
+                    self.problem, start, noise.shape[0], steps, lambda k: noise[:, k], self._widths
+                ):
+                    states[k].reshape(x.shape[0], -1)[...] = x[:, None]
             except DivergenceError as exc:
-                # stepped only below the recorded step, so a later batch's is earlier
-                first_bad = exc.step, exc.path_index
-                if exc.step == 1:
-                    break  # no step is earlier
+                tiles.diverged(exc)
                 continue
-            if first_bad is None:  # a walk that will raise yields nothing more
-                yield start, noise, values
-        if first_bad is not None:
-            raise DivergenceError(*first_bad)
+            if reading:
+                yield start, noise, states.T
+        tiles.raise_divergence()
 
     def steps(self, time_indices: Sequence[int], with_noise: bool = False) -> Iterator[tuple]:
         """Yield (i, x_k, xi_k, weight) for k = time_indices[i].
@@ -391,7 +405,7 @@ class TrajectorySet:
         states merge yields each level once: its distinct states, weighted
         by the paths through each, or with ``with_noise`` each (state,
         symbol) pair, weighted by the paths through the pair.  A sampled
-        ensemble is walked tile by tile (``_tiles``), step by step: each
+        ensemble is walked tile by tile (``_tile_reads``), step by step: each
         tile of batch_size paths yields every path with weight 1 at each k
         it reaches, in order of k, so for ascending time indices the yield
         order is the batch walk's.  Otherwise the batch walk yields batch by
@@ -417,32 +431,16 @@ class TrajectorySet:
                     yield i, x.copy(), None, prefixes * self.ensemble.prefix_rows(k)
             return
         if self.ensemble.mode == "sampled":
-            yield from self._tiles(time_indices, with_noise)
+            tiles = _Tiles(self)
+            for i, x, xi in self._tile_reads(tiles, _readers(time_indices), with_noise):
+                yield i, x.copy(), xi.copy() if with_noise else None, 1
+            tiles.raise_divergence()
             return
         shift = 1 if with_noise else 0
         for _, noise, values in self.batches():
             for i, k in enumerate(time_indices):
                 w = self._widths[k + shift]
                 yield i, values[::w, k].copy(), noise[::w, k].copy() if with_noise else None, w
-
-    def _tiles(self, time_indices: tuple[int, ...], with_noise: bool) -> Iterator[tuple]:
-        """The sampled walk of ``steps()``: tiles of batch_size paths in path order, step-major.
-
-        The calling thread alone walks the tiles through ``_tile_walk``, so
-        a float sum taken in yield order is the same at any core count, and
-        yields copies of x_k (and xi_k) for each i that reads k.  The
-        exact-count reducers walk the same tiles in ``_reduce_counts``, in
-        two workers where threads pay: at least two full tiles of at least
-        ``_THREAD_ROWS`` rows, on at least two cores.  A divergence at
-        step s names the smallest path there; the tile stops, later tiles
-        yield nothing and are stepped only to step s-1, where only an
-        earlier step could change the report, and the DivergenceError is
-        raised after the last tile.
-        """
-        tiles = _Tiles(self)
-        for i, x, xi in self._tile_reads(tiles, _readers(time_indices), with_noise):
-            yield i, x.copy(), xi.copy() if with_noise else None, 1
-        tiles.raise_divergence()
 
     def _reduce_counts(self, time_indices: Sequence[int], new_part, add) -> list:
         """An exact-count reduction of the states at ``time_indices``: one part per worker.
@@ -452,7 +450,7 @@ class TrajectorySet:
         step, so no state is copied; the caller sums the parts, which is
         exact for integer counts.  A sampled ensemble's tiles go to
         ``_workers()`` workers, the calling thread one of them, from one
-        ``_Tiles``, and each worker owns its part and a ``_tile_walk``; any
+        ``_Tiles``, and each worker owns its part and its ``_tile_reads``; any
         other ensemble is read through ``steps()`` in the calling thread.
         f and h are compiled before any worker starts, so no two workers
         compile one expression.  An exception in a worker stops the others
@@ -510,67 +508,37 @@ class TrajectorySet:
     def _tile_reads(self, tiles: _Tiles, readers: dict, with_noise: bool) -> Iterator[tuple]:
         """Yield (i, x_k, xi_k) for each slice i that reads k, over the tiles taken from ``tiles``.
 
-        x_k and xi_k are views of the walk's buffers, valid until the next
-        step.  A tile taken after a divergence reads nothing, and its own
-        divergence is handed to ``tiles``.
-        """
-        walk = self._tile_walk()
-        while (tile := tiles.take()) is not None:
-            start, steps, reading = tile
-            try:
-                for k, x, xi in walk(start, steps, readers if reading else {}, with_noise):
-                    for i in readers[k]:
-                        yield i, x, xi
-            except DivergenceError as exc:
-                tiles.diverged(exc)
-
-    def _tile_walk(self):
-        """walk(start, steps, reads, with_noise): one tile at a time, in buffers made once.
-
-        A walk owns a noise column with its hash buffers and five buffers
-        of min(batch_size, count) floats: the states, their compensations,
-        and the step's increment and two outputs; each tile's rows use the
-        front of them.  ``walk`` steps the tile of paths from ``start`` to
-        step ``steps``, step-major: for each step k it hashes the tile's
-        noise column, counters r*(n+1) + k for its rows r, into the column,
-        yields (k, x_k, xi_k) if k is in ``reads`` (xi_k only with
-        ``with_noise``), and steps by ``_step_nodes``.  So no [batch, n+1]
-        block is built, and no step makes an array of the tile's size for
-        its states.  After a step the new states and compensations take
-        the place of the old, whose buffers receive the next step's.  A
-        tile steps its paths as the batch walk steps a batch of the same
-        rows, so every state is the same bits.  A step that leaves the
-        guard raises DivergenceError naming its step and the tile's
-        smallest path through a bad node there.
+        The walk owns a noise column with its hash buffers and five step
+        buffers of min(batch_size, count) floats, made once; each tile's
+        rows use the front of them.  ``_walk`` steps each tile in them,
+        step-major: the noise of step k, counters r*(n+1) + k for the
+        tile's rows r, is hashed into the column where it is stepped, or
+        read with ``with_noise``.  So no [batch, n+1] block is built, and no
+        step makes an array of the tile's size for its states.  x_k and
+        xi_k are views of the buffers, valid until the next step.  A tile
+        taken after a divergence reads nothing, and its own divergence is
+        handed to ``tiles``.
         """
         problem, ensemble = self.problem, self.ensemble
         n = problem.level.n
         size = min(self.batch_size, ensemble.count)
-        scaled = ensemble.alphabet.scaled(problem.level)
-        hash_column = _sampled_hash(ensemble.seed, scaled, n + 1, size)
-        column = np.empty(size)
-        buffers = [np.empty(size) for _ in range(5)]
+        hash_column = _sampled_hash(ensemble.seed, ensemble.alphabet.scaled(problem.level), n + 1, size)
+        column, buffers = np.empty(size), [np.empty(size) for _ in range(5)]
+        while (tile := tiles.take()) is not None:
+            start, steps, reading = tile
+            rows, reads = min(self.batch_size, ensemble.count - start), readers if reading else {}
 
-        def walk(start: int, steps: int, reads, with_noise: bool) -> Iterator[tuple]:
-            rows = min(self.batch_size, ensemble.count - start)
-            xi = column[:rows]
-            x, comp, inc, *spare = (buffer[:rows] for buffer in buffers)
-            x[...], comp[...] = problem.x0, 0.0
-            for k in range(steps + 1):
-                read = k in reads
-                if k < steps or (with_noise and read):
-                    hash_column(start * (n + 1) + k, xi)
-                if read:
-                    yield k, x, xi
-                if k == steps:
-                    return
-                with np.errstate(all="ignore"):
-                    nxt, new_comp, ok = _step_nodes(problem, k, x, comp, xi, (inc, *spare))
-                spare, x, comp = (x, comp), nxt, new_comp
-                if not ok.all():
-                    raise DivergenceError(k + 1, start + int(np.argmin(ok)))
+            def noise(k):  # hashed where it is stepped or read
+                if k < steps or (with_noise and k in reads):
+                    hash_column(start * (n + 1) + k, column[:rows])
+                return column[:rows]
 
-        return walk
+            try:
+                for k, x, xi in _walk(problem, start, rows, steps, noise, self._widths, buffers):
+                    for i in reads.get(k, ()):
+                        yield i, x, xi
+            except DivergenceError as exc:
+                tiles.diverged(exc)
 
     def _lattice(self, wanted: set[int]) -> dict[int, tuple[np.ndarray, np.ndarray]] | None:
         """The recombining walk: {k: (distinct x_k, prefix counts)} for each wanted k.
@@ -626,7 +594,7 @@ def _merge(x: np.ndarray, comp: np.ndarray, counts: np.ndarray) -> tuple[np.ndar
 
 
 class _Tiles:
-    """The tiles of a sampled walk, handed out in path order, and its earliest divergence."""
+    """The tiles of a walk, or the batches of ``batches()``, in path order, and its earliest divergence."""
 
     def __init__(self, trajectories: TrajectorySet):
         self._starts = iter(range(0, trajectories.ensemble.count, trajectories.batch_size))

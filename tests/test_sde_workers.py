@@ -220,12 +220,13 @@ class Boom(Exception):
 
 @pytest.mark.parametrize("where", ["worker", "caller"])
 def test_an_exception_in_a_worker_ends_the_walk_and_is_raised_after_every_thread(monkeypatch, where):
-    # of 3 tiles, the caller's first waits until the worker's has raised and the walk
-    # has stopped, so the caller takes no second tile
+    # of 3 tiles, each side takes one: the side that raises waits until the other has
+    # stepped its first tile, and the other waits in that tile until the walk has
+    # stopped, so neither takes a second tile
     trajectories = big(3 * (1 << 15))
     forced(monkeypatch, 2)
     step_nodes, stop, caller = sde._step_nodes, sde._Tiles.stop, threading.current_thread()
-    stopped, tiles, waits = threading.Event(), [], []
+    stopped, other_stepped, tiles, waits = threading.Event(), threading.Event(), [], []
 
     def stopping(self):
         stop(self)
@@ -233,11 +234,15 @@ def test_an_exception_in_a_worker_ends_the_walk_and_is_raised_after_every_thread
 
     def failing(problem, k, *args):
         in_caller = threading.current_thread() is caller
+        raising = in_caller == (where == "caller")
         if k == 0:
             tiles.append(in_caller)
-        if k == 1 and in_caller == (where == "caller"):
+            if not raising:
+                other_stepped.set()
+        if k == 1 and raising:
+            waits.append(other_stepped.wait(timeout=10))
             raise Boom(where)
-        if k == 1 and in_caller:
+        if k == 1:
             waits.append(stopped.wait(timeout=10))
         return step_nodes(problem, k, *args)
 
